@@ -1,8 +1,8 @@
 """The long-lived detection engine behind every run path.
 
 ``DetectionEngine`` owns what used to live inline in
-:func:`repro.sim.runner.run_scenario`'s streaming loop and
-:func:`repro.parallel._finish_merged`: a pool of source-sharded
+:func:`repro.sim.runner.run_scenario`'s streaming loop and the
+:mod:`repro.parallel` drivers' merge step: a pool of source-sharded
 :class:`~repro.core.streaming.StreamingDetector`\\ s, chunk routing into
 that pool, checkpoint/snapshot scheduling, and the telemetry/RunHealth
 accounting around them.  The batch drivers construct one, feed it, and
@@ -249,8 +249,8 @@ class DetectionEngine:
         """Adopt ``(detector, report)`` pairs produced by a worker pool.
 
         The pairs must be in shard-index order (``run_sharded``
-        guarantees it); :meth:`finish` then merges and accounts exactly
-        as the pre-engine ``_finish_merged`` did, keeping pool runs
+        guarantees it); :meth:`finish` then merges them in that order
+        and records the pool's worker telemetry, keeping pool runs
         bit-identical to serial ones.
         """
         if not shard_results:
@@ -842,9 +842,12 @@ class DetectionEngine:
                         tasks=getattr(report, "tasks", 1),
                         stolen_tasks=getattr(report, "stolen_tasks", 0),
                     )
+                total_packets = sum(r.packets for r in reports)
+                # Assigned, not accumulated: an in-memory run already
+                # counted its chunks while sharding them.
+                telemetry.total_packets = total_packets
                 generate_seconds = sum(r.generate_seconds for r in reports)
                 if generate_seconds > 0.0:
-                    total_packets = sum(r.packets for r in reports)
                     telemetry.stage("generate").add(
                         total_packets, total_packets, generate_seconds
                     )

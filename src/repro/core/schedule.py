@@ -9,7 +9,11 @@ counts, or uniform weights) into an explicit :class:`SchedulePlan`:
 which items form which task, which logical shard each task belongs to,
 and in what order tasks should be submitted to the pool.
 
-Two planning shapes cover every parallel entry point:
+Three planning shapes cover every parallel entry point:
+
+* :func:`plan_static` — the legacy layout (``static`` mode): one
+  zero-cost task per shard, items assigned by a given shard index
+  (a source hash, or even ``array_split`` slices).
 
 * :func:`plan_contiguous` — for stages whose merge is a concatenation
   in population order (flow synthesis): tasks must be contiguous index
@@ -48,9 +52,9 @@ import numpy as np
 
 #: Recognized scheduling modes, in increasing order of machinery:
 #: ``static`` — the legacy layout (contiguous ``array_split`` slices or
-#: hash shards), no planner; ``packed`` — size-aware bin packing into
-#: exactly ``workers`` tasks; ``stealing`` — packed plus
-#: over-decomposition into stealable sub-tasks.
+#: hash shards, :func:`plan_static`), no cost prediction; ``packed`` —
+#: size-aware bin packing into exactly ``workers`` tasks; ``stealing``
+#: — packed plus over-decomposition into stealable sub-tasks.
 SCHEDULE_MODES = ("static", "packed", "stealing")
 
 #: Target tasks per worker in ``stealing`` mode.  More tasks = finer
@@ -205,6 +209,36 @@ def _cap_bounds(costs: Sequence[float], cap: float) -> List[int]:
     return bounds
 
 
+def even_shards(n: int, workers: int) -> np.ndarray:
+    """Shard index per item of ``np.array_split(range(n), workers)``."""
+    return np.repeat(np.arange(workers), np.diff(_even_bounds(n, workers)))
+
+
+def plan_static(shards: Sequence[int], workers: int) -> SchedulePlan:
+    """The legacy layout as a plan: item ``i`` on shard ``shards[i]``.
+
+    One task per shard, task index = shard index, items in ascending
+    order — the hash layout (``shards`` from
+    :func:`repro.parallel.shard_of`) or the contiguous ``array_split``
+    one (:func:`even_shards`).  No cost was predicted, so every task
+    costs 0.0: :meth:`SchedulePlan.submit_order` stays FIFO and
+    ``planned_cost`` stays 0 in telemetry.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    shards = np.asarray(shards, dtype=np.int64)
+    tasks = tuple(
+        TaskPlan(
+            index=shard,
+            shard=shard,
+            items=tuple(int(i) for i in np.flatnonzero(shards == shard)),
+            cost=0.0,
+        )
+        for shard in range(workers)
+    )
+    return SchedulePlan(mode="static", workers=workers, tasks=tasks)
+
+
 def _empty_plan(mode: str, workers: int) -> SchedulePlan:
     """One empty task per shard — the shape static sharding gives an
     empty population, so downstream merge/telemetry code sees the same
@@ -302,7 +336,7 @@ def plan_grouped(
     if mode == "static":
         raise ValueError(
             "static scheduling keeps the legacy hash layout; "
-            "it is not planned here"
+            "build it with plan_static"
         )
     if workers < 1:
         raise ValueError("workers must be >= 1")

@@ -20,15 +20,20 @@ serial run would have accumulated — the events, thresholds and AH sets
 are **identical to the serial path for any shard count**.  A hypothesis
 property test pins this invariant.
 
-Two consumption modes:
+Every detection run takes the same steps — plan the source partition
+(:mod:`repro.core.schedule`), fold each task's packets into its own
+detector (:func:`fold`), merge, finish once — and differs only in where
+a task's packets come from, its :class:`PacketSource`:
 
-* :func:`parallel_detect` — shard an in-memory chunk stream in the
-  parent and ship per-shard sub-batches to the pool.
-* :func:`parallel_detect_directory` — point the workers at a
-  ``chunk-*.npz`` directory written by
+* :class:`MemorySource` — :func:`parallel_detect` shards an in-memory
+  chunk stream in the parent and ships each task its sub-batches.
+* :class:`DirectorySource` — :func:`parallel_detect_directory` points
+  the workers at a ``chunk-*.npz`` directory written by
   :func:`repro.io.packetlog.save_packets_chunked`; each worker reads
-  every archive itself and keeps only its shard's packets, so no packet
+  every archive itself and keeps only its task's packets, so no packet
   ever crosses a process pipe and parent memory stays at one chunk.
+* :class:`LazySource` — :func:`parallel_generate_detect` ships each
+  task its *scanners* and the worker generates their capture locally.
 
 Every entry point executes through the fault-tolerant layer
 (:mod:`repro.core.faults`): failed shards are retried with backoff, a
@@ -49,7 +54,18 @@ import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -67,8 +83,10 @@ from repro.core.engine import DetectionEngine
 from repro.core.schedule import (
     DEFAULT_STEAL_FACTOR,
     SchedulePlan,
+    even_shards,
     plan_contiguous,
     plan_grouped,
+    plan_static,
     validate_mode,
 )
 from repro.core.streaming import StreamingDetector
@@ -181,167 +199,138 @@ class ParallelResult:
         return len(self.worker_reports)
 
 
-def _run_shard(
-    shard: int,
-    batches: List[PacketBatch],
+class PacketSource(Protocol):
+    """Where one task's packets come from.
+
+    Implementations are picklable (they cross into pool workers) and
+    yield time-ordered :class:`~repro.packet.PacketBatch`\\ es.  Once
+    exhausted, a source may add its own :class:`WorkerReport` fields to
+    ``report`` (quarantined archives, generation seconds...).
+    """
+
+    def batches(self, report: dict) -> Iterator[PacketBatch]:
+        ...
+
+
+@dataclass(frozen=True)
+class MemorySource:
+    """Sub-batches the parent already routed to this task.
+
+    ``payload`` is either the batch list (the pickled hand-off) or a
+    :class:`~repro.io.shm.ShmBatchList` handle, resolved in the worker
+    into read-only views of the parent's segment.
+    """
+
+    payload: object
+
+    def batches(self, report: dict) -> Iterator[PacketBatch]:
+        return iter(resolve_batches(self.payload))
+
+
+@dataclass(frozen=True)
+class DirectorySource:
+    """A ``save_packets_chunked`` directory, read one archive at a time.
+
+    Archives are verified against the directory's digest manifest; a
+    damaged one raises (strict) or is skipped and reported back
+    (``on_corrupt="quarantine"``) — every task skips the *same*
+    archives, so degraded-mode results stay deterministic across shard
+    counts.
+    """
+
+    directory: str
+    on_corrupt: str = "raise"
+
+    def batches(self, report: dict) -> Iterator[PacketBatch]:
+        from repro.io.packetlog import iter_packets_verified
+
+        quarantined: List[str] = []
+        for path, batch in iter_packets_verified(
+            self.directory, self.on_corrupt
+        ):
+            if batch is None:
+                quarantined.append(str(path))
+                continue
+            yield batch
+        report["quarantined"] = tuple(quarantined)
+
+
+@dataclass(frozen=True)
+class LazySource:
+    """A population slice whose capture the worker generates itself.
+
+    The task carries its *scanners* (a compact description of behavior,
+    kilobytes) instead of their packets (gigabytes at scale) and streams
+    their capture with a
+    :class:`~repro.telescope.chunks.LazyCaptureSource` — raw packets
+    never cross a process boundary, and no process ever materializes a
+    full capture.
+    """
+
+    scanners: list
+    view: object
+    chunk_seconds: float
+    window: Optional[tuple] = None
+
+    def batches(self, report: dict) -> Iterator[PacketBatch]:
+        from repro.telescope.chunks import LazyCaptureSource
+
+        source = LazyCaptureSource.from_population(
+            self.scanners, self.view, self.chunk_seconds, window=self.window
+        )
+        generate_seconds = 0.0
+        t_prev = time.perf_counter()
+        for chunk in source:
+            generate_seconds += time.perf_counter() - t_prev
+            yield chunk.packets
+            t_prev = time.perf_counter()
+        report.update(
+            generate_seconds=generate_seconds,
+            spans_derived=source.spans_derived,
+            spans_emitted=source.spans_emitted,
+        )
+
+
+def fold(
+    task_index: int,
+    source: PacketSource,
+    shard_filter: Optional[Tuple[int, Tuple[int, ...]]],
     timeout: float,
     dark_size: int,
     config: Optional[DetectionConfig],
     day_seconds: float,
 ) -> Tuple[StreamingDetector, WorkerReport]:
-    """Worker body: drive one shard's detector over its sub-batches.
+    """The shard worker: fold one task's packets into a fresh detector.
 
     Top-level (not a closure) so it pickles under any multiprocessing
-    start method.  ``batches`` is either the shard's batch list (the
-    pickled hand-off) or a :class:`~repro.io.shm.ShmBatchList` handle,
-    resolved here into read-only views of the parent's segment.
-    Returns the *unfinished* detector — thresholds must only be derived
-    after the merge.
+    start method.  ``shard_filter`` is ``None`` when the source holds
+    only this task's sources, else ``(n_fine, fines)``: keep the packets
+    whose source hashes (mod ``n_fine``) into the task's fine shards —
+    the union filter keeps the source partition disjoint across tasks,
+    so one detector per task stays correct.  Returns the *unfinished*
+    detector — thresholds must only be derived after the merge.
     """
     t0 = time.perf_counter()
-    batches = resolve_batches(batches)
     detector = StreamingDetector(timeout, dark_size, config, day_seconds)
-    for batch in batches:
-        detector.add_batch(batch)
-    report = WorkerReport(
-        shard=shard,
-        packets=detector.packets_seen,
-        events_finalized=detector.events_finalized,
-        open_flows=detector.open_flows,
-        peak_open_flows=detector.peak_open_flows,
-        seconds=time.perf_counter() - t0,
-        watermark=detector.watermark,
-        pid=os.getpid(),
-    )
-    return detector, report
-
-
-def _run_shard_directory(
-    shard: int,
-    n_shards: int,
-    directory: str,
-    timeout: float,
-    dark_size: int,
-    config: Optional[DetectionConfig],
-    day_seconds: float,
-    on_corrupt: str = "raise",
-    fines: Optional[Tuple[int, ...]] = None,
-) -> Tuple[StreamingDetector, WorkerReport]:
-    """Worker body for chunk directories: read, filter to shard, fold.
-
-    Every worker streams the full archive sequence but holds only one
-    chunk at a time, and feeds its detector only the packets whose
-    source hashes to its shard.  Under a schedule plan ``fines`` names
-    the set of fine hash-shards (mod ``n_shards``) this task owns
-    instead of the single ``shard`` value — the union filter keeps the
-    source partition disjoint across tasks, so one detector per task
-    stays correct.  Archives are verified against the directory's
-    digest manifest; a damaged one raises (strict) or is skipped and
-    reported back (``on_corrupt="quarantine"``) — every worker skips
-    the *same* archives, so degraded-mode results stay deterministic
-    across shard counts.
-    """
-    from repro.io.packetlog import iter_packets_verified
-
-    t0 = time.perf_counter()
-    detector = StreamingDetector(timeout, dark_size, config, day_seconds)
-    quarantined: List[str] = []
-    fine_ids = (
-        None if fines is None else np.asarray(fines, dtype=np.int64)
-    )
-    for path, batch in iter_packets_verified(directory, on_corrupt):
-        if batch is None:
-            quarantined.append(str(path))
-            continue
-        if fine_ids is not None:
-            batch = batch.select(
-                np.isin(shard_of(batch.src, n_shards), fine_ids)
-            )
-        elif n_shards > 1:
-            batch = batch.select(shard_of(batch.src, n_shards) == shard)
+    extra: dict = {}
+    for batch in source.batches(extra):
+        if shard_filter is not None:
+            n_fine, fines = shard_filter
+            batch = batch.select(np.isin(shard_of(batch.src, n_fine), fines))
         if len(batch):
             detector.add_batch(batch)
     report = WorkerReport(
-        shard=shard,
+        shard=task_index,
         packets=detector.packets_seen,
         events_finalized=detector.events_finalized,
         open_flows=detector.open_flows,
         peak_open_flows=detector.peak_open_flows,
         seconds=time.perf_counter() - t0,
         watermark=detector.watermark,
-        quarantined=tuple(quarantined),
         pid=os.getpid(),
+        **extra,
     )
     return detector, report
-
-
-def _run_shard_lazy(
-    shard: int,
-    scanners: list,
-    view,
-    chunk_seconds: float,
-    window,
-    timeout: float,
-    dark_size: int,
-    config: Optional[DetectionConfig],
-    day_seconds: float,
-) -> Tuple[StreamingDetector, WorkerReport]:
-    """Worker body for lazy generation: emit own shard, then detect.
-
-    The worker receives its shard's *scanners* (a compact description of
-    behavior, kilobytes) instead of their packets (gigabytes at scale),
-    streams the shard's capture locally with a
-    :class:`~repro.telescope.chunks.LazyCaptureSource`, and folds it
-    into its detector chunk by chunk — raw packets never cross a
-    process boundary, and no process ever materializes a full capture.
-    """
-    from repro.telescope.chunks import LazyCaptureSource
-
-    t0 = time.perf_counter()
-    detector = StreamingDetector(timeout, dark_size, config, day_seconds)
-    source = LazyCaptureSource.from_population(
-        scanners, view, chunk_seconds, window=window
-    )
-    generate_seconds = 0.0
-    t_prev = time.perf_counter()
-    for chunk in source:
-        t_generated = time.perf_counter()
-        generate_seconds += t_generated - t_prev
-        detector.add_batch(chunk.packets)
-        t_prev = time.perf_counter()
-    report = WorkerReport(
-        shard=shard,
-        packets=detector.packets_seen,
-        events_finalized=detector.events_finalized,
-        open_flows=detector.open_flows,
-        peak_open_flows=detector.peak_open_flows,
-        seconds=time.perf_counter() - t0,
-        watermark=detector.watermark,
-        generate_seconds=generate_seconds,
-        spans_derived=source.spans_derived,
-        spans_emitted=source.spans_emitted,
-        pid=os.getpid(),
-    )
-    return detector, report
-
-
-def _finish_merged(
-    shard_results: List[Tuple[StreamingDetector, WorkerReport]],
-    telemetry: Optional[PipelineTelemetry],
-) -> ParallelResult:
-    """Merge shard states (in shard order), finish once, fold telemetry.
-
-    A thin wrapper over :meth:`DetectionEngine.from_shards` — the merge
-    order, single finish, and worker/merge-stage telemetry accounting
-    all live in the engine now, shared with every other run path.
-    """
-    engine = DetectionEngine.from_shards(shard_results, telemetry=telemetry)
-    events, detections = engine.finish()
-    return ParallelResult(
-        events=events,
-        detections=detections,
-        worker_reports=[report for _, report in shard_results],
-    )
 
 
 # ----------------------------------------------------------------------
@@ -353,6 +342,17 @@ def _resolve_health(telemetry: Optional[PipelineTelemetry]) -> RunHealth:
     """The RunHealth sink faults are accounted on (discarded if no
     telemetry was requested)."""
     return telemetry.health if telemetry is not None else RunHealth()
+
+
+def _check_run(workers: int, schedule: str) -> None:
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    validate_mode(schedule)
+
+
+def _population_sources(scanners: Sequence) -> np.ndarray:
+    """Every scanner's source address, in population order."""
+    return np.array([int(s.src) for s in scanners], dtype=np.uint64)
 
 
 def _config_meta(config: Optional[DetectionConfig]) -> Optional[dict]:
@@ -470,40 +470,59 @@ def _stolen_tasks(plan_tasks, reports) -> int:
     return sum(1 for report in reports if report.pid != home_pid)
 
 
+def _plan(
+    schedule: str,
+    workers: int,
+    static_shards: Sequence[int],
+    costed: Callable[[], SchedulePlan],
+) -> SchedulePlan:
+    """The run's task plan — the only place ``static`` is special.
+
+    ``static`` is the legacy layout, item ``i`` on shard
+    ``static_shards[i]`` (:func:`~repro.core.schedule.plan_static`);
+    ``packed``/``stealing`` call ``costed()`` for a size-aware plan.
+    """
+    if schedule == "static":
+        return plan_static(static_shards, workers)
+    return costed()
+
+
+def _fine_plan(
+    costs: Sequence[float], workers: int, schedule: str
+) -> SchedulePlan:
+    """Plan hash fine-shards (``len(costs)``, a multiple of ``workers``).
+
+    Static puts fine shard ``f`` on shard ``f % workers``: because
+    ``workers`` divides the fine count, that is exactly the legacy
+    ``shard_of(src, workers)`` partition.
+    """
+    n_fine = len(costs)
+    return _plan(
+        schedule,
+        workers,
+        np.arange(n_fine) % workers,
+        lambda: plan_grouped(
+            costs, [[fine] for fine in range(n_fine)], workers, schedule
+        ),
+    )
+
+
 def _fold_detect_tasks(
     plan: SchedulePlan,
     task_results: List[Tuple[StreamingDetector, WorkerReport]],
-    make_detector,
 ) -> List[Tuple[StreamingDetector, WorkerReport]]:
     """Fold per-task detector states into one pair per logical shard.
 
     Detection merges are partition-independent, so task detectors fold
     in logical task order without changing results; the per-shard
     report aggregates the task reports and carries the plan/steal
-    telemetry.  Output arity is exactly ``plan.workers`` — downstream
-    merge and telemetry code sees the same shape as a static run.
+    telemetry.  Every detection plan gives each shard at least one
+    (possibly empty) task, so the output arity is exactly
+    ``plan.workers`` in every mode.
     """
     folded: List[Tuple[StreamingDetector, WorkerReport]] = []
     for shard in range(plan.workers):
         tasks = plan.shard_tasks(shard)
-        if not tasks:
-            folded.append(
-                (
-                    make_detector(),
-                    WorkerReport(
-                        shard=shard,
-                        packets=0,
-                        events_finalized=0,
-                        open_flows=0,
-                        peak_open_flows=0,
-                        seconds=0.0,
-                        watermark=None,
-                        planned_cost=0.0,
-                        tasks=0,
-                    ),
-                )
-            )
-            continue
         reports = [task_results[task.index][1] for task in tasks]
         detector = merge_detectors(
             [task_results[task.index][0] for task in tasks]
@@ -513,11 +532,6 @@ def _fold_detect_tasks(
             for report in reports
             if report.watermark is not None
         ]
-        quarantined: List[str] = []
-        for report in reports:
-            for path in report.quarantined:
-                if path not in quarantined:
-                    quarantined.append(path)
         folded.append(
             (
                 detector,
@@ -538,7 +552,10 @@ def _fold_detect_tasks(
                     ),
                     spans_derived=sum(r.spans_derived for r in reports),
                     spans_emitted=sum(r.spans_emitted for r in reports),
-                    quarantined=tuple(quarantined),
+                    # every task reads the same archives: dedup, in order
+                    quarantined=tuple(
+                        dict.fromkeys(p for r in reports for p in r.quarantined)
+                    ),
                     pid=reports[0].pid,
                     planned_cost=plan.planned_cost(shard),
                     tasks=len(tasks),
@@ -574,6 +591,78 @@ def _record_flow_workers(
         )
 
 
+def _detect(
+    plan: SchedulePlan,
+    inputs: Sequence[Tuple[PacketSource, Optional[tuple]]],
+    detector_args: tuple,
+    meta: dict,
+    *,
+    use_processes: bool,
+    telemetry: Optional[PipelineTelemetry],
+    retry: Optional[RetryPolicy],
+    fault_plan: Optional[FaultPlan],
+    checkpoint_dir: Union[str, Path, None],
+    lease=None,
+) -> ParallelResult:
+    """Run a planned detection: fold every task, merge, finish once.
+
+    The one execution path behind every detect entry point.
+    ``inputs`` holds one ``(source, shard_filter)`` pair per plan task;
+    ``detector_args`` is ``(timeout, dark_size, config, day_seconds)``;
+    ``meta`` names the entry point and its inputs for ``run.json``.
+    Task detectors fold into one per logical shard, whose states the
+    engine merges in shard order before deriving thresholds once.  A
+    shared-memory ``lease`` is closed as soon as the pool has joined.
+    """
+    timeout, dark_size, config, day_seconds = detector_args
+    health = _resolve_health(telemetry)
+    try:
+        store = _checkpoint_store(
+            checkpoint_dir,
+            health,
+            {
+                **meta,
+                "workers": plan.workers,
+                "schedule": plan.mode,
+                "timeout": float(timeout),
+                "dark_size": int(dark_size),
+                "day_seconds": float(day_seconds),
+                "config": _config_meta(config),
+            },
+        )
+        task_results = run_sharded(
+            fold,
+            [
+                (task.index, source, shard_filter, *detector_args)
+                for task, (source, shard_filter) in zip(plan.tasks, inputs)
+            ],
+            policy=retry,
+            plan=fault_plan,
+            use_processes=use_processes and plan.workers > 1,
+            max_workers=plan.workers,
+            submit_order=plan.submit_order(),
+            health=health,
+            store=store,
+            kind="detect",
+            dumps=_dump_detect_state,
+            loads=_load_detect_state,
+        )
+    finally:
+        if lease is not None:
+            lease.close()
+    shard_results = _fold_detect_tasks(plan, task_results)
+    for _, report in shard_results:
+        for path in report.quarantined:
+            health.record_quarantine(path)
+    engine = DetectionEngine.from_shards(shard_results, telemetry=telemetry)
+    events, detections = engine.finish()
+    return ParallelResult(
+        events=events,
+        detections=detections,
+        worker_reports=[report for _, report in shard_results],
+    )
+
+
 def parallel_detect(
     chunks: Iterable,
     timeout: float,
@@ -598,14 +687,15 @@ def parallel_detect(
             :class:`~repro.telescope.chunks.CaptureChunk`).
         workers: number of source shards, one detector (and, with
             ``use_processes``, one worker process) per shard.
-        schedule: ``static`` hash-shards sources into exactly
-            ``workers`` tasks (the legacy layout); ``packed`` and
-            ``stealing`` hash into ``workers * steal-factor`` *fine*
-            shards, count each fine shard's packets while chunking, and
-            bin-pack the fine shards by measured packet count —
-            ``packed`` into one task per worker, ``stealing`` into
-            cost-capped sub-tasks drained by idle workers.  All modes
-            produce identical events and detections.
+        schedule: sources hash into ``workers * steal-factor`` *fine*
+            shards whose packets are counted while chunking.
+            ``static`` groups them back into the legacy
+            ``shard_of(src, workers)`` layout, one task per worker;
+            ``packed`` and ``stealing`` bin-pack the fine shards by
+            measured packet count — ``packed`` into one task per
+            worker, ``stealing`` into cost-capped sub-tasks drained by
+            idle workers.  All modes produce identical events and
+            detections.
         shm: hand shard payloads to the pool through a named
             shared-memory segment (:mod:`repro.io.shm`) instead of
             pickling them — workers map the segment read-only, so no
@@ -636,26 +726,8 @@ def parallel_detect(
     detections are identical to the serial streaming (and batch) path —
     also under any injected faults, retries, or resume.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    validate_mode(schedule)
-    health = _resolve_health(telemetry)
-    store = _checkpoint_store(
-        checkpoint_dir,
-        health,
-        {
-            "kind": "detect",
-            "workers": workers,
-            "schedule": schedule,
-            "timeout": float(timeout),
-            "dark_size": int(dark_size),
-            "day_seconds": float(day_seconds),
-            "config": _config_meta(config),
-        },
-    )
-    static = schedule == "static"
-    n_fine = workers if static else workers * DEFAULT_STEAL_FACTOR
-    shards: List[List[PacketBatch]] = [[] for _ in range(workers)]
+    _check_run(workers, schedule)
+    n_fine = workers * DEFAULT_STEAL_FACTOR
     pending: List[Optional[PacketBatch]] = []
     fine_packets = np.zeros(n_fine, dtype=np.int64)
     t_prev = time.perf_counter()
@@ -664,18 +736,13 @@ def parallel_detect(
         batch = getattr(chunk, "packets", chunk)
         if len(batch) == 0:
             continue
-        if static:
-            for index, sub in enumerate(shard_batch(batch, workers)):
-                if len(sub):
-                    shards[index].append(sub)
-        else:
-            # Routing needs the task plan, and the plan needs every
-            # chunk's fine-shard packet counts — so only count here and
-            # route after the stream is exhausted.
-            pending.append(batch)
-            fine_packets += np.bincount(
-                shard_of(batch.src, n_fine), minlength=n_fine
-            )
+        # Routing needs the task plan, and the plan needs every chunk's
+        # fine-shard packet counts — so only count here and route after
+        # the stream is exhausted.
+        pending.append(batch)
+        fine_packets += np.bincount(
+            shard_of(batch.src, n_fine), minlength=n_fine
+        )
         if telemetry is not None:
             now = time.perf_counter()
             shard_stage.add(len(batch), len(batch), now - t_prev)
@@ -689,45 +756,13 @@ def parallel_detect(
             )
             t_prev = time.perf_counter()
 
-    if static:
-        payloads, lease = _ship_payloads(
-            shards, shm, use_processes and workers > 1
-        )
-        try:
-            shard_results = run_sharded(
-                _run_shard,
-                [
-                    (index, payloads[index], timeout, dark_size, config,
-                     day_seconds)
-                    for index in range(workers)
-                ],
-                policy=retry,
-                plan=fault_plan,
-                use_processes=use_processes and workers > 1,
-                max_workers=workers,
-                health=health,
-                store=store,
-                kind="detect",
-                dumps=_dump_detect_state,
-                loads=_load_detect_state,
-            )
-        finally:
-            if lease is not None:
-                lease.close()
-        return _finish_merged(shard_results, telemetry)
-
-    # Scheduled: bin-pack the fine hash-shards by measured packet count,
-    # then route every chunk to each task with a union-of-fine-shards
-    # mask.  One sub-batch per (chunk, task) keeps the chunks arriving
-    # in time order within each task, and the union masks partition the
-    # sources — one detector per task is exactly as correct as one per
-    # hash shard.
-    plan = plan_grouped(
-        fine_packets.tolist(),
-        [[fine] for fine in range(n_fine)],
-        workers,
-        schedule,
-    )
+    # Bin-pack the fine hash-shards by measured packet count, then
+    # route every chunk to each task with a union-of-fine-shards mask.
+    # One sub-batch per (chunk, task) keeps the chunks arriving in time
+    # order within each task, and the union masks partition the sources
+    # — one detector per task is exactly as correct as one per hash
+    # shard.
+    plan = _fine_plan(fine_packets.tolist(), workers, schedule)
     task_fines = [
         np.asarray(task.items, dtype=np.int64) for task in plan.tasks
     ]
@@ -742,35 +777,18 @@ def parallel_detect(
     payloads, lease = _ship_payloads(
         task_batches, shm, use_processes and workers > 1
     )
-    args = [
-        (task.index, payloads[index], timeout, dark_size, config,
-         day_seconds)
-        for index, task in enumerate(plan.tasks)
-    ]
-    try:
-        task_results = run_sharded(
-            _run_shard,
-            args,
-            policy=retry,
-            plan=fault_plan,
-            use_processes=use_processes and workers > 1,
-            max_workers=workers,
-            submit_order=plan.submit_order(),
-            health=health,
-            store=store,
-            kind="detect",
-            dumps=_dump_detect_state,
-            loads=_load_detect_state,
-        )
-    finally:
-        if lease is not None:
-            lease.close()
-    shard_results = _fold_detect_tasks(
+    return _detect(
         plan,
-        task_results,
-        lambda: StreamingDetector(timeout, dark_size, config, day_seconds),
+        [(MemorySource(payload), None) for payload in payloads],
+        (timeout, dark_size, config, day_seconds),
+        {"kind": "detect"},
+        use_processes=use_processes,
+        telemetry=telemetry,
+        retry=retry,
+        fault_plan=fault_plan,
+        checkpoint_dir=checkpoint_dir,
+        lease=lease,
     )
-    return _finish_merged(shard_results, telemetry)
 
 
 def parallel_detect_directory(
@@ -798,13 +816,13 @@ def parallel_detect_directory(
     archives, or a gap in the chunk sequence raise immediately with a
     clear message rather than failing mid-run.
 
-    ``schedule="packed"``/``"stealing"`` decompose into
-    ``workers * 2`` fine hash-shards and bin-pack them into tasks
-    (``packed``: one per worker; ``stealing``: over-decomposed and
-    drained by idle workers).  Packet counts are unknown before
-    reading, so fine shards are weighted uniformly — the win here is
-    finer granularity and stealing, not size prediction; results are
-    identical in every mode.
+    Sources hash into ``workers * 2`` fine shards; ``static`` groups
+    them back into the legacy hash layout, ``packed``/``stealing``
+    bin-pack them into tasks (``packed``: one per worker; ``stealing``:
+    over-decomposed and drained by idle workers).  Packet counts are
+    unknown before reading, so fine shards are weighted uniformly — the
+    win here is finer granularity and stealing, not size prediction;
+    results are identical in every mode.
 
     Chunk archives are digest-verified against the directory manifest.
     ``on_corrupt="raise"`` (default) surfaces the first damaged archive
@@ -820,98 +838,34 @@ def parallel_detect_directory(
     """
     from repro.io.packetlog import CORRUPT_MODES, chunk_paths
 
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    validate_mode(schedule)
+    _check_run(workers, schedule)
     if on_corrupt not in CORRUPT_MODES:
         raise ValueError(
             f"on_corrupt must be one of {CORRUPT_MODES}, got {on_corrupt!r}"
         )
     chunk_paths(directory)  # validate eagerly, before any process spawns
-    health = _resolve_health(telemetry)
-    store = _checkpoint_store(
-        checkpoint_dir,
-        health,
-        {
-            "kind": "directory",
-            "directory": str(directory),
-            "workers": workers,
-            "schedule": schedule,
-            "timeout": float(timeout),
-            "dark_size": int(dark_size),
-            "day_seconds": float(day_seconds),
-            "config": _config_meta(config),
-        },
-    )
-    if schedule == "static":
-        plan = None
-        args = [
-            (
-                index,
-                workers,
-                str(directory),
-                timeout,
-                dark_size,
-                config,
-                day_seconds,
-                on_corrupt,
-            )
-            for index in range(workers)
-        ]
-    else:
-        # Every task re-reads the archive sequence, so keep the fan-out
-        # modest; counts are unknown before reading — uniform weights.
-        n_fine = workers * DIRECTORY_FINE_FACTOR
-        plan = plan_grouped(
-            [1.0] * n_fine,
-            [[fine] for fine in range(n_fine)],
-            workers,
-            schedule,
-        )
-        args = [
-            (
-                task.index,
-                n_fine,
-                str(directory),
-                timeout,
-                dark_size,
-                config,
-                day_seconds,
-                on_corrupt,
-                task.items,
-            )
+    # Absolute, so a resume from another working directory reads the
+    # same archives (run.json records it).
+    directory = str(Path(directory).resolve())
+    # Every task re-reads the archive sequence, so keep the fan-out
+    # modest; counts are unknown before reading — uniform weights.
+    n_fine = workers * DIRECTORY_FINE_FACTOR
+    plan = _fine_plan([1.0] * n_fine, workers, schedule)
+    source = DirectorySource(directory, on_corrupt)
+    return _detect(
+        plan,
+        [
+            (source, None if len(task.items) == n_fine else (n_fine, task.items))
             for task in plan.tasks
-        ]
-    shard_results = run_sharded(
-        _run_shard_directory,
-        args,
-        policy=retry,
-        plan=fault_plan,
-        use_processes=use_processes and workers > 1,
-        max_workers=workers,
-        submit_order=plan.submit_order() if plan is not None else None,
-        health=health,
-        store=store,
-        kind="detect",
-        dumps=_dump_detect_state,
-        loads=_load_detect_state,
+        ],
+        (timeout, dark_size, config, day_seconds),
+        {"kind": "directory", "directory": directory},
+        use_processes=use_processes,
+        telemetry=telemetry,
+        retry=retry,
+        fault_plan=fault_plan,
+        checkpoint_dir=checkpoint_dir,
     )
-    if plan is not None:
-        shard_results = _fold_detect_tasks(
-            plan,
-            shard_results,
-            lambda: StreamingDetector(
-                timeout, dark_size, config, day_seconds
-            ),
-        )
-    for _, report in shard_results:
-        for path in report.quarantined:
-            health.record_quarantine(path)
-    if telemetry is not None:
-        telemetry.total_packets = sum(
-            report.packets for _, report in shard_results
-        )
-    return _finish_merged(shard_results, telemetry)
 
 
 def resume_run(
@@ -978,16 +932,10 @@ def shard_scanners(scanners: Sequence, n_shards: int) -> List[list]:
     packet, so results are unaffected.  Population order is preserved
     within each shard (part of the tie-breaking contract).
     """
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
-    if n_shards == 1:
-        return [list(scanners)]
-    sources = np.array([int(s.src) for s in scanners], dtype=np.uint32)
-    shard = shard_of(sources, n_shards)
-    return [
-        [s for s, idx in zip(scanners, shard) if idx == i]
-        for i in range(n_shards)
-    ]
+    plan = plan_static(
+        shard_of(_population_sources(scanners), n_shards), n_shards
+    )
+    return [[scanners[i] for i in task.items] for task in plan.tasks]
 
 
 @dataclass(frozen=True)
@@ -1090,18 +1038,18 @@ def parallel_flow_columns(
     """
     from repro.flows.netflow import FlowColumns
 
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    validate_mode(schedule)
+    _check_run(workers, schedule)
     scanners = list(scanners)
-    if schedule == "static":
-        costs = np.ones(len(scanners), dtype=np.float64)
-    else:
-        costs = np.array(
+    plan = _plan(
+        schedule,
+        workers,
+        even_shards(len(scanners), workers),
+        lambda: plan_contiguous(
             [_scanner_cost(s, view, "flows") for s in scanners],
-            dtype=np.float64,
-        )
-    plan = plan_contiguous(costs, workers, schedule)
+            workers,
+            schedule,
+        ),
+    )
     health = _resolve_health(telemetry)
     store = _checkpoint_store(
         checkpoint_dir,
@@ -1116,9 +1064,7 @@ def parallel_flow_columns(
             "window": _window_meta(window),
             "n_scanners": len(scanners),
             "population": sha256_hex(
-                np.array(
-                    [int(s.src) for s in scanners], dtype=np.uint64
-                ).tobytes()
+                _population_sources(scanners).tobytes()
             ),
         },
     )
@@ -1142,7 +1088,7 @@ def parallel_flow_columns(
         plan=fault_plan,
         use_processes=use_processes and workers > 1,
         max_workers=workers,
-        submit_order=plan.submit_order() if schedule != "static" else None,
+        submit_order=plan.submit_order(),
         health=health,
         store=store,
         kind="flows",
@@ -1150,16 +1096,7 @@ def parallel_flow_columns(
         loads=_load_flow_state,
     )
     if telemetry is not None:
-        if schedule == "static":
-            for _, report in task_results:
-                telemetry.record_flow_worker(
-                    shard=report.shard,
-                    scanners=report.scanners,
-                    rows=report.rows,
-                    seconds=report.seconds,
-                )
-        else:
-            _record_flow_workers(telemetry, plan, task_results)
+        _record_flow_workers(telemetry, plan, task_results)
     return FlowColumns.concat([columns for columns, _ in task_results])
 
 
@@ -1220,92 +1157,53 @@ def parallel_generate_detect(
         telemetry: optional gauge sink; per-worker generate/detect
             throughput is recorded after the join.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    validate_mode(schedule)
+    _check_run(workers, schedule)
     scanners = list(scanners)
-    health = _resolve_health(telemetry)
-    store = _checkpoint_store(
-        checkpoint_dir,
-        health,
-        {
-            "kind": "generate",
-            "workers": workers,
-            "schedule": schedule,
-            "chunk_seconds": float(chunk_seconds),
-            "timeout": float(timeout),
-            "dark_size": int(dark_size),
-            "day_seconds": float(day_seconds),
-            "window": _window_meta(window),
-            "config": _config_meta(config),
-            "n_scanners": len(scanners),
-            "population": sha256_hex(
-                np.array(
-                    [int(s.src) for s in scanners], dtype=np.uint64
-                ).tobytes()
-            ),
-        },
+    sources = _population_sources(scanners)
+    # Same-source scanners are one indivisible unit (per-source
+    # detection state); any source-disjoint partition of the population
+    # yields identical merged results, so the planner is free to
+    # bin-pack the groups by predicted packet output.
+    groups = _source_groups(scanners)
+    plan = _plan(
+        schedule,
+        workers,
+        shard_of(sources, workers),
+        lambda: plan_grouped(
+            [
+                sum(_scanner_cost(scanners[i], view, "packets") for i in group)
+                for group in groups
+            ],
+            groups,
+            workers,
+            schedule,
+        ),
     )
-    if schedule == "static":
-        plan = None
-        shards = shard_scanners(scanners, workers)
-        args = [
+    return _detect(
+        plan,
+        [
             (
-                index, shards[index], view, chunk_seconds, window,
-                timeout, dark_size, config, day_seconds,
-            )
-            for index in range(workers)
-        ]
-    else:
-        # Same-source scanners are one indivisible unit (per-source
-        # detection state); any source-disjoint partition of the
-        # population yields identical merged results, so the planner is
-        # free to bin-pack the groups by predicted packet output.
-        groups = _source_groups(scanners)
-        costs = [
-            sum(_scanner_cost(scanners[i], view, "packets") for i in group)
-            for group in groups
-        ]
-        plan = plan_grouped(costs, groups, workers, schedule)
-        args = [
-            (
-                task.index, [scanners[i] for i in task.items], view,
-                chunk_seconds, window, timeout, dark_size, config,
-                day_seconds,
+                LazySource(
+                    [scanners[i] for i in task.items],
+                    view,
+                    chunk_seconds,
+                    window,
+                ),
+                None,
             )
             for task in plan.tasks
-        ]
-    shard_results = run_sharded(
-        _run_shard_lazy,
-        args,
-        policy=retry,
-        plan=fault_plan,
-        use_processes=use_processes and workers > 1,
-        max_workers=workers,
-        submit_order=plan.submit_order() if plan is not None else None,
-        health=health,
-        store=store,
-        kind="detect",
-        dumps=_dump_detect_state,
-        loads=_load_detect_state,
+        ],
+        (timeout, dark_size, config, day_seconds),
+        {
+            "kind": "generate",
+            "chunk_seconds": float(chunk_seconds),
+            "window": _window_meta(window),
+            "n_scanners": len(scanners),
+            "population": sha256_hex(sources.tobytes()),
+        },
+        use_processes=use_processes,
+        telemetry=telemetry,
+        retry=retry,
+        fault_plan=fault_plan,
+        checkpoint_dir=checkpoint_dir,
     )
-    if plan is not None:
-        shard_results = _fold_detect_tasks(
-            plan,
-            shard_results,
-            lambda: StreamingDetector(
-                timeout, dark_size, config, day_seconds
-            ),
-        )
-    if telemetry is not None:
-        telemetry.total_packets = sum(
-            report.packets for _, report in shard_results
-        )
-        watermarks = [
-            report.watermark
-            for _, report in shard_results
-            if report.watermark is not None
-        ]
-        if watermarks:
-            telemetry.watermark = max(watermarks)
-    return _finish_merged(shard_results, telemetry)

@@ -232,87 +232,6 @@ def build_world(scenario: Scenario) -> tuple:
     return internet, telescope, population, capture, merit, campus, timeout
 
 
-def _parallel_events_and_detections(
-    telescope: Telescope,
-    population: ScannerPopulation,
-    timeout: float,
-    scenario: Scenario,
-    chunk_seconds: float,
-    workers: int,
-    schedule: str = "stealing",
-    retry=None,
-    checkpoint_dir=None,
-) -> tuple:
-    """Run the shard-parallel pipeline with shard-local lazy generation.
-
-    Returns ``(events, detections, telemetry)`` — identical results to
-    the serial streaming (and batch) paths.  The parent ships each
-    worker its shard's *scanners*; every worker generates its own
-    shard's capture locally (:func:`repro.parallel.parallel_generate_detect`),
-    so raw packets never cross a process pipe and nothing ever holds the
-    full capture.  ``retry``/``checkpoint_dir`` plug the fault-tolerant
-    execution layer (:mod:`repro.core.faults`) into the run.
-    """
-    from repro.parallel import parallel_generate_detect
-
-    telemetry = PipelineTelemetry(chunk_seconds=chunk_seconds)
-    result = parallel_generate_detect(
-        population.scanners,
-        telescope.view(),
-        chunk_seconds,
-        timeout,
-        telescope.size,
-        scenario.detection,
-        scenario.clock.seconds_per_day,
-        workers=workers,
-        schedule=schedule,
-        window=scenario.window(),
-        telemetry=telemetry,
-        retry=retry,
-        checkpoint_dir=checkpoint_dir,
-    )
-    return result.events, result.detections, telemetry
-
-
-def _directory_events_and_detections(
-    capture_dir,
-    telescope: Telescope,
-    timeout: float,
-    scenario: Scenario,
-    chunk_seconds: float,
-    workers: int,
-    schedule: str = "stealing",
-    retry=None,
-    checkpoint_dir=None,
-    on_corrupt: str = "raise",
-) -> tuple:
-    """Run shard-parallel detection over a saved chunk directory.
-
-    The replay twin of :func:`_parallel_events_and_detections`: packets
-    come from ``save_packets_chunked`` archives under ``capture_dir``
-    instead of being generated, with each archive digest-verified
-    against the directory manifest (``on_corrupt`` selects strict or
-    quarantine handling of damaged chunks).
-    """
-    from repro.parallel import parallel_detect_directory
-
-    telemetry = PipelineTelemetry(chunk_seconds=chunk_seconds)
-    result = parallel_detect_directory(
-        capture_dir,
-        timeout,
-        telescope.size,
-        scenario.detection,
-        scenario.clock.seconds_per_day,
-        workers=workers,
-        schedule=schedule,
-        telemetry=telemetry,
-        retry=retry,
-        checkpoint_dir=checkpoint_dir,
-        on_corrupt=on_corrupt,
-    )
-    return result.events, result.detections, telemetry
-
-
 def _stream_events_and_detections(
     telescope: Telescope,
     population: ScannerPopulation,
@@ -449,27 +368,49 @@ def run_scenario(
                 if scenario.chunk_seconds is not None
                 else DEFAULT_CHUNK_SECONDS
             )
-        if capture_dir is not None:
-            events, detections, telemetry = _directory_events_and_detections(
-                capture_dir, telescope, timeout, scenario, chunk_seconds,
-                workers if workers is not None else 1,
-                schedule=schedule,
-                retry=retry,
-                checkpoint_dir=checkpoint_dir,
-                on_corrupt=on_corrupt,
-            )
-        elif (workers is not None and workers > 1) or checkpoint_dir is not None:
-            events, detections, telemetry = _parallel_events_and_detections(
-                telescope, population, timeout, scenario, chunk_seconds,
-                workers if workers is not None else 1,
-                schedule=schedule,
-                retry=retry,
-                checkpoint_dir=checkpoint_dir,
-            )
-        else:
+        if (workers or 1) == 1 and capture_dir is None and checkpoint_dir is None:
             events, detections, telemetry = _stream_events_and_detections(
                 telescope, population, timeout, scenario, chunk_seconds
             )
+        else:
+            # Looked up at call time so instrumentation that wraps the
+            # module attributes sees these calls.
+            from repro import parallel
+
+            telemetry = PipelineTelemetry(chunk_seconds=chunk_seconds)
+            detect_args = (
+                timeout,
+                telescope.size,
+                scenario.detection,
+                scenario.clock.seconds_per_day,
+            )
+            sharded = dict(
+                workers=workers or 1,
+                schedule=schedule,
+                telemetry=telemetry,
+                retry=retry,
+                checkpoint_dir=checkpoint_dir,
+            )
+            if capture_dir is not None:
+                # Replay: packets come from digest-verified chunk
+                # archives; ``on_corrupt`` selects strict or quarantine
+                # handling of damaged ones.
+                result = parallel.parallel_detect_directory(
+                    capture_dir, *detect_args, on_corrupt=on_corrupt, **sharded
+                )
+            else:
+                # Each worker generates its own shard's capture locally,
+                # so raw packets never cross a process pipe and nothing
+                # ever holds the full capture.
+                result = parallel.parallel_generate_detect(
+                    population.scanners,
+                    telescope.view(),
+                    chunk_seconds,
+                    *detect_args,
+                    window=scenario.window(),
+                    **sharded,
+                )
+            events, detections = result.events, result.detections
     else:
         capture = telescope.capture(population.scanners, scenario.window())
         events = build_events(capture.packets, timeout)

@@ -541,6 +541,34 @@ class TestDirectoryFaults:
         _assert_tables_identical(result.events, _REF_EVENTS)
         _assert_detections_identical(result.detections, _REF_DETECTIONS)
 
+    def test_resume_run_from_another_working_directory(
+        self, tmp_path, monkeypatch
+    ):
+        # run.json records the capture directory absolutely, so a resume
+        # from elsewhere reads the original archives — never whatever a
+        # same-named relative path points at in the new directory.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        save_packets_chunked(_BATCH, tmp_path / "a" / "caps", 50_000.0)
+        save_packets_chunked(
+            _random_capture(98, n=6_000), tmp_path / "b" / "caps", 50_000.0
+        )
+        monkeypatch.chdir(tmp_path / "a")
+        with pytest.raises(ShardFailedError):
+            parallel_detect_directory(
+                "caps", 600.0, _DARK_SIZE, _CONFIG,
+                workers=3, use_processes=False,
+                retry=RetryPolicy(max_retries=0, backoff_seconds=0.0),
+                fault_plan=FaultPlan(kill={1: 1}),
+                checkpoint_dir="run",
+            )
+        meta = CheckpointStore(tmp_path / "a" / "run").load_meta()
+        assert meta["directory"] == str((tmp_path / "a" / "caps").resolve())
+        monkeypatch.chdir(tmp_path / "b")
+        result = resume_run("../a/run", use_processes=False)
+        _assert_tables_identical(result.events, _REF_EVENTS)
+        _assert_detections_identical(result.detections, _REF_DETECTIONS)
+
     def test_resume_run_rejects_non_run_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="run.json"):
             resume_run(tmp_path)

@@ -11,15 +11,17 @@ from repro.core.events import build_events
 from repro.core.telemetry import PipelineTelemetry
 from repro.io.packetlog import save_packets_chunked
 from repro.packet import PacketBatch, Protocol
+from repro.core.streaming import StreamingDetector
 from repro.parallel import (
     merge_detectors,
     parallel_detect,
     parallel_detect_directory,
+    parallel_generate_detect,
     shard_batch,
     shard_of,
     shard_scanners,
 )
-from repro.sim.runner import run_scenario
+from repro.sim.runner import _build_world_base, run_scenario
 from repro.sim.scenario import tiny_scenario
 from tests.test_events import _packets
 from tests.test_streaming import (
@@ -258,6 +260,25 @@ class TestRunnerIntegration:
         rows = dict(parallel.telemetry.summary_rows())
         assert any("derived" in value for value in rows.values())
 
+    def test_static_telemetry_carries_no_plan(self):
+        # static is the legacy layout, not a prediction: every detection
+        # and flow shard row reports zero planned cost, one task and no
+        # steals, and the summary carries no "plan ... over" suffix.
+        result = run_scenario(
+            tiny_scenario(), mode="streaming", workers=2, schedule="static"
+        )
+        result.collect_flows()
+        telemetry = result.telemetry
+        assert len(telemetry.worker_stats) == 2
+        assert len(telemetry.flow_worker_stats) == 2
+        for row in telemetry.worker_stats + telemetry.flow_worker_stats:
+            assert (row.planned_cost, row.tasks, row.stolen_tasks) == (
+                0.0, 1, 0
+            )
+        assert not any(
+            ", plan " in value for _, value in telemetry.summary_rows()
+        )
+
     def test_invalid_schedule_rejected(self):
         with pytest.raises(ValueError, match="schedule"):
             run_scenario(
@@ -325,3 +346,86 @@ def test_sharded_equals_serial(rows, workers, schedule, timeout, chunk_seconds):
         result.events, ref_events.sorted_canonical()
     )
     _assert_detections_identical(result.detections, ref_detections)
+
+
+# ----------------------------------------------------------------------
+# Parity across packet sources: in-memory batches, a chunk directory and
+# lazy generation all run the same plan -> fold -> merge path, so every
+# source x schedule x worker count must reproduce the batch reference —
+# events, detections and the pool-run telemetry totals.
+# ----------------------------------------------------------------------
+
+_PARITY_CHUNK_SECONDS = 6 * 3_600.0
+
+
+@pytest.fixture(scope="module")
+def tiny_world(tmp_path_factory):
+    scenario = tiny_scenario()
+    _, telescope, population, _, _, timeout = _build_world_base(scenario)
+    window = scenario.window()
+    capture = telescope.capture(population.scanners, window).packets
+    directory = tmp_path_factory.mktemp("parity") / "cap"
+    save_packets_chunked(capture, directory, _PARITY_CHUNK_SECONDS)
+    detect_args = (
+        timeout,
+        telescope.size,
+        scenario.detection,
+        scenario.clock.seconds_per_day,
+    )
+    events = build_events(capture, timeout)
+    serial = StreamingDetector(*detect_args)
+    serial.add_batch(capture)
+    return {
+        "scanners": population.scanners,
+        "view": telescope.view(),
+        "window": window,
+        "capture": capture,
+        "directory": directory,
+        "detect_args": detect_args,
+        "events": events.sorted_canonical(),
+        "detections": detect_all(events, *detect_args[1:]),
+        "watermark": serial.watermark,
+    }
+
+
+def _run_source(world, source, **options):
+    if source == "memory":
+        chunks = (
+            c
+            for _, _, c in world["capture"].iter_time_chunks(
+                _PARITY_CHUNK_SECONDS
+            )
+        )
+        return parallel_detect(chunks, *world["detect_args"], **options)
+    if source == "directory":
+        return parallel_detect_directory(
+            world["directory"], *world["detect_args"], **options
+        )
+    return parallel_generate_detect(
+        world["scanners"],
+        world["view"],
+        _PARITY_CHUNK_SECONDS,
+        *world["detect_args"],
+        window=world["window"],
+        **options,
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("schedule", ["static", "packed", "stealing"])
+@pytest.mark.parametrize("source", ["memory", "directory", "lazy"])
+def test_sources_and_schedules_agree(tiny_world, source, schedule, workers):
+    telemetry = PipelineTelemetry(chunk_seconds=_PARITY_CHUNK_SECONDS)
+    result = _run_source(
+        tiny_world,
+        source,
+        workers=workers,
+        schedule=schedule,
+        use_processes=False,
+        telemetry=telemetry,
+    )
+    _assert_tables_identical(result.events, tiny_world["events"])
+    _assert_detections_identical(result.detections, tiny_world["detections"])
+    assert telemetry.total_packets == len(tiny_world["capture"])
+    assert telemetry.watermark == tiny_world["watermark"]
+    assert len(telemetry.worker_stats) == workers

@@ -24,9 +24,11 @@ from repro.core.schedule import (
     SCHEDULE_MODES,
     SchedulePlan,
     TaskPlan,
+    even_shards,
     lpt_assign,
     plan_contiguous,
     plan_grouped,
+    plan_static,
     validate_mode,
 )
 
@@ -166,6 +168,44 @@ class TestPlanContiguous:
             plan_contiguous([1.0], 2, "stealing", steal_factor=0)
         with pytest.raises(ValueError, match="schedule"):
             plan_contiguous([1.0], 2, "magic")
+
+
+class TestPlanStatic:
+    def test_hash_layout_matches_shard_of(self):
+        from repro.parallel import shard_of
+
+        sources = np.arange(1, 300, 7, dtype=np.uint32)
+        shards = shard_of(sources, 4)
+        plan = plan_static(shards, 4)
+        assert plan.mode == "static"
+        assert [task.index for task in plan.tasks] == [0, 1, 2, 3]
+        assert [task.shard for task in plan.tasks] == [0, 1, 2, 3]
+        for task in plan.tasks:
+            assert task.items == tuple(
+                int(i) for i in np.flatnonzero(shards == task.index)
+            )
+        _assert_partition(plan, len(sources))
+
+    def test_even_shards_match_array_split(self):
+        for n, workers in [(10, 3), (7, 7), (24, 5), (3, 8), (0, 2)]:
+            plan = plan_static(even_shards(n, workers), workers)
+            legacy = plan_contiguous([1.0] * n, workers, "static")
+            assert [t.items for t in plan.tasks] == [
+                t.items for t in legacy.tasks
+            ]
+
+    def test_static_tasks_carry_no_cost(self):
+        # No prediction was made: a static plan must keep the FIFO
+        # submit order and report zero planned cost per shard, or the
+        # telemetry rows would start claiming a plan.
+        plan = plan_static([0, 2, 1, 0, 2, 2], 3)
+        assert all(task.cost == 0.0 for task in plan.tasks)
+        assert plan.submit_order() == [0, 1, 2]
+        assert [plan.planned_cost(s) for s in range(3)] == [0.0] * 3
+
+    def test_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="workers"):
+            plan_static([], 0)
 
 
 class TestPlanGrouped:
