@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve perf-gate ci-local
+.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve layerbench-smoke perf-gate ci-local
 
 lint:
 	ruff check .
@@ -69,6 +69,11 @@ chaos-serve:
 	$(PYTHON) -m pytest tests/test_journal.py -q
 	$(PYTHON) benchmarks/run_chaos_serve.py --rounds $(CHAOS_ROUNDS)
 
+# The repository benchmark's smoke tests (layerbench/): every workload
+# on the tiny scenario, untraced and traced, with its output checks.
+layerbench-smoke:
+	$(PYTHON) -m pytest layerbench/tests -q
+
 # Perf-regression gate: compare regenerated BENCH_*.json against the
 # committed baselines.  In CI, FRESH_RESULTS lists the downloaded
 # artifact directories (bench-smoke + serve lanes, space-separated) and
@@ -85,7 +90,8 @@ perf-gate:
 # The whole CI job sequence, in order, on the local machine: lint,
 # byte-compile, tier-1 tests (with the same JUnit/durations artifacts),
 # benchmark smoke, ingestion-service smoke + bench + chaos, both fault
-# matrices, then the perf gate against the committed (HEAD) baselines.
+# matrices, the layerbench smoke, then the perf gate against the
+# committed (HEAD) baselines.
 ci-local:
 	$(MAKE) lint
 	$(PYTHON) -m compileall -q src
@@ -97,4 +103,5 @@ ci-local:
 	$(MAKE) chaos-serve
 	$(MAKE) fault-matrix WORKERS=2
 	$(MAKE) fault-matrix WORKERS=4
+	$(MAKE) layerbench-smoke
 	$(MAKE) perf-gate BASELINE_GIT=HEAD

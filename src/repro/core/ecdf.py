@@ -135,6 +135,20 @@ class StreamingECDF:
         self._n += other._n
         self._cached = None
 
+    def copy(self) -> "StreamingECDF":
+        """An independent sample sharing this one's sorted runs.
+
+        Run arrays are never written into — adds and merges extend the
+        run list, queries and compactions replace it — so with its own
+        list each copy folds on without moving the other's answers.
+        """
+        other = StreamingECDF()
+        other._runs = list(self._runs)
+        other._n = self._n
+        other._cached = self._cached
+        other.approximate = self.is_approximate
+        return other
+
     def compact_to(self, max_samples: int) -> bool:
         """Degrade the sample to at most ``max_samples`` retained points.
 

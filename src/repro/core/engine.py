@@ -17,8 +17,8 @@ any chunking, ``finish()`` emits the same event table and AH sets as
 ones:
 
 * ``ingest(chunk)`` — shard a chunk by source address and fold it in.
-* ``query()`` — detections *now*, from a copy of the merged shard
-  state; the live state keeps accepting chunks afterwards.
+* ``query()`` — detections *now*, from merged read-only views of the
+  shard states; the live state keeps accepting chunks afterwards.
 * ``snapshot()`` / ``restore()`` — a versioned, digest-friendly byte
   serialization of the whole engine, scheduled periodically through a
   :class:`~repro.core.faults.CheckpointStore` so a killed process can
@@ -386,9 +386,10 @@ class DetectionEngine:
         namespaces this engine's shards inside it (the serve layer uses
         the tenant id).  Each shard's serialized state is installed in
         its affine worker; from then on folds run off-process and the
-        engine only mirrors the gauges.  Queries, snapshots and
-        ``finish`` pull state back over the pipe on demand, so their
-        answers are byte-identical to the unpooled engine's.
+        engine only mirrors the gauges.  Snapshots and ``finish`` pull
+        the serialized state back over the pipe (``collect``) and
+        queries pull read-only views (``views``), so their answers are
+        identical to the unpooled engine's.
         """
         if self._finished:
             raise RuntimeError("cannot attach a pool to a finished engine")
@@ -423,7 +424,13 @@ class DetectionEngine:
         if self._pool is None:
             return
         pool, key = self._pool, self._pool_key
-        self._detectors = self._collect_detectors()
+        blobs = [pool.collect((key, i)) for i in range(self.workers)]
+        self._detectors = [
+            StreamingDetector.from_bytes(blob)
+            if blob is not None
+            else self._new_detector()
+            for blob in blobs
+        ]
         self._pool = None
         self._pool_key = None
         self._gauges = []
@@ -446,18 +453,6 @@ class DetectionEngine:
             self._new_detector() for _ in range(self.workers)
         ]
         pool.drop(key)
-
-    def _collect_detectors(self) -> List[StreamingDetector]:
-        """Fresh local detector copies of the pooled shard states."""
-        detectors = []
-        for index in range(self.workers):
-            blob = self._pool.collect((self._pool_key, index))
-            detectors.append(
-                StreamingDetector.from_bytes(blob)
-                if blob is not None
-                else self._new_detector()
-            )
-        return detectors
 
     def _apply_reply(self, index: int, reply) -> None:
         gauge = self._gauges[index]
@@ -745,38 +740,39 @@ class DetectionEngine:
     # ------------------------------------------------------------------
     # Query (live) and finish (terminal)
     # ------------------------------------------------------------------
-    def _merged_copy(self) -> StreamingDetector:
-        """A merged deep copy of the shard states (live state untouched).
+    def _merged_view(self) -> StreamingDetector:
+        """The shard states merged into one finish-ready detector.
 
-        The copy goes through ``to_bytes``/``from_bytes`` — the exact
-        serialization snapshots and checkpoints use, so a query answers
-        from the same bytes a restore would.  With a fold pool attached
-        the states come over the worker pipes (``collect``), which ship
-        the very same serialization.
+        Built from each shard's :meth:`StreamingDetector.query_view`, so
+        the live shards are untouched and nothing is deep-copied.  With
+        a fold pool attached the views come over the worker pipes
+        (``views``); a shard a worker has no state for is empty.
         """
         if self._pool is not None:
-            copies = self._collect_detectors()
-        else:
-            copies = [
-                StreamingDetector.from_bytes(d.to_bytes())
-                for d in self._detectors
+            views = [
+                view if view is not None else self._new_detector()
+                for view in self._pool.views(
+                    [(self._pool_key, i) for i in range(self.workers)]
+                )
             ]
-        merged = copies[0]
-        for other in copies[1:]:
+        else:
+            views = [d.query_view() for d in self._detectors]
+        merged = views[0]
+        for other in views[1:]:
             merged.merge(other)
         return merged
 
     def query(self) -> EngineQuery:
         """Detections over everything ingested so far, without ending
         the stream: open flows are flushed and thresholds derived on a
-        *copy* of the merged shard state, exactly as :meth:`finish`
+        merged *view* of the shard states, exactly as :meth:`finish`
         would — the answer equals an offline run over the traffic seen
         so far — and the live state keeps accepting chunks."""
         packets = self.packets_seen
         finalized = self.events_finalized
         open_flows = self.open_flows
         watermark = self.watermark
-        events, detections = self._merged_copy().finish()
+        events, detections = self._merged_view().finish()
         return EngineQuery(
             detections=detections,
             events=len(events),

@@ -29,6 +29,7 @@ the watermark).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -352,16 +353,13 @@ class StreamingEventBuilder:
         self._peak_open = max(self._peak_open, len(self._keys))
         self._watermark = last_ts
 
-    def _close_rows(self, rows: np.ndarray) -> int:
-        """Close open-table rows by index: one column chunk, batched.
+    def _row_columns(self, rows: np.ndarray) -> tuple:
+        """Close-time event columns of open-table rows, state untouched.
 
         Single-segment flows (the overwhelming majority) read their
         distinct-destination count straight from ``_seg0``; the rest
-        share one vectorized union pass.  Rows are *not* removed from
-        the table here — callers compact or rebuild the arrays.
+        share one vectorized union pass.
         """
-        if not len(rows):
-            return 0
         keys = self._keys[rows]
         n_dsts = self._seg0[rows].copy()
         multi = np.flatnonzero(self._nseg[rows] > 1)
@@ -369,19 +367,36 @@ class StreamingEventBuilder:
             n_dsts[multi] = _union_counts(
                 [self._segs[int(k)] for k in keys[multi]]
             )
-        self._closed_cols.append(
-            (
-                (keys >> np.uint64(24)).astype(np.uint32),
-                ((keys >> np.uint64(8)) & _KEY_DPORT_MASK).astype(np.uint16),
-                (keys & _KEY_PROTO_MASK).astype(np.uint8),
-                self._start[rows],
-                self._last[rows],
-                self._packets[rows],
-                n_dsts,
-            )
+        return (
+            (keys >> np.uint64(24)).astype(np.uint32),
+            ((keys >> np.uint64(8)) & _KEY_DPORT_MASK).astype(np.uint16),
+            (keys & _KEY_PROTO_MASK).astype(np.uint8),
+            self._start[rows],
+            self._last[rows],
+            self._packets[rows],
+            n_dsts,
         )
+
+    def open_columns(self) -> tuple:
+        """The columns every open flow would close with, without closing.
+
+        Exactly what :meth:`finish` would append for the open table —
+        both go through :meth:`_row_columns` — as fresh arrays, so the
+        caller may keep them while this builder folds on.
+        """
+        return self._row_columns(np.arange(len(self._keys)))
+
+    def _close_rows(self, rows: np.ndarray) -> int:
+        """Close open-table rows by index: one column chunk, batched.
+
+        Rows are *not* removed from the table here — callers compact or
+        rebuild the arrays.
+        """
+        if not len(rows):
+            return 0
+        self._closed_cols.append(self._row_columns(rows))
         segs_map = self._segs
-        for k in keys.tolist():
+        for k in self._keys[rows].tolist():
             del segs_map[k]
         return len(rows)
 
@@ -827,6 +842,39 @@ class StreamingDetector:
         self._ports.merge(other._ports)
         self._packets_seen += other._packets_seen
         self._events_finalized += other._events_finalized
+
+    # ------------------------------------------------------------------
+    def query_view(self) -> "StreamingDetector":
+        """A finish-ready view of the state so far; ``self`` is untouched.
+
+        ``view.finish()`` returns exactly what ``self.finish()`` would
+        now, and views of disjoint shards merge like detectors, while
+        ``self`` keeps folding chunks.  The view shares this detector's
+        finalized event tables, ECDF runs and port-day runs (folds only
+        ever append or rebind them, never write into them) and holds the
+        open flows already closed into pending columns
+        (:meth:`StreamingEventBuilder.open_columns`).  It has no open
+        table and no per-flow destination segments — the bulk of the
+        builder — so it is also cheap to pickle across a process pipe.
+        """
+        if self._finished:
+            raise RuntimeError("detector already finished")
+        live = self.builder
+        builder = StreamingEventBuilder(live.timeout)
+        builder._closed_cols = live._closed_cols + [live.open_columns()]
+        builder._pending_closed = live._pending_closed + live.open_flows
+        builder._n_closed = live._n_closed
+        builder._peak_open = live._peak_open
+        builder._watermark = live._watermark
+        view = copy.copy(self)
+        view.builder = builder
+        view._chunks = list(self._chunks)
+        view._volume = self._volume.copy()
+        view._ports = copy.copy(self._ports)
+        view._ports._runs = list(self._ports._runs)
+        view._dispersion = copy.copy(self._dispersion)
+        view._dispersion.sources = set(self._dispersion.sources)
+        return view
 
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:

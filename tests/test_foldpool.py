@@ -9,16 +9,20 @@ snapshot).
 
 import os
 import signal
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.config import DetectionConfig
+from repro.core.detection import detect_all
 from repro.core.engine import DetectionEngine, gate_time_order
+from repro.core.events import build_events
 from repro.core.faults import CheckpointStore
 from repro.io.packetlog import packets_to_npz_bytes
 from repro.packet import PacketBatch, Protocol
-from repro.serve.foldpool import FoldPool, FoldPoolError
+from repro.serve.foldpool import FoldPool, FoldPoolError, ShardSpec
 from repro.serve.tenants import Tenant, TenantConfig
 
 TCP = Protocol.TCP_SYN.value
@@ -193,6 +197,126 @@ class TestPooledParity:
         engine.abandon_pool()
         assert not engine.pooled
         assert pool.collect(("gone", 0)) is None
+
+
+class TestQueryViews:
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_queries_match_prefix_oracle_and_leave_finish_alone(
+        self, pool, every
+    ):
+        batch = _capture(15)
+        chunks = _chunks(batch, 9)
+        queried = _engine(workers=3)
+        queried.attach_pool(pool, f"views-{every}")
+        untouched = _engine(workers=3)
+        untouched.attach_pool(pool, f"views-{every}-untouched")
+        for n, chunk in enumerate(chunks, start=1):
+            queried.ingest(chunk)
+            untouched.ingest(chunk)
+            if n % every:
+                continue
+            prefix = PacketBatch.concat(chunks[:n])
+            oracle_events = build_events(prefix, _TIMEOUT)
+            oracle = detect_all(oracle_events, _DARK_SIZE, _CONFIG)
+            got = queried.query()
+            assert got.packets == len(prefix)
+            assert got.events == len(oracle_events)
+            for definition in (1, 2, 3):
+                assert got.detections[definition].sources == (
+                    oracle[definition].sources
+                )
+                assert got.detections[definition].threshold == (
+                    oracle[definition].threshold
+                )
+        events, detections = queried.finish()
+        ref_events, ref_detections = untouched.finish()
+        for column in ("src", "dport", "proto", "start", "end",
+                       "packets", "unique_dsts"):
+            assert np.array_equal(
+                getattr(events, column), getattr(ref_events, column)
+            )
+        for definition in (1, 2, 3):
+            assert detections[definition].sources == (
+                ref_detections[definition].sources
+            )
+            assert detections[definition].threshold == (
+                ref_detections[definition].threshold
+            )
+
+    def test_unknown_key_views_as_an_empty_shard(self, pool):
+        assert pool.views([("nobody", 0)]) == [None]
+        engine = _engine(workers=2)
+        engine.attach_pool(pool, "never-fed")
+        got = engine.query()
+        expected = _engine(workers=2).query()
+        assert got.packets == got.events == 0
+        for definition in (1, 2, 3):
+            assert got.detections[definition].sources == set()
+            assert got.detections[definition].threshold == (
+                expected.detections[definition].threshold
+            )
+        engine.detach_pool()
+
+
+class _FakeConn:
+    """A worker pipe end that answers each message in FIFO order."""
+
+    def __init__(self, index, log):
+        self.index = index
+        self.log = log
+        self.pending = []
+
+    def send(self, message):
+        self.log.append(("send", self.index))
+        self.pending.append(message)
+
+    def recv(self):
+        self.log.append(("recv", self.index))
+        return ("ok", (self.index, self.pending.pop(0)))
+
+
+class TestFanOut:
+    """Dispatch order, checked on fake pipes (no worker processes)."""
+
+    @staticmethod
+    def _pool(processes=2):
+        pool = FoldPool.__new__(FoldPool)
+        pool.processes = processes
+        pool._closed = False
+        log = []
+        pool._workers = [
+            SimpleNamespace(
+                index=i, lock=threading.Lock(), conn=_FakeConn(i, log)
+            )
+            for i in range(processes)
+        ]
+        return pool, log
+
+    @staticmethod
+    def _assert_sends_first(log, n):
+        kinds = [kind for kind, _ in log]
+        assert kinds == ["send"] * n + ["recv"] * n
+        assert len({index for _, index in log}) == 2  # both workers
+
+    def test_fold_many_sends_everything_before_reading(self):
+        pool, log = self._pool()
+        spec = ShardSpec(_TIMEOUT, _DARK_SIZE, _CONFIG, 86_400.0, None)
+        requests = [(("t", i), spec, i, ("batch", i)) for i in range(6)]
+        replies = pool.fold_many(requests)
+        self._assert_sends_first(log, len(requests))
+        assert replies == [
+            (pool.worker_index(key), ("fold", key, spec, expect, payload))
+            for key, spec, expect, payload in requests
+        ]
+
+    def test_views_send_everything_before_reading(self):
+        pool, log = self._pool()
+        keys = [("t", i) for i in range(6)]
+        replies = pool.views(keys)
+        self._assert_sends_first(log, len(keys))
+        assert replies == [
+            (pool.worker_index(key), ("view", key)) for key in keys
+        ]
 
 
 class TestWorkerDeath:

@@ -193,16 +193,13 @@ class TestEquivalenceWithBatchBuilder:
 # Property: any chunking reproduces the batch builder exactly.
 # ----------------------------------------------------------------------
 
-packet_rows = st.lists(
-    st.tuples(
-        st.floats(min_value=0, max_value=5_000, allow_nan=False),
-        st.integers(min_value=1, max_value=6),
-        st.integers(min_value=0, max_value=20),
-        st.sampled_from([22, 23, 80]),
-    ),
-    min_size=1,
-    max_size=120,
+packet_row = st.tuples(
+    st.floats(min_value=0, max_value=5_000, allow_nan=False),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=20),
+    st.sampled_from([22, 23, 80]),
 )
+packet_rows = st.lists(packet_row, min_size=1, max_size=120)
 
 
 @given(packet_rows, st.floats(min_value=10.0, max_value=2_000.0),
@@ -412,3 +409,56 @@ class TestPortDayStateCompaction:
         left.merge(right)
         assert len(left._runs) < PortDayState.COMPACT_AFTER
         assert left.counts() == reference.counts()
+
+
+# Property: a query view finishes exactly like a serialized deep copy,
+# at every point of any chunking — before the first chunk (an empty
+# detector), across flows compacted past _COMPACT_SEGMENTS
+# continuations, and with a budget-degraded volume ECDF — and taking
+# and finishing it leaves the live detector's bytes unchanged.
+@given(
+    st.lists(packet_row, max_size=120),
+    st.floats(min_value=100.0, max_value=500.0),
+    st.floats(min_value=10.0, max_value=2_000.0),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(min_value=2, max_value=20)),
+)
+@settings(max_examples=40, deadline=None)
+def test_query_view_finishes_like_a_round_trip(
+    rows, chunk_seconds, timeout, long_flow, budget
+):
+    from repro.core.streaming import _COMPACT_SEGMENTS
+
+    packets = [(ts, s, d, p, TCP) for ts, s, d, p in rows]
+    if long_flow:
+        # One flow with a packet every half chunk over the whole span:
+        # it continues through every chunk, well past compaction.
+        timeout = max(timeout, chunk_seconds)
+        step = chunk_seconds / 2
+        packets += [
+            (k * step, 7, k % 30, 443, TCP)
+            for k in range(int(5_000 / step) + 1)
+        ]
+        assert 5_000 / chunk_seconds > _COMPACT_SEGMENTS
+    batch = _packets(packets) if packets else PacketBatch.empty()
+    detector = StreamingDetector(timeout, _DARK_SIZE, _DETECT_CONFIG)
+
+    def check():
+        before = detector.to_bytes()
+        view = detector.query_view()
+        assert detector.to_bytes() == before
+        assert view.open_flows == 0 and not view.builder._segs
+        events, detections = view.finish()
+        assert detector.to_bytes() == before
+        ref_events, ref_detections = StreamingDetector.from_bytes(
+            before
+        ).finish()
+        _assert_tables_identical(events, ref_events)
+        _assert_detections_identical(detections, ref_detections)
+
+    check()
+    for _, _, chunk in batch.iter_time_chunks(chunk_seconds):
+        detector.add_batch(chunk)
+        if budget is not None:
+            detector.bound_volume_samples(budget)
+        check()
