@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve layerbench-smoke perf-gate ci-local
+.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve layerbench-smoke perf-gate ci-local src-delta
 
 lint:
 	ruff check .
@@ -68,6 +68,12 @@ CHAOS_ROUNDS ?= 5
 chaos-serve:
 	$(PYTHON) -m pytest tests/test_journal.py -q
 	$(PYTHON) benchmarks/run_chaos_serve.py --rounds $(CHAOS_ROUNDS)
+
+# Net line change of src/ and tests/ against a git ref — the figure
+# every change states: `make src-delta BASE=<ref>`.
+src-delta:
+	@test -n "$(BASE)" || { echo "usage: make src-delta BASE=<git ref>" >&2; exit 2; }
+	@git diff --shortstat $(BASE) -- src/ tests/
 
 # The repository benchmark's smoke tests (layerbench/): every workload
 # on the tiny scenario, untraced and traced, with its output checks.

@@ -91,19 +91,9 @@ class StreamingECDF:
         self._runs: List[np.ndarray] = []
         self._n = 0
         self._cached: Optional[ECDF] = None
-        #: True once the sample was compacted past a memory budget
-        #: (:meth:`compact_to`) — queries are approximate from then on.
-        self.approximate = False
 
     def __len__(self) -> int:
         return self._n
-
-    @property
-    def is_approximate(self) -> bool:
-        """Whether a budget compaction ever dropped observations."""
-        # getattr: states pickled before the budget feature lack the
-        # attribute; they are exact by construction.
-        return getattr(self, "approximate", False)
 
     def add(self, values) -> None:
         """Fold new observations into the sample."""
@@ -127,8 +117,6 @@ class StreamingECDF:
         """
         if other is self:
             raise ValueError("cannot merge a StreamingECDF with itself")
-        if other is not self and other.is_approximate:
-            self.approximate = True
         if other._n == 0:
             return
         self._runs.extend(other._runs)
@@ -139,40 +127,14 @@ class StreamingECDF:
         """An independent sample sharing this one's sorted runs.
 
         Run arrays are never written into — adds and merges extend the
-        run list, queries and compactions replace it — so with its own
+        run list, queries replace it with one merged run — so with its own
         list each copy folds on without moving the other's answers.
         """
         other = StreamingECDF()
         other._runs = list(self._runs)
         other._n = self._n
         other._cached = self._cached
-        other.approximate = self.is_approximate
         return other
-
-    def compact_to(self, max_samples: int) -> bool:
-        """Degrade the sample to at most ``max_samples`` retained points.
-
-        Replaces the runs with evenly spaced order statistics of the
-        merged sample (:func:`repro.core.sketch.compact_ecdf_sample`),
-        bounding memory at the cost of exactness: subsequent quantile
-        and tail-threshold queries answer from the compacted points.
-        Deterministic (no sampling randomness) and irreversible; the
-        instance is flagged ``approximate`` once anything was dropped.
-        Returns True if a compaction happened.
-        """
-        from repro.core.sketch import compact_ecdf_sample
-
-        if max_samples < 2:
-            raise ValueError("max_samples must be >= 2")
-        if self._n <= max_samples:
-            return False
-        merged = np.sort(np.concatenate(self._runs), kind="stable")
-        sample = compact_ecdf_sample(merged, max_samples)
-        self._runs = [sample]
-        self._n = int(sample.size)
-        self._cached = None
-        self.approximate = True
-        return True
 
     def ecdf(self) -> ECDF:
         """The batch-equivalent :class:`ECDF` over everything added."""

@@ -10,6 +10,14 @@ finish it — and the always-on service layer (:mod:`repro.serve`) keeps
 one alive per tenant indefinitely, querying and snapshotting it while
 chunks keep arriving.
 
+The shard states themselves live in a *shard host*: by default the
+engine's own inline :class:`ShardHost`, called directly; once a
+:class:`~repro.serve.foldpool.FoldPool` is attached, the pool, whose
+worker processes each run one ``ShardHost`` behind a pipe.  Either way
+the engine folds, queries and snapshots through the same five host
+operations, so an in-process engine and a pooled one accept, reject and
+answer identically.
+
 The engine never changes *what* is computed: for any worker count and
 any chunking, ``finish()`` emits the same event table and AH sets as
 ``detect_all(build_events(capture))`` over the concatenated capture
@@ -30,7 +38,7 @@ from __future__ import annotations
 import math
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -75,23 +83,6 @@ class IngestReport:
     seconds: float
 
 
-@dataclass
-class _ShardGauge:
-    """Parent-side mirror of one pooled shard's cumulative gauges.
-
-    While a :class:`~repro.serve.foldpool.FoldPool` is attached the
-    live detector state lives in the worker processes; each
-    :class:`~repro.serve.foldpool.FoldReply` refreshes this mirror so
-    the engine's gauge properties stay O(1) — no pipe round-trip.
-    """
-
-    packets_seen: int = 0
-    events_finalized: int = 0
-    open_flows: int = 0
-    peak_open_flows: int = 0
-    watermark: Optional[float] = field(default=None)
-
-
 @dataclass(frozen=True)
 class EngineQuery:
     """One consistent answer from the merged shard state."""
@@ -110,13 +101,84 @@ class EngineQuery:
     watermark: Optional[float]
     #: chunks ingested so far.
     chunks: int
-    #: True once any volume ECDF was compacted past its sample budget
-    #: (Definition 2 thresholds are approximate from then on).
-    degraded: bool
 
     def ah_sources(self, definition: int = 1) -> set:
         """The current AH set for one definition."""
         return self.detections[definition].sources
+
+
+class DegradedSnapshotError(ValueError):
+    """A snapshot whose volume ECDF was compacted to a sample budget.
+
+    Engines once accepted a ``max_ecdf_samples`` budget that, once
+    exceeded, replaced the Definition-2 sample with order statistics.
+    Such a snapshot's thresholds are approximate, so it is refused
+    rather than continued as if it were exact.
+    """
+
+
+class ShardStateError(RuntimeError):
+    """A host's state for a shard disagrees with its engine's count.
+
+    Raised by :meth:`ShardHost.fold` — e.g. a respawned fold worker
+    that lost its shards — instead of silently restarting the shard
+    from empty.
+    """
+
+
+@dataclass(frozen=True)
+class ShardSpec:
+    """Constructor arguments for a host-side detector shard."""
+
+    timeout: float
+    dark_size: int
+    config: object
+    day_seconds: float
+
+
+@dataclass(frozen=True)
+class FoldReply:
+    """What one fold did, plus the shard's cumulative gauges after it.
+
+    :meth:`ShardHost.load` answers with one too (no work, the installed
+    shard's gauges), so the engine mirrors every shard's gauges from
+    replies alone and gauge reads never touch the host.
+    """
+
+    #: packets folded by this call.
+    packets: int
+    #: events finalized by this call.
+    events_finalized: int
+    #: chunks that failed to decode or fold, as message strings; the
+    #: good ones were still folded.
+    errors: Tuple[str, ...]
+    #: cumulative shard gauges after the call.
+    packets_seen: int
+    events_total: int
+    open_flows: int
+    peak_open_flows: int
+    watermark: Optional[float]
+
+
+_EMPTY_SHARD = FoldReply(0, 0, (), 0, 0, 0, 0, None)
+
+
+def _reply(
+    detector: StreamingDetector,
+    packets: int = 0,
+    finalized: int = 0,
+    errors: Sequence[str] = (),
+) -> FoldReply:
+    return FoldReply(
+        packets=packets,
+        events_finalized=finalized,
+        errors=tuple(errors),
+        packets_seen=detector.packets_seen,
+        events_total=detector.events_finalized,
+        open_flows=detector.open_flows,
+        peak_open_flows=detector.peak_open_flows,
+        watermark=detector.watermark,
+    )
 
 
 def gate_time_order(
@@ -151,6 +213,134 @@ def gate_time_order(
     return kept
 
 
+def decode_payload(payload) -> Tuple[List[PacketBatch], List[str]]:
+    """``(batches, errors)`` for one fold payload.
+
+    Payloads are tagged tuples: ``("npz", [bytes, ...])`` for raw wire
+    chunks, each decoded on its own so one bad chunk only costs itself,
+    or ``("batch", batch)`` for a :class:`~repro.packet.PacketBatch` or
+    a :class:`~repro.io.shm.ShmBatch` handle to one.
+    """
+    kind, value = payload
+    if kind != "npz":
+        return [resolve_batch(value)], []
+    batches, errors = [], []
+    for blob in value:
+        try:
+            batches.append(packets_from_npz_bytes(blob, label="chunk"))
+        except Exception as exc:  # noqa: BLE001 — per-chunk isolation
+            errors.append(str(exc))
+    return batches, errors
+
+
+class ShardHost:
+    """Detector shards by ``(key, index)``, in this process.
+
+    Answers the five shard operations — fold, view, collect, load,
+    drop — that :class:`DetectionEngine` routes through whichever host
+    it holds: its own inline ``ShardHost``, called directly with no
+    pickling, or an attached :class:`~repro.serve.foldpool.FoldPool`,
+    each of whose worker processes serves one ``ShardHost`` over a pipe
+    (:meth:`handle`).  ``key`` namespaces one engine's shards; the
+    serve layer uses the tenant id.
+    """
+
+    #: shared-memory policy for batch hand-off: nothing crosses a
+    #: process boundary here, so batches are always passed as-is.
+    shm = False
+
+    _OPS = ("fold", "view", "collect", "load", "drop")
+
+    def __init__(self) -> None:
+        self._detectors: Dict[tuple, StreamingDetector] = {}
+
+    def fold(
+        self, key, spec: ShardSpec, expect_packets: int, payload
+    ) -> FoldReply:
+        """Decode, time-gate and fold one payload into shard ``key``.
+
+        ``expect_packets`` is the packet count the engine believes the
+        shard has folded; a host that disagrees raises
+        :class:`ShardStateError` rather than fold onto the wrong state.
+        """
+        detector = self._detectors.get(key)
+        have = 0 if detector is None else detector.packets_seen
+        if have != expect_packets:
+            raise ShardStateError(
+                f"shard {key!r} state out of sync: host has {have} "
+                f"folded packets, engine expects {expect_packets} "
+                "(a respawned fold worker has no state)"
+            )
+        if detector is None:
+            detector = self._detectors[key] = StreamingDetector(
+                spec.timeout, spec.dark_size, spec.config, spec.day_seconds
+            )
+        batches, errors = decode_payload(payload)
+        kept = gate_time_order(batches, detector.watermark, errors)
+        del batches
+        packets = finalized = 0
+        if kept:
+            batch = kept[0] if len(kept) == 1 else PacketBatch.concat(kept)
+            del kept  # the decoded chunks, now copied into batch
+            try:
+                report = detector.add_batch(batch)
+                packets = report.packets
+                finalized = report.events_finalized
+            except Exception as exc:  # noqa: BLE001 — surface, don't die
+                errors.append(str(exc))
+        return _reply(detector, packets, finalized, errors)
+
+    def fold_many(self, requests: Sequence[tuple]) -> List[FoldReply]:
+        """:meth:`fold` each ``(key, spec, expect_packets, payload)``."""
+        return [self.fold(*request) for request in requests]
+
+    def view(self, key) -> Optional[StreamingDetector]:
+        """The shard's :meth:`StreamingDetector.query_view` (or None)."""
+        detector = self._detectors.get(key)
+        return None if detector is None else detector.query_view()
+
+    def views(self, keys: Sequence) -> List[Optional[StreamingDetector]]:
+        return [self.view(key) for key in keys]
+
+    def collect(self, key) -> Optional[bytes]:
+        """The shard's serialized state (None if it has none)."""
+        detector = self._detectors.get(key)
+        return None if detector is None else detector.to_bytes()
+
+    def load(self, key, state) -> FoldReply:
+        """Install a shard's state; ``None`` drops it.
+
+        ``state`` is a :meth:`StreamingDetector.to_bytes` blob or, in
+        process, the detector itself (adopted, not copied).
+        """
+        if state is None:
+            self._detectors.pop(key, None)
+            return _EMPTY_SHARD
+        if isinstance(state, bytes):
+            state = StreamingDetector.from_bytes(state)
+        self._detectors[key] = state
+        return _reply(state)
+
+    def take(self, key) -> Optional[StreamingDetector]:
+        """Remove and return the shard's live detector (or None)."""
+        return self._detectors.pop(key, None)
+
+    def drop(self, tenant) -> None:
+        """Forget every shard whose key belongs to ``tenant``."""
+        for key in [k for k in self._detectors if k[0] == tenant]:
+            del self._detectors[key]
+
+    def handle(self, message: tuple):
+        """Answer one ``(op, *args)`` message; ``ping``/``close`` answer
+        None (closing is the pipe loop's business)."""
+        op, *args = message
+        if op in ("ping", "close"):
+            return None
+        if op not in self._OPS:
+            raise ValueError(f"unknown fold-pool op: {op!r}")
+        return getattr(self, op)(*args)
+
+
 class DetectionEngine:
     """A sharded detector pool with a service-shaped lifecycle.
 
@@ -170,12 +360,6 @@ class DetectionEngine:
         snapshot_every_chunks: write a snapshot to ``store`` every N
             ingested chunks (``None`` disables scheduling; explicit
             :meth:`save_snapshot` calls still work).
-        max_ecdf_samples: per-engine memory budget for the Definition-2
-            volume ECDF.  Past it, each shard's sample degrades to that
-            many evenly spaced order statistics
-            (:func:`repro.core.sketch.compact_ecdf_sample`) — bounded
-            memory, approximate tail thresholds, flagged via
-            ``degraded``.  ``None`` keeps the exact unbounded sample.
     """
 
     def __init__(
@@ -189,14 +373,11 @@ class DetectionEngine:
         telemetry: Optional[PipelineTelemetry] = None,
         store: Optional[CheckpointStore] = None,
         snapshot_every_chunks: Optional[int] = None,
-        max_ecdf_samples: Optional[int] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if snapshot_every_chunks is not None and snapshot_every_chunks < 1:
             raise ValueError("snapshot_every_chunks must be >= 1")
-        if max_ecdf_samples is not None and max_ecdf_samples < 2:
-            raise ValueError("max_ecdf_samples must be >= 2")
         self.timeout = float(timeout)
         self.dark_size = int(dark_size)
         self.config = config or DetectionConfig()
@@ -205,10 +386,17 @@ class DetectionEngine:
         self.telemetry = telemetry
         self.store = store
         self.snapshot_every_chunks = snapshot_every_chunks
-        self.max_ecdf_samples = max_ecdf_samples
-        self._detectors: List[StreamingDetector] = [
-            self._new_detector() for _ in range(self.workers)
-        ]
+        self._spec = ShardSpec(
+            self.timeout, self.dark_size, self.config, self.day_seconds
+        )
+        #: where the shard states live: the engine's own inline
+        #: :class:`ShardHost`, or an attached fold pool.
+        self._host = ShardHost()
+        #: this engine's namespace in the host (the pool key, or None).
+        self._key = None
+        #: newest reply per shard; its cumulative gauges mirror the
+        #: shard, so gauge reads are O(1) and never touch the host.
+        self._gauges: List[FoldReply] = [_EMPTY_SHARD] * self.workers
         #: set only by :meth:`from_shards` — switches :meth:`finish`
         #: into the pool path's telemetry accounting.
         self._worker_reports: Optional[list] = None
@@ -222,20 +410,22 @@ class DetectionEngine:
         #: ``_last_seq`` as of the most recent persisted snapshot —
         #: journal segments at or below it are safe to truncate.
         self._snapshot_seq = 0
-        self._degraded = False
         self._finished = False
-        #: fold-pool attachment (serve path); while set, detector
-        #: state lives in the pool's workers and ``_detectors`` is
-        #: empty — ``_gauges`` mirrors the shard counters.
-        self._pool = None
-        self._pool_key = None
-        self._gauges: List[_ShardGauge] = []
-        self._shard_spec_cache = None
 
     def _new_detector(self) -> StreamingDetector:
         return StreamingDetector(
             self.timeout, self.dark_size, self.config, self.day_seconds
         )
+
+    def _shard_keys(self) -> List[tuple]:
+        return [(self._key, index) for index in range(self.workers)]
+
+    def _load_shards(self, states: Sequence) -> None:
+        """Install one state per shard in the host, mirroring gauges."""
+        self._gauges = [
+            self._host.load(key, state)
+            for key, state in zip(self._shard_keys(), states)
+        ]
 
     # ------------------------------------------------------------------
     # Construction from already-run shard states (the offline pool path)
@@ -265,7 +455,7 @@ class DetectionEngine:
             workers=len(detectors),
             telemetry=telemetry,
         )
-        engine._detectors = detectors
+        engine._load_shards(detectors)
         engine._worker_reports = [report for _, report in shard_results]
         return engine
 
@@ -274,54 +464,33 @@ class DetectionEngine:
     # ------------------------------------------------------------------
     @property
     def packets_seen(self) -> int:
-        if self._pool is not None:
-            return sum(g.packets_seen for g in self._gauges)
-        return sum(d.packets_seen for d in self._detectors)
+        return sum(g.packets_seen for g in self._gauges)
 
     @property
     def events_finalized(self) -> int:
-        if self._pool is not None:
-            return sum(g.events_finalized for g in self._gauges)
-        return sum(d.events_finalized for d in self._detectors)
+        return sum(g.events_total for g in self._gauges)
 
     @property
     def open_flows(self) -> int:
-        if self._pool is not None:
-            return sum(g.open_flows for g in self._gauges)
-        return sum(d.open_flows for d in self._detectors)
+        return sum(g.open_flows for g in self._gauges)
 
     @property
     def peak_open_flows(self) -> int:
-        if self._pool is not None:
-            return sum(g.peak_open_flows for g in self._gauges)
-        return sum(d.peak_open_flows for d in self._detectors)
+        return sum(g.peak_open_flows for g in self._gauges)
 
     @property
     def watermark(self) -> Optional[float]:
-        if self._pool is not None:
-            marks = [
-                g.watermark for g in self._gauges if g.watermark is not None
-            ]
-        else:
-            marks = [
-                d.watermark
-                for d in self._detectors
-                if d.watermark is not None
-            ]
+        marks = [g.watermark for g in self._gauges if g.watermark is not None]
         return max(marks) if marks else None
 
     @property
     def pooled(self) -> bool:
         """True while a fold pool owns this engine's detector state."""
-        return self._pool is not None
+        return not isinstance(self._host, ShardHost)
 
     @property
     def chunks_ingested(self) -> int:
         return self._chunks_ingested
-
-    @property
-    def degraded(self) -> bool:
-        return self._degraded
 
     @property
     def last_seq(self) -> int:
@@ -366,74 +535,36 @@ class DetectionEngine:
     # ------------------------------------------------------------------
     # Fold-pool attachment (the serve path's off-loop parallel folds)
     # ------------------------------------------------------------------
-    def _shard_spec(self):
-        if self._shard_spec_cache is None:
-            from repro.serve.foldpool import ShardSpec
-
-            self._shard_spec_cache = ShardSpec(
-                self.timeout,
-                self.dark_size,
-                self.config,
-                self.day_seconds,
-                self.max_ecdf_samples,
-            )
-        return self._shard_spec_cache
-
     def attach_pool(self, pool, key) -> None:
         """Move this engine's detector state into a fold pool.
 
         ``pool`` is a :class:`~repro.serve.foldpool.FoldPool`; ``key``
         namespaces this engine's shards inside it (the serve layer uses
         the tenant id).  Each shard's serialized state is installed in
-        its affine worker; from then on folds run off-process and the
-        engine only mirrors the gauges.  Snapshots and ``finish`` pull
-        the serialized state back over the pipe (``collect``) and
-        queries pull read-only views (``views``), so their answers are
-        identical to the unpooled engine's.
+        its affine worker; from then on the engine folds, queries and
+        snapshots through the pool instead of its inline host, with
+        identical answers.
         """
         if self._finished:
             raise RuntimeError("cannot attach a pool to a finished engine")
-        if self._pool is not None:
+        if self.pooled:
             raise RuntimeError("a fold pool is already attached")
-        gauges = []
-        for index, detector in enumerate(self._detectors):
-            pool.load(
-                (key, index),
-                detector.to_bytes() if detector.packets_seen else None,
-            )
-            gauges.append(
-                _ShardGauge(
-                    packets_seen=detector.packets_seen,
-                    events_finalized=detector.events_finalized,
-                    open_flows=detector.open_flows,
-                    peak_open_flows=detector.peak_open_flows,
-                    watermark=detector.watermark,
-                )
-            )
-        self._pool = pool
-        self._pool_key = key
-        self._gauges = gauges
-        self._detectors = []
+        for index, shard in enumerate(self._shard_keys()):
+            pool.load((key, index), self._host.collect(shard))
+        self._host, self._key = pool, key
 
     def detach_pool(self) -> None:
         """Pull detector state back out of the pool (no-op if unpooled).
 
-        After this the engine folds locally again; the pool forgets the
-        engine's shards.
+        After this the engine folds through an inline host again; the
+        pool forgets the engine's shards.
         """
-        if self._pool is None:
+        if not self.pooled:
             return
-        pool, key = self._pool, self._pool_key
-        blobs = [pool.collect((key, i)) for i in range(self.workers)]
-        self._detectors = [
-            StreamingDetector.from_bytes(blob)
-            if blob is not None
-            else self._new_detector()
-            for blob in blobs
-        ]
-        self._pool = None
-        self._pool_key = None
-        self._gauges = []
+        pool, key = self._host, self._key
+        blobs = [pool.collect(shard) for shard in self._shard_keys()]
+        self._host, self._key = ShardHost(), None
+        self._load_shards(blobs)
         pool.drop(key)
 
     def abandon_pool(self) -> None:
@@ -443,108 +574,77 @@ class DetectionEngine:
         so skip the collect round-trip and just clear the workers.  The
         engine is left empty (as if freshly built).
         """
-        if self._pool is None:
+        if not self.pooled:
             return
-        pool, key = self._pool, self._pool_key
-        self._pool = None
-        self._pool_key = None
-        self._gauges = []
-        self._detectors = [
-            self._new_detector() for _ in range(self.workers)
-        ]
+        pool, key = self._host, self._key
+        self._host, self._key = ShardHost(), None
+        self._gauges = [_EMPTY_SHARD] * self.workers
         pool.drop(key)
 
-    def _apply_reply(self, index: int, reply) -> None:
-        gauge = self._gauges[index]
-        gauge.packets_seen = reply.packets_seen
-        gauge.events_finalized = reply.events_total
-        gauge.open_flows = reply.open_flows
-        gauge.peak_open_flows = reply.peak_open_flows
-        gauge.watermark = reply.watermark
-        if reply.degraded:
-            self._degraded = True
-
-    def _fold_pooled(self, batch, errors: List[str]) -> Tuple[int, int]:
-        """Fold one coalesced batch through the attached pool."""
-        spec = self._shard_spec()
-        lease = None
-        if self.workers == 1:
-            live = [0]
-            requests = [
+    # ------------------------------------------------------------------
+    # Folding
+    # ------------------------------------------------------------------
+    def _fold(
+        self, payloads: Sequence[tuple], errors: List[str]
+    ) -> Tuple[int, int]:
+        """Fold ``(shard index, payload)`` pairs through the host."""
+        replies = self._host.fold_many(
+            [
                 (
-                    (self._pool_key, 0),
-                    spec,
-                    self._gauges[0].packets_seen,
-                    ("batch", batch),
-                )
-            ]
-        else:
-            subs = self.shard_batch(batch)
-            live = [i for i, sub in enumerate(subs) if len(sub)]
-            nbytes = sum(subs[i].nbytes for i in live)
-            if want_shared_memory(self._pool.shm, True, nbytes):
-                handles, lease = share_batches(
-                    [subs[i] for i in live], "fold"
-                )
-                payloads = [("shm", handle) for handle in handles]
-            else:
-                payloads = [("batch", subs[i]) for i in live]
-            requests = [
-                (
-                    (self._pool_key, i),
-                    spec,
-                    self._gauges[i].packets_seen,
+                    (self._key, index),
+                    self._spec,
+                    self._gauges[index].packets_seen,
                     payload,
                 )
-                for i, payload in zip(live, payloads)
+                for index, payload in payloads
             ]
-        try:
-            replies = self._pool.fold_many(requests)
-        finally:
-            if lease is not None:
-                lease.close()
+        )
         packets = finalized = 0
-        for index, reply in zip(live, replies):
-            self._apply_reply(index, reply)
+        for (index, _), reply in zip(payloads, replies):
+            self._gauges[index] = reply
             errors.extend(reply.errors)
             packets += reply.packets
             finalized += reply.events_finalized
         return packets, finalized
 
-    def _fold_coalesced(
-        self, kept: List[PacketBatch], errors: List[str]
-    ) -> Tuple[int, int]:
-        """Fold already-gated batches as one concatenated pass."""
+    def _fold_payload(self, payload, errors: List[str]) -> Tuple[int, int]:
+        """Decode, gate, shard and fold one payload as one pass.
+
+        The time-order gate runs on whole chunks against the engine's
+        watermark, before sharding, so a chunk folds into every shard
+        it touches or into none.  Sub-batches past the shared-memory
+        auto threshold reach a pool's workers through one segment.
+        Each copy of the packets (decoded chunks, their concatenation,
+        the shard split) is released once the next exists, so a large
+        coalesced fold never holds more than two at a time.
+        """
+        batches, decode_errors = decode_payload(payload)
+        errors.extend(decode_errors)
+        kept = gate_time_order(batches, self.watermark, errors)
+        del batches
         if not kept:
             return 0, 0
         batch = kept[0] if len(kept) == 1 else PacketBatch.concat(kept)
-        if self._pool is not None:
-            return self._fold_pooled(batch, errors)
-        packets = finalized = 0
-        if self.workers == 1:
-            try:
-                report = self._detectors[0].add_batch(batch)
-                packets = report.packets
-                finalized = report.events_finalized
-            except Exception as exc:  # noqa: BLE001 — surface, don't die
-                errors.append(str(exc))
+        del kept
+        subs = self.shard_batch(batch)
+        del batch
+        live = [i for i, sub in enumerate(subs) if len(sub)]
+        lease = None
+        if want_shared_memory(
+            self._host.shm, True, sum(subs[i].nbytes for i in live)
+        ):
+            handles, lease = share_batches([subs[i] for i in live], "fold")
         else:
-            for detector, sub in zip(
-                self._detectors, self.shard_batch(batch)
-            ):
-                if len(sub) == 0:
-                    continue
-                try:
-                    report = detector.add_batch(sub)
-                    packets += report.packets
-                    finalized += report.events_finalized
-                except Exception as exc:  # noqa: BLE001
-                    errors.append(str(exc))
-        if self.max_ecdf_samples is not None:
-            for detector in self._detectors:
-                if detector.bound_volume_samples(self.max_ecdf_samples):
-                    self._degraded = True
-        return packets, finalized
+            handles = [subs[i] for i in live]
+        del subs
+        try:
+            return self._fold(
+                [(i, ("batch", handle)) for i, handle in zip(live, handles)],
+                errors,
+            )
+        finally:
+            if lease is not None:
+                lease.close()
 
     def _account_fold(
         self,
@@ -605,11 +705,10 @@ class DetectionEngine:
         is excluded from the ``chunks`` count, exactly as per-chunk
         ingestion would have rejected it — while the rest concatenate
         into one fold, amortizing decode and the builder's lexsort.
-        With a single-shard engine attached to a fold pool, the raw
-        bytes ship to the shard's worker and decode entirely
-        off-process; sharded pooled engines decode here, split by
-        source, and hand sub-batches over (through shared memory once
-        past the auto threshold).
+        A single-shard engine ships the raw bytes to its host, which
+        decodes them (off-process, with a fold pool attached); sharded
+        engines decode here, split by source, and hand sub-batches
+        over.
 
         Cumulative results are identical to folding the same chunks one
         at a time: streaming event building is chunking-invariant.
@@ -618,31 +717,12 @@ class DetectionEngine:
             raise RuntimeError("engine already finished")
         t0 = time.perf_counter()
         errors: List[str] = []
-        if self._pool is not None and self.workers == 1:
-            reply = self._pool.fold_many(
-                [
-                    (
-                        (self._pool_key, 0),
-                        self._shard_spec(),
-                        self._gauges[0].packets_seen,
-                        ("npz", list(blobs)),
-                    )
-                ]
-            )[0]
-            self._apply_reply(0, reply)
-            errors.extend(reply.errors)
-            packets, finalized = reply.packets, reply.events_finalized
+        if self.workers == 1:
+            packets, finalized = self._fold(
+                [(0, ("npz", list(blobs)))], errors
+            )
         else:
-            batches = []
-            for blob in blobs:
-                try:
-                    batches.append(
-                        packets_from_npz_bytes(blob, label="chunk")
-                    )
-                except Exception as exc:  # noqa: BLE001 — isolate chunk
-                    errors.append(str(exc))
-            kept = gate_time_order(batches, self.watermark, errors)
-            packets, finalized = self._fold_coalesced(kept, errors)
+            packets, finalized = self._fold_payload(("npz", blobs), errors)
         chunks = max(0, len(blobs) - len(errors))
         if last_seq is not None:
             # Advance *before* accounting so a snapshot scheduled by
@@ -664,115 +744,55 @@ class DetectionEngine:
         ``.packets``) is resolved to read-only views of its
         shared-memory segment — the zero-copy ingest path; the handle's
         segment must stay leased by its producer until this call
-        returns.
+        returns.  Raises ``ValueError`` on a rejected chunk (one that
+        starts before the engine's watermark), which then folds into no
+        shard.
         """
         if self._finished:
             raise RuntimeError("engine already finished")
-        batch = resolve_batch(getattr(chunk, "packets", chunk))
-        if self._pool is not None:
-            t0 = time.perf_counter()
-            errors: List[str] = []
-            kept = gate_time_order([batch], self.watermark, errors)
-            packets, finalized = self._fold_coalesced(kept, errors)
-            if errors:
-                raise ValueError("; ".join(errors))
-            report = self._account_fold(
-                packets, finalized, 1, errors, t0,
-                getattr(chunk, "end", None),
-            )
-            return ChunkReport(
-                packets=report.packets,
-                events_finalized=report.events_finalized,
-                open_flows=report.open_flows,
-                watermark=report.watermark,
-            )
         t0 = time.perf_counter()
-        if self.workers == 1:
-            report = self._detectors[0].add_batch(batch)
-            packets = report.packets
-            finalized = report.events_finalized
-            open_flows = report.open_flows
-            watermark = report.watermark
-        else:
-            finalized = 0
-            for detector, sub in zip(
-                self._detectors, self.shard_batch(batch)
-            ):
-                if len(sub):
-                    finalized += detector.add_batch(sub).events_finalized
-            packets = len(batch)
-            open_flows = self.open_flows
-            watermark = self.watermark
-        if self.max_ecdf_samples is not None:
-            for detector in self._detectors:
-                if detector.bound_volume_samples(self.max_ecdf_samples):
-                    self._degraded = True
-        seconds = time.perf_counter() - t0
-        if self.telemetry is not None:
-            self.telemetry.stage("detect").add(packets, finalized, seconds)
-            window_end = getattr(chunk, "end", None)
-            self.telemetry.record_chunk(
-                packets=packets,
-                events_finalized=finalized,
-                open_flows=open_flows,
-                window_end=(
-                    window_end
-                    if window_end is not None
-                    else (watermark if watermark is not None else 0.0)
-                ),
-                watermark=watermark,
-            )
-        self._chunks_ingested += 1
-        self._chunks_since_snapshot += 1
-        if (
-            self.store is not None
-            and self.snapshot_every_chunks is not None
-            and self._chunks_since_snapshot >= self.snapshot_every_chunks
-        ):
-            self.save_snapshot()
+        errors: List[str] = []
+        packets, finalized = self._fold_payload(
+            ("batch", getattr(chunk, "packets", chunk)), errors
+        )
+        if errors:
+            raise ValueError("; ".join(errors))
+        report = self._account_fold(
+            packets, finalized, 1, errors, t0, getattr(chunk, "end", None)
+        )
         return ChunkReport(
-            packets=packets,
-            events_finalized=finalized,
-            open_flows=open_flows,
-            watermark=watermark,
+            packets=report.packets,
+            events_finalized=report.events_finalized,
+            open_flows=report.open_flows,
+            watermark=report.watermark,
         )
 
     # ------------------------------------------------------------------
     # Query (live) and finish (terminal)
     # ------------------------------------------------------------------
-    def _merged_view(self) -> StreamingDetector:
-        """The shard states merged into one finish-ready detector.
-
-        Built from each shard's :meth:`StreamingDetector.query_view`, so
-        the live shards are untouched and nothing is deep-copied.  With
-        a fold pool attached the views come over the worker pipes
-        (``views``); a shard a worker has no state for is empty.
-        """
-        if self._pool is not None:
-            views = [
-                view if view is not None else self._new_detector()
-                for view in self._pool.views(
-                    [(self._pool_key, i) for i in range(self.workers)]
-                )
-            ]
-        else:
-            views = [d.query_view() for d in self._detectors]
-        merged = views[0]
-        for other in views[1:]:
-            merged.merge(other)
-        return merged
+    def _merged(
+        self, shards: Sequence[Optional[StreamingDetector]]
+    ) -> StreamingDetector:
+        """Shard states merged in shard order (None = an empty shard)."""
+        shards = [s if s is not None else self._new_detector() for s in shards]
+        for other in shards[1:]:
+            shards[0].merge(other)
+        return shards[0]
 
     def query(self) -> EngineQuery:
         """Detections over everything ingested so far, without ending
         the stream: open flows are flushed and thresholds derived on a
         merged *view* of the shard states, exactly as :meth:`finish`
         would — the answer equals an offline run over the traffic seen
-        so far — and the live state keeps accepting chunks."""
+        so far — and the live state keeps accepting chunks.  The views
+        (:meth:`StreamingDetector.query_view`) leave the shards
+        untouched and copy nothing."""
         packets = self.packets_seen
         finalized = self.events_finalized
         open_flows = self.open_flows
         watermark = self.watermark
-        events, detections = self._merged_view().finish()
+        merged = self._merged(self._host.views(self._shard_keys()))
+        events, detections = merged.finish()
         return EngineQuery(
             detections=detections,
             events=len(events),
@@ -781,7 +801,6 @@ class DetectionEngine:
             open_flows=open_flows,
             watermark=watermark,
             chunks=self._chunks_ingested,
-            degraded=self._degraded,
         )
 
     def status(self) -> dict:
@@ -794,9 +813,8 @@ class DetectionEngine:
             "watermark": self.watermark,
             "chunks": self._chunks_ingested,
             "workers": self.workers,
-            "degraded": self._degraded,
             "finished": self._finished,
-            "pooled": self._pool is not None,
+            "pooled": self.pooled,
             "last_seq": self._last_seq,
             "snapshot_seq": self._snapshot_seq,
         }
@@ -813,12 +831,12 @@ class DetectionEngine:
             raise RuntimeError("engine already finished")
         self.detach_pool()
         t0 = time.perf_counter()
-        merged = self._detectors[0]
-        for other in self._detectors[1:]:
-            merged.merge(other)
+        merged = self._merged(
+            [self._host.take(key) for key in self._shard_keys()]
+        )
         events, detections = merged.finish()
         merge_seconds = time.perf_counter() - t0
-        self._detectors = [merged]
+        self._gauges = [_reply(merged)]
         self._finished = True
         telemetry = self.telemetry
         if telemetry is not None:
@@ -878,15 +896,7 @@ class DetectionEngine:
         """
         if self._finished:
             raise RuntimeError("cannot snapshot a finished engine")
-        if self._pool is not None:
-            blobs = []
-            for index in range(self.workers):
-                blob = self._pool.collect((self._pool_key, index))
-                if blob is None:
-                    blob = self._new_detector().to_bytes()
-                blobs.append(blob)
-        else:
-            blobs = [d.to_bytes() for d in self._detectors]
+        blobs = [self._host.collect(key) for key in self._shard_keys()]
         payload = {
             "timeout": self.timeout,
             "dark_size": self.dark_size,
@@ -894,12 +904,13 @@ class DetectionEngine:
             "day_seconds": self.day_seconds,
             "workers": self.workers,
             "chunks": self._chunks_ingested,
-            "degraded": self._degraded,
-            "max_ecdf_samples": self.max_ecdf_samples,
             # Read back with .get() so pre-journal v2 snapshots stay
             # loadable (they replay the whole journal, which dedups).
             "last_seq": self._last_seq,
-            "detectors": blobs,
+            "detectors": [
+                blob if blob is not None else self._new_detector().to_bytes()
+                for blob in blobs
+            ],
         }
         return ENGINE_STATE_MAGIC + pickle.dumps(payload, protocol=4)
 
@@ -916,7 +927,8 @@ class DetectionEngine:
 
         Raises ``ValueError`` on a missing or mismatched version header
         — a snapshot from a different state version must be discarded,
-        never half-loaded.
+        never half-loaded — and :class:`DegradedSnapshotError` on a
+        snapshot whose volume ECDF was compacted to a sample budget.
         """
         if not data.startswith(ENGINE_STATE_MAGIC):
             raise ValueError(
@@ -924,6 +936,12 @@ class DetectionEngine:
                 f"mismatched header; expected {ENGINE_STATE_MAGIC!r})"
             )
         payload = pickle.loads(data[len(ENGINE_STATE_MAGIC):])
+        if payload.get("degraded"):
+            raise DegradedSnapshotError(
+                "snapshot holds a volume ECDF compacted to a "
+                "max_ecdf_samples budget; its Definition-2 thresholds "
+                "are approximate, so it cannot resume as exact"
+            )
         engine = cls(
             payload["timeout"],
             payload["dark_size"],
@@ -933,14 +951,9 @@ class DetectionEngine:
             telemetry=telemetry,
             store=store,
             snapshot_every_chunks=snapshot_every_chunks,
-            max_ecdf_samples=payload["max_ecdf_samples"],
         )
-        engine._detectors = [
-            StreamingDetector.from_bytes(blob)
-            for blob in payload["detectors"]
-        ]
+        engine._load_shards(payload["detectors"])
         engine._chunks_ingested = int(payload["chunks"])
-        engine._degraded = bool(payload["degraded"])
         engine._last_seq = int(payload.get("last_seq", 0))
         engine._snapshot_seq = engine._last_seq
         return engine

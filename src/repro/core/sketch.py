@@ -212,9 +212,9 @@ def compact_ecdf_sample(values: np.ndarray, k: int) -> np.ndarray:
     """Deterministic k-point compaction of a sorted sample.
 
     Keeps ``k`` evenly spaced order statistics of ``values`` (always
-    including the minimum and maximum) — the bounded-memory stand-in
-    for an exact ECDF tail used when a tenant exceeds its sample
-    budget.  Every quantile of the compacted sample is an *exact*
+    including the minimum and maximum) — a bounded-memory stand-in
+    for an exact ECDF tail; detection itself always uses the exact
+    sample.  Every quantile of the compacted sample is an *exact*
     order statistic of the original whose rank is off by at most
     ``n / (2 * (k - 1))``, so tail thresholds degrade gracefully and
     reproducibly: the same sample always compacts to the same points

@@ -761,30 +761,6 @@ class StreamingDetector:
     def watermark(self) -> Optional[float]:
         return self.builder.watermark
 
-    @property
-    def volume_samples(self) -> int:
-        """Observations currently held by the Definition-2 ECDF."""
-        return len(self._volume)
-
-    @property
-    def volume_approximate(self) -> bool:
-        """Whether the volume ECDF was ever compacted past a budget."""
-        return self._volume.is_approximate
-
-    def bound_volume_samples(self, max_samples: int) -> bool:
-        """Enforce a memory budget on the Definition-2 volume ECDF.
-
-        Past ``max_samples`` retained observations, the sample degrades
-        to that many evenly spaced order statistics
-        (:meth:`StreamingECDF.compact_to`): memory becomes O(budget)
-        instead of O(events), and the Definition-2 tail threshold
-        becomes a bounded-rank approximation.  Definitions 1 and 3 are
-        untouched.  Returns True if a compaction happened; once any
-        did, :attr:`volume_approximate` stays set (including across
-        serialization and merges).
-        """
-        return self._volume.compact_to(max_samples)
-
     # ------------------------------------------------------------------
     def add_batch(self, batch: PacketBatch) -> ChunkReport:
         """Fold one capture chunk through events into detection state."""

@@ -4,8 +4,10 @@ The ingestion server's CPU-bound work — npz decode plus the
 :class:`~repro.core.streaming.StreamingDetector` fold — used to run on
 an in-process thread pool, where every tenant's folds serialized on the
 GIL.  A :class:`FoldPool` moves that work into a small fleet of
-long-lived worker *processes*: each worker owns the live detector state
-for the ``(tenant, shard)`` keys hashed to it, so many tenants fold
+long-lived worker *processes*: each worker runs one
+:class:`~repro.core.engine.ShardHost` — the same handler an unpooled
+engine calls in-process — holding the live detector state for the
+``(tenant, shard)`` keys hashed to it, so many tenants fold
 concurrently on real cores while the asyncio loop and its ingest
 threads only shuttle requests.
 
@@ -52,15 +54,10 @@ import hashlib
 import multiprocessing
 import os
 import threading
-import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.engine import gate_time_order
+from repro.core.engine import FoldReply, ShardHost
 from repro.core.streaming import StreamingDetector
-from repro.io.packetlog import packets_from_npz_bytes
-from repro.io.shm import resolve_batch
-from repro.packet import PacketBatch
 
 #: Upper bound the auto policy puts on the fold-worker count.
 AUTO_MAX_PROCESSES = 4
@@ -75,170 +72,28 @@ class FoldPoolError(RuntimeError):
     """A fold-pool worker failed or lost state; see the message."""
 
 
-@dataclass(frozen=True)
-class ShardSpec:
-    """Constructor arguments for a worker-side detector shard."""
-
-    timeout: float
-    dark_size: int
-    config: object
-    day_seconds: float
-    max_ecdf_samples: Optional[int]
-
-
-@dataclass(frozen=True)
-class FoldReply:
-    """What one fold request did, plus the shard's gauges after it."""
-
-    #: packets folded by this call.
-    packets: int
-    #: events finalized by this call.
-    events_finalized: int
-    #: npz payloads (or batches) that failed to decode/fold, as
-    #: message strings; the good ones were still folded.
-    errors: Tuple[str, ...]
-    #: worker-side wall seconds spent decoding + folding.
-    seconds: float
-    #: cumulative shard gauges after the fold.
-    packets_seen: int
-    events_total: int
-    open_flows: int
-    peak_open_flows: int
-    watermark: Optional[float]
-    #: True once the shard's volume ECDF was ever compacted.
-    degraded: bool
-
-
-def _decode_payload(payload) -> Tuple[list, List[str]]:
-    """``(batches, errors)`` for one fold payload.
-
-    Payloads are tagged tuples: ``("npz", [bytes, ...])`` for raw wire
-    chunks the worker decodes itself, ``("shm", ShmBatch)`` for a
-    shared-memory handle, ``("batch", PacketBatch)`` for a pickled
-    batch.
-    """
-    kind, value = payload
-    if kind == "npz":
-        batches, errors = [], []
-        for blob in value:
-            try:
-                batches.append(packets_from_npz_bytes(blob, label="chunk"))
-            except Exception as exc:  # noqa: BLE001 — per-chunk isolation
-                errors.append(str(exc))
-        return batches, errors
-    if kind == "shm":
-        return [resolve_batch(value)], []
-    return [value], []
-
-
 def _worker_main(conn) -> None:
-    """One fold worker: serve pipe requests until ``close`` or EOF."""
-    detectors: Dict[tuple, StreamingDetector] = {}
-    degraded: set = set()
+    """One fold worker: a pipe loop around one :class:`ShardHost`.
+
+    Serves requests until ``close`` or EOF.  A failing request answers
+    ``("err", message)`` and leaves the worker (and its other shards)
+    alive.
+    """
+    host = ShardHost()
     while True:
         try:
             message = conn.recv()
         except (EOFError, OSError):
             return
-        op = message[0]
         try:
-            if op == "fold":
-                _, key, spec, expect_packets, payload = message
-                detector = detectors.get(key)
-                if detector is None:
-                    if expect_packets:
-                        raise FoldPoolError(
-                            f"shard {key!r} has no state here but the engine "
-                            f"expects {expect_packets} folded packets "
-                            "(worker respawned?)"
-                        )
-                    detector = StreamingDetector(
-                        spec.timeout,
-                        spec.dark_size,
-                        spec.config,
-                        spec.day_seconds,
-                    )
-                    detectors[key] = detector
-                elif detector.packets_seen != expect_packets:
-                    raise FoldPoolError(
-                        f"shard {key!r} state out of sync: worker has "
-                        f"{detector.packets_seen} packets, engine expects "
-                        f"{expect_packets}"
-                    )
-                batches, errors = _decode_payload(payload)
-                t0 = time.perf_counter()
-                kept = gate_time_order(batches, detector.watermark, errors)
-                packets = finalized = 0
-                if kept:
-                    coalesced = (
-                        kept[0]
-                        if len(kept) == 1
-                        else PacketBatch.concat(kept)
-                    )
-                    try:
-                        report = detector.add_batch(coalesced)
-                        packets = report.packets
-                        finalized = report.events_finalized
-                    except Exception as exc:  # noqa: BLE001 — surface it
-                        errors.append(str(exc))
-                if spec.max_ecdf_samples is not None:
-                    if detector.bound_volume_samples(spec.max_ecdf_samples):
-                        degraded.add(key)
-                conn.send(
-                    (
-                        "ok",
-                        FoldReply(
-                            packets=packets,
-                            events_finalized=finalized,
-                            errors=tuple(errors),
-                            seconds=time.perf_counter() - t0,
-                            packets_seen=detector.packets_seen,
-                            events_total=detector.events_finalized,
-                            open_flows=detector.open_flows,
-                            peak_open_flows=detector.peak_open_flows,
-                            watermark=detector.watermark,
-                            degraded=key in degraded,
-                        ),
-                    )
-                )
-            elif op == "collect":
-                _, key = message
-                detector = detectors.get(key)
-                conn.send(
-                    ("ok", None if detector is None else detector.to_bytes())
-                )
-            elif op == "view":
-                _, key = message
-                detector = detectors.get(key)
-                conn.send(
-                    ("ok", None if detector is None else detector.query_view())
-                )
-            elif op == "load":
-                _, key, blob = message
-                if blob is None:
-                    detectors.pop(key, None)
-                    degraded.discard(key)
-                else:
-                    detectors[key] = StreamingDetector.from_bytes(blob)
-                conn.send(("ok", None))
-            elif op == "drop":
-                _, tenant = message
-                for key in [k for k in detectors if k[0] == tenant]:
-                    del detectors[key]
-                    degraded.discard(key)
-                conn.send(("ok", None))
-            elif op == "ping":
-                conn.send(("ok", None))
-            elif op == "close":
-                conn.send(("ok", None))
-                return
-            else:
-                conn.send(("err", f"unknown fold-pool op: {op!r}"))
+            conn.send(("ok", host.handle(message)))
         except Exception as exc:  # noqa: BLE001 — keep the worker alive
             try:
                 conn.send(("err", f"{type(exc).__name__}: {exc}"))
             except (BrokenPipeError, OSError):
                 return
+        if message[0] == "close":
+            return
 
 
 class _Worker:
@@ -414,10 +269,10 @@ class FoldPool:
         worker = self._workers[self.worker_index(key)]
         return self._call(worker, ("collect", key))
 
-    def load(self, key, blob: Optional[bytes]) -> None:
+    def load(self, key, blob: Optional[bytes]) -> FoldReply:
         """Install (or, with ``None``, drop) one shard's state."""
         worker = self._workers[self.worker_index(key)]
-        self._call(worker, ("load", key, blob))
+        return self._call(worker, ("load", key, blob))
 
     def drop(self, tenant) -> None:
         """Forget every shard state belonging to one tenant."""

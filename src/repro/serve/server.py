@@ -35,8 +35,9 @@ Concurrency model — one bounded queue and one worker task per tenant:
   engine shipping its coalesced batches to shard-affine worker
   processes — many tenants fold concurrently on real cores instead of
   serializing on the GIL, and sub-batches past the shared-memory auto
-  threshold hand off zero-copy.  ``fold_processes=0`` restores the
-  in-process thread-pool folds.  A fold-worker death surfaces as a
+  threshold hand off zero-copy.  ``fold_processes=0`` folds on the
+  ingest threads instead, through each engine's inline shard host.
+  A fold-worker death surfaces as a
   :class:`~repro.serve.foldpool.FoldPoolError`; the server heals the
   tenant by rebuilding it from its last persisted snapshot.
 * Periodic snapshots ride on the engine's own chunk-count scheduling
@@ -116,7 +117,6 @@ def _detections_payload(query, definition: Optional[int]) -> dict:
         "open_flows": query.open_flows,
         "watermark": query.watermark,
         "chunks": query.chunks,
-        "degraded": query.degraded,
     }
 
 
@@ -640,7 +640,6 @@ class ScannerServer:
                 "queued": queue.qsize() if queue is not None else 0,
                 "queue_depth": tenant.config.queue_depth,
                 "errors": len(tenant.errors),
-                "degraded": tenant.engine.degraded,
                 "journal_degraded": tenant_id in self._journal_degraded,
                 "journal": (
                     tenant.journal.stats()

@@ -3,8 +3,8 @@
 A *tenant* is one telescope feeding the service — its own detector
 state, its own telemetry/health, its own snapshot directory, its own
 memory budget.  Nothing is shared between tenants except the process:
-a tenant whose ECDF sample is degraded, whose chunks are corrupt, or
-whose engine is recycled never perturbs another tenant's results.
+a tenant whose chunks are corrupt or whose engine is recycled never
+perturbs another tenant's results.
 
 The registry persists tenant configurations to ``tenants.json``
 (written atomically) next to the per-tenant snapshot directories, so a
@@ -60,8 +60,6 @@ class TenantConfig:
     workers: int = 1
     #: detection thresholds; ``None`` uses the paper's defaults.
     detection: Optional[DetectionConfig] = None
-    #: per-tenant volume-ECDF sample budget (``None`` = exact/unbounded).
-    max_ecdf_samples: Optional[int] = None
     #: snapshot cadence, in ingested chunks (``None`` = only explicit).
     snapshot_every_chunks: Optional[int] = 16
     #: bounded ingest-queue depth before the server answers 429.
@@ -82,9 +80,46 @@ class TenantConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TenantConfig":
         d = dict(d)
+        # Registries written while engines took an ECDF sample budget
+        # carry it as null; a real budget would ask for approximate
+        # Definition-2 thresholds, which are no longer offered.
+        if d.pop("max_ecdf_samples", None) is not None:
+            raise ValueError(
+                "max_ecdf_samples is no longer supported: Definition 2 "
+                "always uses the exact volume ECDF"
+            )
         if d.get("detection") is not None:
             d["detection"] = DetectionConfig(**d["detection"])
         return cls(**d)
+
+    def build_engine(
+        self,
+        telemetry: PipelineTelemetry,
+        store: Optional[CheckpointStore],
+        *,
+        restore: bool,
+    ) -> DetectionEngine:
+        """This tenant's engine: resumed from the last snapshot in
+        ``store`` when ``restore`` is set and one loads, else empty."""
+        engine = None
+        if restore and store is not None:
+            engine = DetectionEngine.from_store(
+                store,
+                telemetry=telemetry,
+                snapshot_every_chunks=self.snapshot_every_chunks,
+            )
+        if engine is None:
+            engine = DetectionEngine(
+                self.timeout,
+                self.dark_size,
+                self.detection,
+                self.day_seconds,
+                workers=self.workers,
+                telemetry=telemetry,
+                store=store,
+                snapshot_every_chunks=self.snapshot_every_chunks,
+            )
+        return engine
 
 
 @dataclass
@@ -203,23 +238,46 @@ class Tenant:
         case: same chunk journaled twice folds once, exactly as it
         would have live).  Records at or below ``last_seq`` only seed
         the dedup LRU.  Returns the number of chunks re-folded.
+
+        Records fold in micro-batches under the tenant's
+        ``coalesce_chunks``/``coalesce_bytes`` budgets, as live ingest
+        drains its queue; a batch is flushed before every duplicate, so
+        the sequence watermark still advances in journal order.
         """
         if self.journal is None:
             return 0
         covered = self.engine.last_seq
         seen = set()
         replayed = 0
+        pending: List[Tuple[bytes, int]] = []
+
+        def flush() -> None:
+            if pending:
+                self.engine.ingest_payloads(
+                    [payload for payload, _ in pending],
+                    last_seq=pending[-1][1],
+                )
+                pending.clear()
+
         for record in self.journal.replay():
             if record.seq <= covered:
                 self._remember(record.digest, record.seq)
                 continue
             if record.digest in seen:
+                flush()
                 self.engine.advance_seq(record.seq)
                 continue
             seen.add(record.digest)
             self._remember(record.digest, record.seq)
-            self.engine.ingest_payloads([record.payload], last_seq=record.seq)
+            pending.append((record.payload, record.seq))
             replayed += 1
+            if (
+                len(pending) >= self.config.coalesce_chunks
+                or sum(len(p) for p, _ in pending)
+                >= self.config.coalesce_bytes
+            ):
+                flush()
+        flush()
         # New appends must continue past everything the engine has
         # already folded, even when truncation emptied the journal.
         self.journal.ensure_next_seq(self.engine.last_seq + 1)
@@ -313,26 +371,9 @@ class Tenant:
         none survives) and re-attach the pool, overwriting whatever
         stale shard state the surviving workers still hold.
         """
-        engine = None
-        if self.store is not None:
-            engine = DetectionEngine.from_store(
-                self.store,
-                telemetry=self.telemetry,
-                snapshot_every_chunks=self.config.snapshot_every_chunks,
-            )
-        if engine is None:
-            engine = DetectionEngine(
-                self.config.timeout,
-                self.config.dark_size,
-                self.config.detection,
-                self.config.day_seconds,
-                workers=self.config.workers,
-                telemetry=self.telemetry,
-                store=self.store,
-                snapshot_every_chunks=self.config.snapshot_every_chunks,
-                max_ecdf_samples=self.config.max_ecdf_samples,
-            )
-        self.engine = engine
+        self.engine = self.config.build_engine(
+            self.telemetry, self.store, restore=True
+        )
         self.recycles += 1
         if self.fold_pool is not None:
             self.engine.attach_pool(self.fold_pool, self.tenant_id)
@@ -450,25 +491,7 @@ class TenantRegistry:
     ) -> Tenant:
         telemetry = PipelineTelemetry()
         store = self._store_for(tenant_id, telemetry)
-        engine = None
-        if restore and store is not None:
-            engine = DetectionEngine.from_store(
-                store,
-                telemetry=telemetry,
-                snapshot_every_chunks=config.snapshot_every_chunks,
-            )
-        if engine is None:
-            engine = DetectionEngine(
-                config.timeout,
-                config.dark_size,
-                config.detection,
-                config.day_seconds,
-                workers=config.workers,
-                telemetry=telemetry,
-                store=store,
-                snapshot_every_chunks=config.snapshot_every_chunks,
-                max_ecdf_samples=config.max_ecdf_samples,
-            )
+        engine = config.build_engine(telemetry, store, restore=restore)
         journal = None
         if self.snapshot_dir is not None and self.journal_enabled:
             kwargs = {}

@@ -7,6 +7,7 @@ hex literals for batch, serial streaming, and pooled runs alike.
 """
 
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.config import DetectionConfig
 from repro.core.detection import detect_all
 from repro.core.engine import (
     ENGINE_STATE_MAGIC,
+    DegradedSnapshotError,
     DetectionEngine,
     EngineQuery,
 )
@@ -285,62 +287,39 @@ class TestSnapshotRestore:
         assert telemetry.health.checkpoint_corrupt == 1
 
 
-class TestMemoryBudget:
-    def test_budget_bounds_samples_and_flags_degraded(self):
+class TestLegacySnapshots:
+    """Snapshots written while engines took a ``max_ecdf_samples``
+    budget carry ``degraded``/``max_ecdf_samples`` keys under the same
+    v2 header."""
+
+    @staticmethod
+    def _legacy(engine, degraded):
+        payload = pickle.loads(engine.snapshot()[len(ENGINE_STATE_MAGIC):])
+        payload.update(degraded=degraded, max_ecdf_samples=None)
+        return ENGINE_STATE_MAGIC + pickle.dumps(payload, protocol=4)
+
+    def test_exact_legacy_snapshot_restores(self):
         batch = _random_capture(21)
-        exact = DetectionEngine(600.0, _DARK_SIZE, _CONFIG)
-        bounded = DetectionEngine(
-            600.0, _DARK_SIZE, _CONFIG, max_ecdf_samples=64
+        chunks = [c for _, _, c in batch.iter_time_chunks(3_600.0)]
+        half = len(chunks) // 2
+        engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG, workers=2)
+        for chunk in chunks[:half]:
+            engine.ingest(chunk)
+        resumed = DetectionEngine.restore(self._legacy(engine, False))
+        for chunk in chunks[half:]:
+            engine.ingest(chunk)
+            resumed.ingest(chunk)
+        assert resumed.packets_seen == engine.packets_seen == len(batch)
+        _assert_detections_identical(
+            resumed.query().detections, engine.query().detections
         )
-        for _, _, chunk in batch.iter_time_chunks(3_600.0):
-            exact.ingest(chunk)
-            bounded.ingest(chunk)
-        assert not exact.degraded
-        assert bounded.degraded
-        ev_e, det_e = exact.finish()
-        ev_b, det_b = bounded.finish()
-        # Events and the non-ECDF definitions are untouched by the
-        # budget; only the Definition-2 threshold may drift, and only
-        # within the compaction's rank bound.
-        _assert_tables_identical(ev_b, ev_e)
-        assert det_b[1].sources == det_e[1].sources
-        assert det_b[3].sources == det_e[3].sources
-        exact_t = det_e[2].threshold
-        assert det_b[2].threshold == pytest.approx(exact_t, rel=0.25)
 
-    def test_budget_is_deterministic(self):
-        batch = _random_capture(22, n=10_000)
-
-        def run():
-            engine = DetectionEngine(
-                600.0, _DARK_SIZE, _CONFIG, max_ecdf_samples=32
-            )
-            for _, _, chunk in batch.iter_time_chunks(3_600.0):
-                engine.ingest(chunk)
-            return engine.finish()
-
-        ev_a, det_a = run()
-        ev_b, det_b = run()
-        _assert_tables_identical(ev_b, ev_a)
-        _assert_detections_identical(det_b, det_a)
-
-    def test_under_budget_stays_exact(self):
-        batch = _random_capture(23, n=2_000)
-        exact = DetectionEngine(600.0, _DARK_SIZE, _CONFIG)
-        bounded = DetectionEngine(
-            600.0, _DARK_SIZE, _CONFIG, max_ecdf_samples=10_000_000
-        )
-        for _, _, chunk in batch.iter_time_chunks(3_600.0):
-            exact.ingest(chunk)
-            bounded.ingest(chunk)
-        assert not bounded.degraded
-        _, det_e = exact.finish()
-        _, det_b = bounded.finish()
-        _assert_detections_identical(det_b, det_e)
-
-    def test_invalid_budget(self):
-        with pytest.raises(ValueError, match="max_ecdf_samples"):
-            DetectionEngine(600.0, _DARK_SIZE, max_ecdf_samples=1)
+    def test_degraded_legacy_snapshot_refused(self):
+        engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG)
+        engine.ingest(_random_capture(22, n=500))
+        with pytest.raises(DegradedSnapshotError, match="approximate"):
+            DetectionEngine.restore(self._legacy(engine, True))
+        assert issubclass(DegradedSnapshotError, ValueError)
 
 
 # ----------------------------------------------------------------------

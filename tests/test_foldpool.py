@@ -10,6 +10,7 @@ snapshot).
 import os
 import signal
 import threading
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,12 +18,13 @@ import pytest
 
 from repro.config import DetectionConfig
 from repro.core.detection import detect_all
-from repro.core.engine import DetectionEngine, gate_time_order
+from repro.core.engine import DetectionEngine, ShardSpec, gate_time_order
 from repro.core.events import build_events
 from repro.core.faults import CheckpointStore
 from repro.io.packetlog import packets_to_npz_bytes
 from repro.packet import PacketBatch, Protocol
-from repro.serve.foldpool import FoldPool, FoldPoolError, ShardSpec
+from repro.parallel import shard_of
+from repro.serve.foldpool import FoldPool, FoldPoolError
 from repro.serve.tenants import Tenant, TenantConfig
 
 TCP = Protocol.TCP_SYN.value
@@ -199,6 +201,69 @@ class TestPooledParity:
         assert pool.collect(("gone", 0)) is None
 
 
+class TestHostParity:
+    """Inline and pooled engines accept and reject the same chunks."""
+
+    @staticmethod
+    def _sources():
+        # Two sources that hash to different shards of two.
+        a = 1
+        b = next(
+            s for s in range(2, 100)
+            if shard_of(np.array([s], dtype=np.uint32), 2)[0]
+            != shard_of(np.array([a], dtype=np.uint32), 2)[0]
+        )
+        return a, b
+
+    @staticmethod
+    def _batch(rows):
+        n = len(rows)
+        return PacketBatch(
+            ts=np.array([ts for ts, _ in rows], dtype=np.float64),
+            src=np.array([src for _, src in rows], dtype=np.uint32),
+            dst=np.arange(n, dtype=np.uint32) % _DARK_SIZE,
+            dport=np.full(n, 22, dtype=np.uint16),
+            proto=np.full(n, TCP, dtype=np.uint8),
+            ipid=np.zeros(n, dtype=np.uint16),
+        )
+
+    @pytest.mark.parametrize(
+        "pooled", [False, True], ids=["inline", "foldpool"]
+    )
+    def test_three_chunk_sequence(self, pooled):
+        a, b = self._sources()
+        chunks = [
+            self._batch([(100.0, a), (200.0, a), (300.0, b)]),
+            # Starts before the engine watermark (300): rejected whole,
+            # though shard a alone has only reached 200.
+            self._batch([(250.0, a), (350.0, b)]),
+            # Starts at the engine watermark: accepted on every shard.
+            self._batch([(400.0, a), (320.0, b)]),
+        ]
+        with FoldPool(1) if pooled else nullcontext() as pool:
+            engine = _engine(workers=2)
+            if pool is not None:
+                engine.attach_pool(pool, "parity")
+            accepted = []
+            for chunk in chunks:
+                before = engine.status()
+                try:
+                    engine.ingest(chunk)
+                    accepted.append(True)
+                except ValueError:
+                    accepted.append(False)
+                    assert engine.status() == before
+            got = engine.query()
+            engine.detach_pool()
+        assert accepted == [True, False, True]
+        kept = PacketBatch.concat([chunks[0], chunks[2]])
+        assert engine.packets_seen == got.packets == len(kept) == 5
+        assert engine.chunks_ingested == got.chunks == 2
+        oracle = detect_all(build_events(kept, _TIMEOUT), _DARK_SIZE, _CONFIG)
+        for definition in (1, 2, 3):
+            assert got.ah_sources(definition) == oracle[definition].sources
+
+
 class TestQueryViews:
     @pytest.mark.parametrize("every", [1, 3])
     def test_queries_match_prefix_oracle_and_leave_finish_alone(
@@ -300,7 +365,7 @@ class TestFanOut:
 
     def test_fold_many_sends_everything_before_reading(self):
         pool, log = self._pool()
-        spec = ShardSpec(_TIMEOUT, _DARK_SIZE, _CONFIG, 86_400.0, None)
+        spec = ShardSpec(_TIMEOUT, _DARK_SIZE, _CONFIG, 86_400.0)
         requests = [(("t", i), spec, i, ("batch", i)) for i in range(6)]
         replies = pool.fold_many(requests)
         self._assert_sends_first(log, len(requests))

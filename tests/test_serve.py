@@ -5,6 +5,7 @@ ephemeral port and drives it with the real stdlib client — the same
 code path the serve-smoke CI job exercises, minus the subprocess.
 """
 
+import json
 import threading
 
 import numpy as np
@@ -98,6 +99,17 @@ class TestEndpoints:
         client.delete_tenant("t0")
         with pytest.raises(ServeError):
             client.status("t0")
+
+    def test_sample_budget_config_answers_400(self, server):
+        client, _, _ = server
+        config = _tenant_config().as_dict()
+        body = json.dumps(dict(config, max_ecdf_samples=64)).encode()
+        status, payload = client.request("PUT", "/tenants/t0", body)
+        assert status == 400 and "max_ecdf_samples" in payload["error"]
+        # The null budget every older tenants.json carries still loads.
+        body = json.dumps(dict(config, max_ecdf_samples=None)).encode()
+        assert client.request("PUT", "/tenants/t0", body)[0] == 201
+        assert "degraded" not in client.health()["tenants"]["t0"]
 
     def test_bad_chunk_rejected_and_accounted(self, server):
         client, _, _ = server

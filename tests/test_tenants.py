@@ -1,9 +1,12 @@
 """Tests for the tenant layer (repro.serve.tenants)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.config import DetectionConfig
+from repro.core.engine import DetectionEngine
 from repro.io.packetlog import packets_to_npz_bytes
 from repro.packet import PacketBatch, Protocol
 from repro.serve.journal import JOURNAL_DIR_NAME
@@ -48,8 +51,19 @@ def _feed(tenant, batch, chunk_seconds=3_600.0):
 
 class TestConfigRoundTrip:
     def test_as_dict_from_dict(self):
-        config = _config(workers=3, max_ecdf_samples=128, queue_depth=4)
+        config = _config(workers=3, queue_depth=4)
         assert TenantConfig.from_dict(config.as_dict()) == config
+
+    def test_registry_written_with_null_sample_budget_loads(self):
+        # Registries persisted while engines took an ECDF sample budget
+        # carry ``"max_ecdf_samples": null``.
+        payload = dict(_config(workers=2).as_dict(), max_ecdf_samples=None)
+        assert TenantConfig.from_dict(payload) == _config(workers=2)
+
+    def test_non_null_sample_budget_refused(self):
+        payload = dict(_config().as_dict(), max_ecdf_samples=128)
+        with pytest.raises(ValueError, match="max_ecdf_samples"):
+            TenantConfig.from_dict(payload)
 
     def test_detection_none_round_trips(self):
         config = _config(detection=None)
@@ -106,7 +120,7 @@ class TestRegistry:
         # sources — and their AH sets equal single-tenant runs.
         registry = TenantRegistry()
         a = registry.create("a", _config())
-        b = registry.create("b", _config(max_ecdf_samples=16))
+        b = registry.create("b", _config(workers=2))
         batch_a, batch_b = _capture(1), _capture(2)
         _feed(a, batch_a)
         _feed(b, batch_b)
@@ -115,7 +129,7 @@ class TestRegistry:
         _assert_detections_identical(
             a.query().detections, solo.query().detections
         )
-        assert b.engine.degraded and not a.engine.degraded
+        assert b.engine.packets_seen == len(batch_b)
 
 
 class TestDurability:
@@ -245,6 +259,43 @@ class TestJournalDurability:
         assert any(
             str(last) in q
             for q in after.telemetry.health.quarantined_chunks
+        )
+
+    @pytest.mark.parametrize(
+        "coalesce_chunks, coalesce_bytes",
+        [(1, 8 * 2**20), (5, 8 * 2**20), (32, 8 * 2**20), (32, 1)],
+    )
+    def test_replay_coalesces_under_the_tenant_budget(
+        self, tmp_path, monkeypatch, coalesce_chunks, coalesce_bytes
+    ):
+        config = _config(
+            workers=2,
+            coalesce_chunks=coalesce_chunks,
+            coalesce_bytes=coalesce_bytes,
+        )
+        registry = TenantRegistry(tmp_path / "snap")
+        tenant = registry.create("t", config)
+        payloads = _wire_chunks(_capture(29))
+        _serve_feed(tenant, payloads)
+        expected = tenant.query()
+
+        folds = []
+        fold = DetectionEngine.ingest_payloads
+
+        def counted(engine, blobs, **kwargs):
+            folds.append(len(blobs))
+            return fold(engine, blobs, **kwargs)
+
+        monkeypatch.setattr(DetectionEngine, "ingest_payloads", counted)
+        revived = TenantRegistry(tmp_path / "snap")
+        revived.restore_all()
+        after = revived.get("t")
+        assert after.serve_stats.replayed_chunks == sum(folds) == len(payloads)
+        budget = coalesce_chunks if coalesce_bytes > 1 else 1
+        assert len(folds) <= math.ceil(len(payloads) / budget)
+        assert after.engine.last_seq == tenant.engine.last_seq
+        _assert_detections_identical(
+            after.query().detections, expected.detections
         )
 
     def test_duplicate_records_replay_once(self, tmp_path):
