@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve layerbench-smoke perf-gate ci-local src-delta
+.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve layerbench-smoke perf-gate ci-local src-delta snapshot-split
 
 lint:
 	ruff check .
@@ -74,6 +74,14 @@ chaos-serve:
 src-delta:
 	@test -n "$(BASE)" || { echo "usage: make src-delta BASE=<git ref>" >&2; exit 2; }
 	@git diff --shortstat $(BASE) -- src/ tests/
+
+# Where serve-ingest snapshot time goes: replay the repository
+# benchmark's serve-ingest input (seed SEED) into an inline 2-shard
+# engine and print, at every 16-chunk snapshot, each shard's
+# to_bytes/from_bytes and open-flow state vs history, time and bytes.
+SEED ?= 1
+snapshot-split:
+	$(PYTHON) benchmarks/snapshot_split.py --seed $(SEED)
 
 # The repository benchmark's smoke tests (layerbench/): every workload
 # on the tiny scenario, untraced and traced, with its output checks.

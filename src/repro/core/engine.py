@@ -302,10 +302,12 @@ class ShardHost:
     def views(self, keys: Sequence) -> List[Optional[StreamingDetector]]:
         return [self.view(key) for key in keys]
 
-    def collect(self, key) -> Optional[bytes]:
-        """The shard's serialized state (None if it has none)."""
-        detector = self._detectors.get(key)
-        return None if detector is None else detector.to_bytes()
+    def collect(self, keys: Sequence) -> List[Optional[bytes]]:
+        """Each shard's serialized state (None for one it has none of)."""
+        return [
+            None if detector is None else detector.to_bytes()
+            for detector in map(self._detectors.get, keys)
+        ]
 
     def load(self, key, state) -> FoldReply:
         """Install a shard's state; ``None`` drops it.
@@ -549,8 +551,9 @@ class DetectionEngine:
             raise RuntimeError("cannot attach a pool to a finished engine")
         if self.pooled:
             raise RuntimeError("a fold pool is already attached")
-        for index, shard in enumerate(self._shard_keys()):
-            pool.load((key, index), self._host.collect(shard))
+        blobs = self._host.collect(self._shard_keys())
+        for index, blob in enumerate(blobs):
+            pool.load((key, index), blob)
         self._host, self._key = pool, key
 
     def detach_pool(self) -> None:
@@ -562,7 +565,7 @@ class DetectionEngine:
         if not self.pooled:
             return
         pool, key = self._host, self._key
-        blobs = [pool.collect(shard) for shard in self._shard_keys()]
+        blobs = pool.collect(self._shard_keys())
         self._host, self._key = ShardHost(), None
         self._load_shards(blobs)
         pool.drop(key)
@@ -896,7 +899,7 @@ class DetectionEngine:
         """
         if self._finished:
             raise RuntimeError("cannot snapshot a finished engine")
-        blobs = [self._host.collect(key) for key in self._shard_keys()]
+        blobs = self._host.collect(self._shard_keys())
         payload = {
             "timeout": self.timeout,
             "dark_size": self.dark_size,

@@ -148,7 +148,10 @@ class StreamingEventBuilder:
         #: internally), so single-segment closes never touch Python.
         self._nseg = np.empty(0, dtype=np.int64)
         self._seg0 = np.empty(0, dtype=np.int64)
-        #: flow key -> list of per-continuation destination arrays.
+        #: flow key -> list of per-continuation destination arrays.  A
+        #: restored builder's segments are views into one array (see
+        #: :meth:`__setstate__`) until a close or a compaction replaces
+        #: them.
         self._segs: Dict[int, list] = {}
         #: finalized column chunks awaiting drain/finish.
         self._closed_cols: List[tuple] = []
@@ -177,6 +180,62 @@ class StreamingEventBuilder:
     def watermark(self) -> Optional[float]:
         """Timestamp of the latest packet folded in."""
         return self._watermark
+
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        """Pickle the segment map as four columns, not one array per flow.
+
+        Tens of thousands of open flows each hold a few small
+        destination arrays, and pickling them one by one dominated every
+        detector snapshot.  The map travels as its flow keys, segments
+        per key, segment lengths and one concatenated destination array.
+        """
+        state = self.__dict__.copy()
+        segs = state.pop("_segs")
+        flat = [seg for key_segs in segs.values() for seg in key_segs]
+        state["_seg_columns"] = (
+            np.fromiter(segs, dtype=np.uint64, count=len(segs)),
+            np.fromiter(map(len, segs.values()), np.int64, len(segs)),
+            np.fromiter(map(len, flat), dtype=np.int64, count=len(flat)),
+            np.concatenate(flat) if flat else np.empty(0, dtype=np.uint32),
+        )
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Rebuild the segment map from :meth:`__getstate__`'s columns.
+
+        A state pickled before the columnar form carries the plain
+        ``_segs`` dict and loads as it is.  Columns that disagree with
+        each other or with the open table raise ``ValueError``: a short
+        map would silently miscount distinct destinations.
+        """
+        columns = state.pop("_seg_columns", None)
+        if columns is not None:
+            keys, per_key, lengths, values = columns
+            if (
+                len(per_key) != len(keys)
+                or int(per_key.sum()) != len(lengths)
+                or int(lengths.sum()) != len(values)
+                or bool((per_key < 0).any() or (lengths < 0).any())
+                or not np.array_equal(np.sort(keys), state["_keys"])
+            ):
+                raise ValueError(
+                    "packed open-flow segments disagree: "
+                    f"{len(keys)} keys for {len(state['_keys'])} open "
+                    f"flows, {int(per_key.sum())} segments per key "
+                    f"for {len(lengths)} lengths, {int(lengths.sum())} "
+                    f"destinations for {len(values)} values"
+                )
+            ends = np.cumsum(lengths).tolist()
+            segments = [
+                values[e - n:e] for n, e in zip(lengths.tolist(), ends)
+            ]
+            ends = np.cumsum(per_key).tolist()
+            state["_segs"] = {
+                key: segments[e - n:e]
+                for key, n, e in zip(keys.tolist(), per_key.tolist(), ends)
+            }
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     def add_batch(self, batch: PacketBatch) -> None:

@@ -30,8 +30,8 @@ Design points:
   open-flow destination segments); snapshots and finish pull the full
   serialized state (``collect``).
 * **Fan-out.**  Requests that touch several workers (``fold_many``,
-  ``views``) are all sent before any reply is read, so distinct
-  workers serve them concurrently.
+  ``views``, ``collect``) are all sent before any reply is read, so
+  distinct workers serve them concurrently.
 * **Zero-copy hand-off.**  Sub-batches above the shared-memory auto
   threshold travel as :class:`~repro.io.shm.ShmBatch` handles over one
   named segment per fold (see :func:`repro.io.shm.share_batches`);
@@ -168,9 +168,11 @@ class FoldPool:
         be large, but their replies are small gauge structs or acks
         that fit in the pipe buffer, so a worker never blocks sending
         one and is always back reading the next request.  View and
-        collect requests are just a key, which fits in the buffer even
-        while the worker is blocked writing a large reply; that worker
-        only waits for the read loop below to reach it.
+        collect requests carry just one key, which fits in the buffer
+        even while the worker is blocked writing a large reply; that
+        worker only waits for the read loop below to reach it.  So a
+        snapshot or detach may fan out every shard's ``collect`` at
+        once: small requests, large replies.
         """
         if self._closed:
             raise FoldPoolError("fold pool is closed")
@@ -264,10 +266,16 @@ class FoldPool:
             [(self.worker_index(key), ("view", key)) for key in keys]
         )
 
-    def collect(self, key) -> Optional[bytes]:
-        """The shard's serialized detector state (None if never used)."""
-        worker = self._workers[self.worker_index(key)]
-        return self._call(worker, ("collect", key))
+    def collect(self, keys: Sequence) -> List[Optional[bytes]]:
+        """Shard states serialized, one per key (None if never used).
+
+        One fan-out, like :meth:`views`: every shard on a distinct
+        worker pickles its state concurrently.
+        """
+        replies = self._fan_out(
+            [(self.worker_index(key), ("collect", [key])) for key in keys]
+        )
+        return [blobs[0] for blobs in replies]
 
     def load(self, key, blob: Optional[bytes]) -> FoldReply:
         """Install (or, with ``None``, drop) one shard's state."""

@@ -24,11 +24,20 @@ from repro.core.engine import (
 )
 from repro.core.events import build_events
 from repro.core.faults import CheckpointStore
+from repro.core.streaming import (
+    STATE_MAGIC,
+    StreamingDetector,
+    StreamingEventBuilder,
+)
 from repro.core.telemetry import PipelineTelemetry
 from repro.packet import PacketBatch, Protocol
 from repro.sim.runner import run_scenario
 from repro.sim.scenario import tiny_scenario
 from tests.test_events import _packets
+from tests.test_serialization import (
+    _assert_segments_identical,
+    _dense_capture,
+)
 from tests.test_streaming import (
     _assert_detections_identical,
     _assert_tables_identical,
@@ -320,6 +329,68 @@ class TestLegacySnapshots:
         with pytest.raises(DegradedSnapshotError, match="approximate"):
             DetectionEngine.restore(self._legacy(engine, True))
         assert issubclass(DegradedSnapshotError, ValueError)
+
+
+class TestLegacySegmentLayout:
+    """Snapshots written before open-flow segments were packed into
+    columns pickle each builder's plain ``__dict__``, ``_segs`` dict
+    included, under the same v2 headers."""
+
+    @staticmethod
+    def _chunks():
+        return [c for _, _, c in _dense_capture(23).iter_time_chunks(600.0)]
+
+    @staticmethod
+    def _legacy(monkeypatch, write):
+        monkeypatch.delattr(StreamingEventBuilder, "__getstate__")
+        try:
+            blob = write()
+        finally:
+            monkeypatch.undo()
+        assert b"_seg_columns" not in blob and b"_segs" in blob
+        return blob
+
+    def test_detector_restores_and_continues(self, monkeypatch):
+        chunks = self._chunks()
+        half = len(chunks) // 2
+        detector = StreamingDetector(600.0, _DARK_SIZE, _CONFIG)
+        for chunk in chunks[:half]:
+            detector.add_batch(chunk)
+        assert any(len(v) > 1 for v in detector.builder._segs.values())
+        blob = self._legacy(monkeypatch, detector.to_bytes)
+        assert blob.startswith(STATE_MAGIC)
+        resumed = StreamingDetector.from_bytes(blob)
+        _assert_segments_identical(
+            resumed.builder._segs, detector.builder._segs
+        )
+        for chunk in chunks[half:]:
+            detector.add_batch(chunk)
+            resumed.add_batch(chunk)
+        events, detections = resumed.finish()
+        ref_events, ref_detections = detector.finish()
+        _assert_tables_identical(events, ref_events)
+        _assert_detections_identical(detections, ref_detections)
+
+    def test_engine_restores_and_continues(self, monkeypatch):
+        chunks = self._chunks()
+        half = len(chunks) // 2
+        engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG, workers=2)
+        for chunk in chunks[:half]:
+            engine.ingest(chunk)
+        blob = self._legacy(monkeypatch, engine.snapshot)
+        assert blob.startswith(ENGINE_STATE_MAGIC)
+        resumed = DetectionEngine.restore(blob)
+        for chunk in chunks[half:]:
+            engine.ingest(chunk)
+            resumed.ingest(chunk)
+        assert resumed.packets_seen == engine.packets_seen
+        _assert_detections_identical(
+            resumed.query().detections, engine.query().detections
+        )
+        events, detections = resumed.finish()
+        ref_events, ref_detections = engine.finish()
+        _assert_tables_identical(events, ref_events)
+        _assert_detections_identical(detections, ref_detections)
 
 
 # ----------------------------------------------------------------------

@@ -198,7 +198,7 @@ class TestPooledParity:
         assert engine.packets_seen > 0
         engine.abandon_pool()
         assert not engine.pooled
-        assert pool.collect(("gone", 0)) is None
+        assert pool.collect([("gone", 0), ("gone", 1)]) == [None, None]
 
 
 class TestHostParity:
@@ -329,10 +329,12 @@ class _FakeConn:
     def __init__(self, index, log):
         self.index = index
         self.log = log
+        self.sent = []
         self.pending = []
 
     def send(self, message):
         self.log.append(("send", self.index))
+        self.sent.append(message)
         self.pending.append(message)
 
     def recv(self):
@@ -382,6 +384,22 @@ class TestFanOut:
         assert replies == [
             (pool.worker_index(key), ("view", key)) for key in keys
         ]
+
+    def test_collect_sends_everything_before_reading(self):
+        """Snapshots and detach fetch every shard's state in one
+        fan-out: small requests out, then the large replies in."""
+        pool, log = self._pool()
+        keys = [("t", i) for i in range(6)]
+        replies = pool.collect(keys)
+        self._assert_sends_first(log, len(keys))
+        # A fake reply echoes (worker, message); collect keeps item 0.
+        assert replies == [pool.worker_index(key) for key in keys]
+        sent = [
+            message
+            for worker in pool._workers
+            for message in worker.conn.sent
+        ]
+        assert sorted(sent) == sorted(("collect", [key]) for key in keys)
 
 
 class TestWorkerDeath:
