@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve layerbench-smoke perf-gate ci-local src-delta snapshot-split
+.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve layerbench-smoke perf-gate ci-local src-delta snapshot-split query-split
 
 lint:
 	ruff check .
@@ -83,6 +83,14 @@ SEED ?= 1
 snapshot-split:
 	$(PYTHON) benchmarks/snapshot_split.py --seed $(SEED)
 
+# Where serve-query AH query time goes: rebuild the repository
+# benchmark's serve-query state (seed SEED) in an inline 2-shard engine
+# and print, at every trickle fold, each shard's summary time and bytes,
+# its Definition-1 candidates (bounded, settled, unioned) and the merge
+# time; exits 1 if an answer differs from finish() on a copy.
+query-split:
+	$(PYTHON) benchmarks/query_split.py --seed $(SEED)
+
 # The repository benchmark's smoke tests (layerbench/): every workload
 # on the tiny scenario, untraced and traced, with its output checks.
 layerbench-smoke:
@@ -104,8 +112,8 @@ perf-gate:
 # The whole CI job sequence, in order, on the local machine: lint,
 # byte-compile, tier-1 tests (with the same JUnit/durations artifacts),
 # benchmark smoke, ingestion-service smoke + bench + chaos, both fault
-# matrices, the layerbench smoke, then the perf gate against the
-# committed (HEAD) baselines.
+# matrices, the layerbench smoke with both split probes on the tiny
+# scenario, then the perf gate against the committed (HEAD) baselines.
 ci-local:
 	$(MAKE) lint
 	$(PYTHON) -m compileall -q src
@@ -118,4 +126,6 @@ ci-local:
 	$(MAKE) fault-matrix WORKERS=2
 	$(MAKE) fault-matrix WORKERS=4
 	$(MAKE) layerbench-smoke
+	$(PYTHON) benchmarks/query_split.py --scenario tiny
+	$(PYTHON) benchmarks/snapshot_split.py --scenario tiny
 	$(MAKE) perf-gate BASELINE_GIT=HEAD

@@ -269,7 +269,8 @@ def _run_mode(
 
 
 def _offline_ah(payloads: dict) -> dict:
-    """Ground truth: a serial engine folds each tenant's chunks."""
+    """Ground truth: a serial engine folds each tenant's chunks and
+    finishes — the full path, independent of the served query."""
     from repro.io.packetlog import packets_from_npz_bytes
 
     out = {}
@@ -279,9 +280,9 @@ def _offline_ah(payloads: dict) -> dict:
         )
         for _, blob in pairs:
             engine.ingest(packets_from_npz_bytes(blob))
-        result = engine.query()
+        _, detections = engine.finish()
         out[tenant_id] = {
-            definition: {int(s) for s in result.ah_sources(definition)}
+            definition: {int(s) for s in detections[definition].sources}
             for definition in (1, 2, 3)
         }
     return out

@@ -10,7 +10,8 @@ and bytes of:
 * ``to_bytes`` and ``from_bytes`` of the whole detector;
 * the open-flow state: the event builder (open-flow table plus the
   per-flow destination segments);
-* the history: finalized event chunks, ECDF runs and port-day runs.
+* the history: finalized event chunks, the ECDF histogram, per-source
+  peaks and the port-day set.
 
 The last lines sum each column over every shard snapshot.  The layerbench
 inputs module is imported read-only; nothing here is timed by, or
@@ -58,7 +59,14 @@ def split(detector: StreamingDetector) -> dict:
     _, from_s = timed(StreamingDetector.from_bytes, blob)
     state, state_s = timed(pickled, detector.builder)
     history, history_s = timed(
-        pickled, (detector._chunks, detector._volume, detector._ports)
+        pickled,
+        (
+            detector._chunks,
+            detector._volume,
+            detector._peak_src,
+            detector._peak_packets,
+            detector._ports,
+        ),
     )
     return {
         "to_bytes": (to_s, len(blob)),

@@ -3,13 +3,13 @@
 Definitions 2 and 3 of the paper are percentile rules: compile the ECDF
 of a per-event (or per-source-day) statistic and mark the top-alpha
 tail as aggressive.  ``ECDF`` wraps a sorted sample with evaluation,
-quantile and tail-threshold queries.
+quantile and tail-threshold queries; ``StreamingECDF`` answers the same
+quantiles from an exact value -> count histogram that grows by folds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
@@ -75,25 +75,69 @@ class ECDF:
 
 
 class StreamingECDF:
-    """An :class:`ECDF` whose sample grows incrementally.
+    """An exact :class:`ECDF` kept as a value -> count histogram.
 
     The streaming detection path folds per-chunk observations in as
-    flows finalize; thresholds are only needed at snapshot/finish time.
-    Observations are buffered per :meth:`add` call and merged into one
-    sorted array lazily, so adding is O(chunk) and the first query after
-    an add pays one merge.  Because the merged sample is exactly the
-    concatenation of everything added, every query returns what a batch
-    :class:`ECDF` over the same observations would — the streaming and
-    batch detectors therefore compute identical thresholds.
+    flows finalize, and answers threshold queries at any time.  Event
+    packet counts and daily port counts repeat heavily (a long stream
+    holds a few hundred distinct values), so the sample is stored as its
+    sorted distinct values with their multiplicities: memory is
+    O(distinct values), adding and merging are a union of two small
+    sorted arrays.  :meth:`quantile` applies :meth:`ECDF.quantile`'s own
+    float formula to the cumulative counts, so every query returns
+    bit-for-bit what a batch :class:`ECDF` over the same observations
+    would — the streaming and batch detectors compute identical
+    thresholds.
     """
 
     def __init__(self) -> None:
-        self._runs: List[np.ndarray] = []
+        self._values = np.empty(0, dtype=np.float64)
+        self._counts = np.empty(0, dtype=np.int64)
         self._n = 0
-        self._cached: Optional[ECDF] = None
 
     def __len__(self) -> int:
         return self._n
+
+    def __setstate__(self, state: dict) -> None:
+        """Load a pickled histogram, or convert a sorted-run sample.
+
+        States pickled before the histogram carry ``_runs`` (sorted
+        sample arrays) and convert exactly.  A histogram whose values
+        are not strictly increasing and finite, or whose counts are not
+        positive or disagree with its total, raises ``ValueError``.
+        """
+        runs = state.pop("_runs", None)
+        if runs is not None:
+            state.pop("_cached", None)
+            sample = np.concatenate(runs) if runs else np.empty(0)
+            values, counts = np.unique(sample, return_counts=True)
+            state["_values"] = values.astype(np.float64)
+            state["_counts"] = counts.astype(np.int64)
+        values, counts = state["_values"], state["_counts"]
+        if (
+            len(values) != len(counts)
+            or not bool(np.all(np.isfinite(values)))
+            or bool(np.any(np.diff(values) <= 0))
+            or bool(np.any(counts < 1))
+            or int(counts.sum()) != state["_n"]
+        ):
+            raise ValueError(
+                f"ECDF histogram disagrees: {len(values)} values for "
+                f"{len(counts)} counts summing to {int(counts.sum())}, "
+                f"total {state['_n']}"
+            )
+        self.__dict__.update(state)
+
+    def _absorb(self, values: np.ndarray, counts: np.ndarray) -> None:
+        """Union sorted distinct ``values`` with their ``counts`` in."""
+        at = np.searchsorted(self._values, values)
+        seen = at < len(self._values)
+        seen[seen] = self._values[at[seen]] == values[seen]
+        total = self._counts.copy()
+        total[at[seen]] += counts[seen]
+        self._values = np.insert(self._values, at[~seen], values[~seen])
+        self._counts = np.insert(total, at[~seen], counts[~seen])
+        self._n += int(counts.sum())
 
     def add(self, values) -> None:
         """Fold new observations into the sample."""
@@ -102,14 +146,13 @@ class StreamingECDF:
             return
         if np.any(~np.isfinite(values)):
             raise ValueError("ECDF sample contains non-finite values")
-        self._runs.append(np.sort(values))
-        self._n += values.size
-        self._cached = None
+        distinct, counts = np.unique(values, return_counts=True)
+        self._absorb(distinct, counts.astype(np.int64))
 
     def merge(self, other: "StreamingECDF") -> None:
         """Fold another streaming sample into this one.
 
-        The merged sample is exactly the concatenation of both samples,
+        The merged histogram is exactly that of both samples together,
         so merging is associative and commutative (any merge tree over
         the same observations yields float-identical queries) — the
         property the shard-parallel detection path
@@ -117,45 +160,31 @@ class StreamingECDF:
         """
         if other is self:
             raise ValueError("cannot merge a StreamingECDF with itself")
-        if other._n == 0:
-            return
-        self._runs.extend(other._runs)
-        self._n += other._n
-        self._cached = None
-
-    def copy(self) -> "StreamingECDF":
-        """An independent sample sharing this one's sorted runs.
-
-        Run arrays are never written into — adds and merges extend the
-        run list, queries replace it with one merged run — so with its own
-        list each copy folds on without moving the other's answers.
-        """
-        other = StreamingECDF()
-        other._runs = list(self._runs)
-        other._n = self._n
-        other._cached = self._cached
-        return other
+        if other._n:
+            self._absorb(other._values, other._counts)
 
     def ecdf(self) -> ECDF:
-        """The batch-equivalent :class:`ECDF` over everything added."""
+        """The batch :class:`ECDF` over everything added (O(n) memory)."""
         if self._n == 0:
             raise ValueError("ECDF needs at least one observation")
-        if self._cached is None:
-            # Each run is pre-sorted; timsort exploits the runs, making
-            # the compaction close to a linear multi-way merge.
-            merged = np.sort(np.concatenate(self._runs), kind="stable")
-            self._runs = [merged]
-            self._cached = ECDF(merged)
-        return self._cached
-
-    def evaluate(self, x):
-        """P(X <= x); see :meth:`ECDF.evaluate`."""
-        return self.ecdf().evaluate(x)
+        return ECDF(np.repeat(self._values, self._counts))
 
     def quantile(self, q: float) -> float:
-        """Inverse CDF; see :meth:`ECDF.quantile`."""
-        return self.ecdf().quantile(q)
+        """Inverse CDF; exactly :meth:`ECDF.quantile` of the sample."""
+        if self._n == 0:
+            raise ValueError("ECDF needs at least one observation")
+        if not 0 <= q <= 1:
+            raise ValueError("q must be in [0, 1]")
+        if q == 0:
+            return float(self._values[0])
+        idx = min(max(int(np.ceil(q * self._n)) - 1, 0), self._n - 1)
+        # The sorted sample's idx-th entry: the first distinct value
+        # whose cumulative count passes idx.
+        rank = np.searchsorted(np.cumsum(self._counts), idx, side="right")
+        return float(self._values[rank])
 
     def tail_threshold(self, alpha: float) -> float:
         """The (1 - alpha)-percentile critical value."""
-        return self.ecdf().tail_threshold(alpha)
+        if not 0 < alpha < 1:
+            raise ValueError("alpha must be in (0, 1)")
+        return self.quantile(1.0 - alpha)

@@ -25,8 +25,8 @@ any chunking, ``finish()`` emits the same event table and AH sets as
 ones:
 
 * ``ingest(chunk)`` — shard a chunk by source address and fold it in.
-* ``query()`` — detections *now*, from merged read-only views of the
-  shard states; the live state keeps accepting chunks afterwards.
+* ``query()`` — AH sources and thresholds *now*, from one small
+  summary per shard; the live state keeps accepting chunks afterwards.
 * ``snapshot()`` / ``restore()`` — a versioned, digest-friendly byte
   serialization of the whole engine, scheduled periodically through a
   :class:`~repro.core.faults.CheckpointStore` so a killed process can
@@ -46,7 +46,12 @@ from repro.config import DetectionConfig
 from repro.core.detection import DetectionResult
 from repro.core.events import EventTable
 from repro.core.faults import CheckpointStore
-from repro.core.streaming import ChunkReport, StreamingDetector
+from repro.core.streaming import (
+    ChunkReport,
+    DetectorSummary,
+    StreamingDetector,
+    detections_from_summaries,
+)
 from repro.core.telemetry import PipelineTelemetry
 from repro.io.packetlog import packets_from_npz_bytes
 from repro.io.shm import resolve_batch, share_batches, want_shared_memory
@@ -55,7 +60,9 @@ from repro.packet import PacketBatch
 #: Versioned header for engine snapshots.  Bump on any change to the
 #: payload layout; ``restore`` refuses a mismatched header so a stale
 #: snapshot is discarded (and the tenant re-fed), never half-loaded.
-ENGINE_STATE_MAGIC = b"repro-engine-state-v2\n"
+ENGINE_STATE_MAGIC = b"repro-engine-state-v3\n"
+#: The previous header; its shard blobs convert on load.
+LEGACY_ENGINE_STATE_MAGIC = b"repro-engine-state-v2\n"
 
 #: Checkpoint kind under which engine snapshots are stored.
 ENGINE_CKPT_KIND = "engine"
@@ -85,9 +92,11 @@ class IngestReport:
 
 @dataclass(frozen=True)
 class EngineQuery:
-    """One consistent answer from the merged shard state."""
+    """One consistent answer from the merged shard summaries."""
 
-    #: per-definition detections over everything ingested so far.
+    #: per-definition AH sources and threshold over everything ingested
+    #: so far (no daily breakdowns: only :meth:`DetectionEngine.finish`
+    #: derives those).
     detections: Dict[int, DetectionResult]
     #: events in the (hypothetical) final table if the stream ended now.
     events: int
@@ -236,7 +245,7 @@ def decode_payload(payload) -> Tuple[List[PacketBatch], List[str]]:
 class ShardHost:
     """Detector shards by ``(key, index)``, in this process.
 
-    Answers the five shard operations — fold, view, collect, load,
+    Answers the five shard operations — fold, summary, collect, load,
     drop — that :class:`DetectionEngine` routes through whichever host
     it holds: its own inline ``ShardHost``, called directly with no
     pickling, or an attached :class:`~repro.serve.foldpool.FoldPool`,
@@ -249,7 +258,7 @@ class ShardHost:
     #: process boundary here, so batches are always passed as-is.
     shm = False
 
-    _OPS = ("fold", "view", "collect", "load", "drop")
+    _OPS = ("fold", "summary", "collect", "load", "drop")
 
     def __init__(self) -> None:
         self._detectors: Dict[tuple, StreamingDetector] = {}
@@ -294,13 +303,13 @@ class ShardHost:
         """:meth:`fold` each ``(key, spec, expect_packets, payload)``."""
         return [self.fold(*request) for request in requests]
 
-    def view(self, key) -> Optional[StreamingDetector]:
-        """The shard's :meth:`StreamingDetector.query_view` (or None)."""
-        detector = self._detectors.get(key)
-        return None if detector is None else detector.query_view()
-
-    def views(self, keys: Sequence) -> List[Optional[StreamingDetector]]:
-        return [self.view(key) for key in keys]
+    def summary(self, keys: Sequence) -> List[Optional[DetectorSummary]]:
+        """Each shard's :meth:`StreamingDetector.summary` (None for one
+        it has none of)."""
+        return [
+            None if detector is None else detector.summary()
+            for detector in map(self._detectors.get, keys)
+        ]
 
     def collect(self, keys: Sequence) -> List[Optional[bytes]]:
         """Each shard's serialized state (None for one it has none of)."""
@@ -783,22 +792,31 @@ class DetectionEngine:
         return shards[0]
 
     def query(self) -> EngineQuery:
-        """Detections over everything ingested so far, without ending
-        the stream: open flows are flushed and thresholds derived on a
-        merged *view* of the shard states, exactly as :meth:`finish`
-        would — the answer equals an offline run over the traffic seen
-        so far — and the live state keeps accepting chunks.  The views
-        (:meth:`StreamingDetector.query_view`) leave the shards
-        untouched and copy nothing."""
+        """AH sources and thresholds over everything ingested so far,
+        without ending the stream.
+
+        One fan-out fetches every shard's
+        :class:`~repro.core.streaming.DetectorSummary` — histograms,
+        per-source peaks, dispersion sources and daily port counts, with
+        open flows counted as if they closed now — and the summaries
+        merge in shard order.  Sources, thresholds and the event count
+        equal what :meth:`finish` would return now, i.e. an offline run
+        over the traffic seen so far; the shards are left untouched and
+        keep accepting chunks.
+        """
         packets = self.packets_seen
         finalized = self.events_finalized
         open_flows = self.open_flows
         watermark = self.watermark
-        merged = self._merged(self._host.views(self._shard_keys()))
-        events, detections = merged.finish()
+        summaries = self._host.summary(self._shard_keys())
+        events, detections = detections_from_summaries(
+            [s for s in summaries if s is not None],
+            self.dark_size,
+            self.config,
+        )
         return EngineQuery(
             detections=detections,
-            events=len(events),
+            events=events,
             packets=packets,
             events_finalized=finalized,
             open_flows=open_flows,
@@ -928,17 +946,22 @@ class DetectionEngine:
     ) -> "DetectionEngine":
         """Rebuild an engine serialized by :meth:`snapshot`.
 
-        Raises ``ValueError`` on a missing or mismatched version header
-        — a snapshot from a different state version must be discarded,
-        never half-loaded — and :class:`DegradedSnapshotError` on a
-        snapshot whose volume ECDF was compacted to a sample budget.
+        A v2 snapshot (:data:`LEGACY_ENGINE_STATE_MAGIC`) loads too: its
+        shards convert to the current state exactly.  Raises
+        ``ValueError`` on a missing or unknown version header — such a
+        snapshot must be discarded, never half-loaded — and
+        :class:`DegradedSnapshotError` on a snapshot whose volume ECDF
+        was compacted to a sample budget.
         """
-        if not data.startswith(ENGINE_STATE_MAGIC):
+        header = ENGINE_STATE_MAGIC
+        if data.startswith(LEGACY_ENGINE_STATE_MAGIC):
+            header = LEGACY_ENGINE_STATE_MAGIC
+        if not data.startswith(header):
             raise ValueError(
                 "not a serialized DetectionEngine snapshot (missing or "
                 f"mismatched header; expected {ENGINE_STATE_MAGIC!r})"
             )
-        payload = pickle.loads(data[len(ENGINE_STATE_MAGIC):])
+        payload = pickle.loads(data[len(header):])
         if payload.get("degraded"):
             raise DegradedSnapshotError(
                 "snapshot holds a volume ECDF compacted to a "

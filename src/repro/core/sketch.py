@@ -206,24 +206,3 @@ class HeavyHitterSketch:
     def top_sources(self, k: int) -> List[tuple]:
         """The k heaviest sources as (source, packets, max error)."""
         return self._counter.top(k)
-
-
-def compact_ecdf_sample(values: np.ndarray, k: int) -> np.ndarray:
-    """Deterministic k-point compaction of a sorted sample.
-
-    Keeps ``k`` evenly spaced order statistics of ``values`` (always
-    including the minimum and maximum) — a bounded-memory stand-in
-    for an exact ECDF tail; detection itself always uses the exact
-    sample.  Every quantile of the compacted sample is an *exact*
-    order statistic of the original whose rank is off by at most
-    ``n / (2 * (k - 1))``, so tail thresholds degrade gracefully and
-    reproducibly: the same sample always compacts to the same points
-    (no randomness), and compaction is idempotent for ``len <= k``.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if values.size <= k:
-        return values.copy()
-    idx = np.round(np.linspace(0.0, values.size - 1, k)).astype(np.int64)
-    return values[idx]

@@ -11,14 +11,16 @@ call over the concatenation (a property test pins this down).
 
 ``StreamingDetector`` stacks incremental detection on top: it drains
 finalized events out of the builder after every chunk and folds them
-into per-definition state — a streaming ECDF of per-event packet counts
-(Definition 2), the running set of dispersion-qualified sources
-(Definition 1) and merged per-(src, day) distinct-port triples
-(Definition 3).  At :meth:`~StreamingDetector.finish` the accumulated
-state is handed to the *same* threshold rules and result builders the
-batch path uses (:mod:`repro.core.detection`), so both modes produce
-identical :class:`~repro.core.detection.DetectionResult`\\ s by
-construction.
+into per-definition state — a histogram of per-event packet counts and
+per-source peaks (Definition 2), the running set of dispersion-qualified
+sources (Definition 1) and a deduplicated set of (src, day, port)
+triples with per-(src, day) distinct-port counts (Definition 3).  At
+:meth:`~StreamingDetector.finish` the accumulated state is handed to the
+*same* threshold rules and result builders the batch path uses
+(:mod:`repro.core.detection`), so both modes produce identical
+:class:`~repro.core.detection.DetectionResult`\\ s by construction;
+:meth:`~StreamingDetector.summary` answers a live AH query from the same
+state without finishing.
 
 Both layers expose the operational telemetry a live deployment needs —
 number of open flows (state size, with its running peak) and watermarks
@@ -29,7 +31,6 @@ the watermark).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -41,16 +42,12 @@ from repro.core.detection import (
     dispersion_result,
     dispersion_threshold,
     ports_result_from_counts,
+    ports_threshold,
     volume_result,
     volume_threshold,
 )
 from repro.core.ecdf import StreamingECDF
-from repro.core.events import (
-    EventTable,
-    _flow_keys,
-    build_events,
-    port_counts_from_triples,
-)
+from repro.core.events import EventTable, _flow_keys, build_events
 from repro.packet import PacketBatch, SCANNING_PROTOCOLS
 
 
@@ -143,11 +140,14 @@ class StreamingEventBuilder:
         self._start = np.empty(0, dtype=np.float64)
         self._last = np.empty(0, dtype=np.float64)
         self._packets = np.empty(0, dtype=np.int64)
-        #: destination-segment count; ``_seg0`` is the exact distinct
-        #: destination count while ``_nseg == 1`` (segments are deduped
-        #: internally), so single-segment closes never touch Python.
+        #: destination-segment count, and bounds on the distinct
+        #: destinations: the largest segment (``_dst_lo``) and the sum of
+        #: segment lengths (``_dst_hi``).  Segments are deduped
+        #: internally, so both are exact while ``_nseg == 1`` and
+        #: single-segment closes never touch Python.
         self._nseg = np.empty(0, dtype=np.int64)
-        self._seg0 = np.empty(0, dtype=np.int64)
+        self._dst_lo = np.empty(0, dtype=np.int64)
+        self._dst_hi = np.empty(0, dtype=np.int64)
         #: flow key -> list of per-continuation destination arrays.  A
         #: restored builder's segments are views into one array (see
         #: :meth:`__setstate__`) until a close or a compaction replaces
@@ -205,9 +205,11 @@ class StreamingEventBuilder:
         """Rebuild the segment map from :meth:`__getstate__`'s columns.
 
         A state pickled before the columnar form carries the plain
-        ``_segs`` dict and loads as it is.  Columns that disagree with
-        each other or with the open table raise ``ValueError``: a short
-        map would silently miscount distinct destinations.
+        ``_segs`` dict and loads as it is; one pickled before the
+        destination bounds carries ``_seg0`` and gets its bounds from the
+        segments.  Columns that disagree with each other or with the open
+        table raise ``ValueError``: a short map would silently miscount
+        distinct destinations.
         """
         columns = state.pop("_seg_columns", None)
         if columns is not None:
@@ -235,6 +237,13 @@ class StreamingEventBuilder:
                 key: segments[e - n:e]
                 for key, n, e in zip(keys.tolist(), per_key.tolist(), ends)
             }
+        if state.pop("_seg0", None) is not None:
+            lengths = [
+                [len(seg) for seg in state["_segs"][key]]
+                for key in state["_keys"].tolist()
+            ]
+            state["_dst_lo"] = np.fromiter(map(max, lengths), np.int64)
+            state["_dst_hi"] = np.fromiter(map(sum, lengths), np.int64)
         self.__dict__.update(state)
 
     # ------------------------------------------------------------------
@@ -335,7 +344,8 @@ class StreamingEventBuilder:
         # Destination-segment bookkeeping: the only per-flow Python
         # work, confined to keys whose flows the chunk continues.
         new_nseg = np.ones(nk, dtype=np.int64)
-        new_seg0 = ev_unique[kl].copy()
+        new_lo = ev_unique[kl].copy()
+        new_hi = new_lo.copy()
         segs_map = self._segs
         for i in np.flatnonzero(cont).tolist():
             e0 = kf[i]
@@ -349,9 +359,14 @@ class StreamingEventBuilder:
                     merged = np.unique(np.concatenate(segs))
                     segs_map[int(chunk_keys[i])] = [merged]
                     new_nseg[i] = 1
-                    new_seg0[i] = len(merged)
+                    new_lo[i] = new_hi[i] = len(merged)
                 else:
                     new_nseg[i] = len(segs)
+        # A continued single-event key that grew a segment: its bounds
+        # take the new segment's length (``new_lo``/``new_hi`` so far).
+        grown = cont & single & (new_nseg > 1)
+        new_lo[grown] = np.maximum(self._dst_lo[pos[grown]], new_lo[grown])
+        new_hi[grown] += self._dst_hi[pos[grown]]
 
         # Continued flows whose key has further in-chunk events: the
         # merged first event is final.  Fold the merge into the table
@@ -392,7 +407,8 @@ class StreamingEventBuilder:
         self._last = np.insert(self._last[keep], ins, new_last)
         self._packets = np.insert(self._packets[keep], ins, new_packets)
         self._nseg = np.insert(self._nseg[keep], ins, new_nseg)
-        self._seg0 = np.insert(self._seg0[keep], ins, new_seg0)
+        self._dst_lo = np.insert(self._dst_lo[keep], ins, new_lo)
+        self._dst_hi = np.insert(self._dst_hi[keep], ins, new_hi)
 
         if bool(closed_mask.any()):
             self._closed_cols.append(
@@ -412,20 +428,24 @@ class StreamingEventBuilder:
         self._peak_open = max(self._peak_open, len(self._keys))
         self._watermark = last_ts
 
-    def _row_columns(self, rows: np.ndarray) -> tuple:
+    def _row_columns(
+        self, rows: np.ndarray, n_dsts: Optional[np.ndarray] = None
+    ) -> tuple:
         """Close-time event columns of open-table rows, state untouched.
 
         Single-segment flows (the overwhelming majority) read their
-        distinct-destination count straight from ``_seg0``; the rest
-        share one vectorized union pass.
+        distinct-destination count straight from ``_dst_lo``; the rest
+        share one vectorized union pass.  A caller that needs no exact
+        counts passes its own ``n_dsts``.
         """
         keys = self._keys[rows]
-        n_dsts = self._seg0[rows].copy()
-        multi = np.flatnonzero(self._nseg[rows] > 1)
-        if len(multi):
-            n_dsts[multi] = _union_counts(
-                [self._segs[int(k)] for k in keys[multi]]
-            )
+        if n_dsts is None:
+            n_dsts = self._dst_lo[rows].copy()
+            multi = np.flatnonzero(self._nseg[rows] > 1)
+            if len(multi):
+                n_dsts[multi] = _union_counts(
+                    [self._segs[int(k)] for k in keys[multi]]
+                )
         return (
             (keys >> np.uint64(24)).astype(np.uint32),
             ((keys >> np.uint64(8)) & _KEY_DPORT_MASK).astype(np.uint16),
@@ -436,14 +456,22 @@ class StreamingEventBuilder:
             n_dsts,
         )
 
-    def open_columns(self) -> tuple:
-        """The columns every open flow would close with, without closing.
+    def open_sources_reaching(self, threshold: float) -> np.ndarray:
+        """Sources of open flows with at least ``threshold`` distinct
+        destinations, state untouched.
 
-        Exactly what :meth:`finish` would append for the open table —
-        both go through :meth:`_row_columns` — as fresh arrays, so the
-        caller may keep them while this builder folds on.
+        A flow's bounds settle almost every case: the largest segment
+        reaching the threshold qualifies it, the segment lengths summing
+        below it rule it out.  Only flows whose bounds straddle the
+        threshold pay for the exact union.
         """
-        return self._row_columns(np.arange(len(self._keys)))
+        reach = self._dst_lo >= threshold
+        straddle = np.flatnonzero(~reach & (self._dst_hi >= threshold))
+        if len(straddle):
+            reach[straddle] = _union_counts(
+                [self._segs[int(k)] for k in self._keys[straddle]]
+            ) >= threshold
+        return (self._keys[reach] >> np.uint64(24)).astype(np.uint32)
 
     def _close_rows(self, rows: np.ndarray) -> int:
         """Close open-table rows by index: one column chunk, batched.
@@ -472,7 +500,8 @@ class StreamingEventBuilder:
         self._last = self._last[keep]
         self._packets = self._packets[keep]
         self._nseg = self._nseg[keep]
-        self._seg0 = self._seg0[keep]
+        self._dst_lo = self._dst_lo[keep]
+        self._dst_hi = self._dst_hi[keep]
         self._n_closed += n
         self._pending_closed += n
 
@@ -544,7 +573,8 @@ class StreamingEventBuilder:
             [self._packets, other._packets]
         )[order]
         self._nseg = np.concatenate([self._nseg, other._nseg])[order]
-        self._seg0 = np.concatenate([self._seg0, other._seg0])[order]
+        self._dst_lo = np.concatenate([self._dst_lo, other._dst_lo])[order]
+        self._dst_hi = np.concatenate([self._dst_hi, other._dst_hi])[order]
         self._segs.update(other._segs)
         self._closed_cols.extend(other._closed_cols)
         self._pending_closed += other._pending_closed
@@ -570,7 +600,8 @@ class StreamingEventBuilder:
         self._last = np.empty(0, dtype=np.float64)
         self._packets = np.empty(0, dtype=np.int64)
         self._nseg = np.empty(0, dtype=np.int64)
-        self._seg0 = np.empty(0, dtype=np.int64)
+        self._dst_lo = np.empty(0, dtype=np.int64)
+        self._dst_hi = np.empty(0, dtype=np.int64)
         table = _columns_to_table(self._closed_cols)
         self._closed_cols = []
         self._pending_closed = 0
@@ -659,40 +690,102 @@ class DispersionState:
         self.sources |= other.sources
 
 
+#: (src, day) pairs pack as ``src << 32 | day + _DAY_BIAS``: any signed
+#: 32-bit day index fits, and one outside that range raises.
+_DAY_BIAS = 2**31
+_PAIR_DAY_MASK = np.uint64(0xFFFFFFFF)
+#: A port-day triple packs as ``pair index << 24 | port·proto``.
+_PORT_BITS = 24
+_PORT_MASK = (1 << _PORT_BITS) - 1
+
+
+def _pack_pairs(src: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """(src, day) pairs as sortable uint64 keys, order-preserving."""
+    if len(day) and (
+        int(day.min()) < -_DAY_BIAS or int(day.max()) >= _DAY_BIAS
+    ):
+        raise ValueError(
+            f"day index outside [{-_DAY_BIAS}, {_DAY_BIAS}): "
+            f"{int(day.min())}..{int(day.max())}"
+        )
+    return (src.astype(np.uint64) << np.uint64(32)) | (
+        day + _DAY_BIAS
+    ).astype(np.uint64)
+
+
+def _member(table: np.ndarray, values: np.ndarray) -> tuple:
+    """``(pos, found)``: where each value sorts into ``table``, and
+    whether the table holds it there."""
+    pos = np.searchsorted(table, values)
+    found = pos < len(table)
+    found[found] = table[pos[found]] == values[found]
+    return pos, found
+
+
 class PortDayState:
-    """Mergeable Definition-3 state: (src, day, port·proto) triple runs.
+    """Mergeable Definition-3 state: the distinct (src, day, port·proto)
+    triples, with the distinct-port count of every (src, day).
 
-    Each update appends one deduplicated-within-itself run of triples;
-    the per-(src, day) distinct-port counts are derived only at finish,
-    and :func:`~repro.core.events.port_counts_from_triples` tolerates
-    duplicates *across* runs (a flow active in several chunks — or, in
-    overlapping crafted windows, in several shards' histories — repeats
-    its triple but is counted once).  Merging is run-list concatenation:
-    associative, and commutative up to the final sorted grouping.
-
-    Long-lived states (an always-on serve tenant folds chunks forever)
-    compact the run list once it exceeds :data:`COMPACT_AFTER` runs:
-    the runs are concatenated and deduplicated into a single run, so
-    memory is bounded by the number of *distinct* triples, not by the
-    number of ``update()`` calls.  Compaction never changes
-    :meth:`counts` — the grouping pass already counts duplicates once.
+    The set is kept deduplicated as it grows.  ``_pairs`` holds the
+    distinct (src, day) pairs, packed and sorted (:func:`_pack_pairs`);
+    ``_keys`` holds each triple as its pair's index in ``_pairs``
+    shifted left by 24 bits, or-ed with its port·proto, sorted; and
+    ``_counts[i]`` is pair ``i``'s distinct-port count.  Memory is
+    bounded by the number of distinct triples, never by the number of
+    ``update()`` calls, and an update costs a sort of the new triples
+    plus one pass over the set.  A triple seen again — a flow active in
+    several chunks or, in overlapping crafted windows, in several
+    shards' histories — is counted once.  Merging is set union:
+    associative and commutative.
     """
-
-    #: Compact ``_runs`` into one deduplicated run at this many runs.
-    COMPACT_AFTER = 64
 
     def __init__(self, day_seconds: float):
         self.day_seconds = float(day_seconds)
-        self._runs: List[tuple] = []
+        self._pairs = np.empty(0, dtype=np.uint64)
+        self._keys = np.empty(0, dtype=np.int64)
+        self._counts = np.empty(0, dtype=np.int64)
+
+    def __setstate__(self, state: dict) -> None:
+        """Load a pickled set, or convert a pickled list of triple runs.
+
+        States pickled before the set carry ``_runs`` and convert
+        exactly (duplicates across runs count once).  A set whose pairs
+        or triples are not sorted and unique, or whose counts disagree
+        with its triples, raises ``ValueError``.
+        """
+        runs = state.pop("_runs", None)
+        if runs is not None:
+            # Each run is sorted and unique, as daily_port_triples and
+            # the old compaction both wrote them.
+            self.__init__(state["day_seconds"])
+            for src, day, port_proto in runs:
+                self._add(_pack_pairs(src, day), port_proto)
+            state = self.__dict__
+        pairs, keys, counts = state["_pairs"], state["_keys"], state["_counts"]
+        index = keys >> _PORT_BITS
+        if not (
+            _increasing(pairs)
+            and _increasing(keys)
+            and (not len(keys) or 0 <= index[0] <= index[-1] < len(pairs))
+            and np.array_equal(
+                counts, np.bincount(index, minlength=len(pairs))
+            )
+        ):
+            raise ValueError(
+                f"port-day set disagrees: {len(pairs)} pairs, "
+                f"{len(keys)} triples, {int(counts.sum())} counted; "
+                "pairs and triples must be sorted and unique"
+            )
+        self.__dict__.update(state)
 
     def update(self, events: EventTable) -> None:
         """Fold a batch of finalized events in."""
         if len(events):
-            self._runs.append(events.daily_port_triples(self.day_seconds))
-            self._maybe_compact()
+            src, day, port_proto = events.daily_port_triples(self.day_seconds)
+            self._add(_pack_pairs(src, day), port_proto)
 
     def merge(self, other: "PortDayState") -> None:
-        """Append another shard's runs to this state."""
+        """Union another state's triples into this one."""
         if other is self:
             raise ValueError("cannot merge a PortDayState with itself")
         if other.day_seconds != self.day_seconds:
@@ -700,45 +793,181 @@ class PortDayState:
                 f"cannot merge port-day states with different day lengths "
                 f"({self.day_seconds} vs {other.day_seconds})"
             )
-        self._runs.extend(other._runs)
-        self._maybe_compact()
-
-    def _maybe_compact(self) -> None:
-        if len(self._runs) < self.COMPACT_AFTER:
-            return
-        src, day, port_proto = self.triples()
-        order = np.lexsort((port_proto, day, src))
-        src, day, port_proto = src[order], day[order], port_proto[order]
-        fresh = np.empty(len(src), dtype=bool)
-        fresh[0] = True
-        fresh[1:] = (
-            (src[1:] != src[:-1])
-            | (day[1:] != day[:-1])
-            | (port_proto[1:] != port_proto[:-1])
+        self._add(
+            other._pairs[other._keys >> _PORT_BITS],
+            other._keys & _PORT_MASK,
         )
-        self._runs = [(src[fresh], day[fresh], port_proto[fresh])]
 
-    def triples(self) -> tuple:
-        """The concatenated (src, day, port·proto) runs."""
-        if not self._runs:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
+    def _add(self, pairs: np.ndarray, port_proto: np.ndarray) -> None:
+        """Insert triples sorted by (pair, port·proto) and unique."""
+        if not len(pairs):
+            return
+        distinct = pairs[np.concatenate([[True], pairs[1:] != pairs[:-1]])]
+        fresh = distinct[~_member(self._pairs, distinct)[1]]
+        if len(fresh):
+            # New pairs shift the index of every pair sorting after them.
+            shift = np.searchsorted(fresh, self._pairs).astype(np.int64)
+            self._keys = self._keys + (
+                shift[self._keys >> _PORT_BITS] << _PORT_BITS
             )
-        return tuple(
-            np.concatenate([run[i] for run in self._runs]) for i in range(3)
+            at = np.searchsorted(self._pairs, fresh)
+            self._pairs = np.insert(self._pairs, at, fresh)
+            self._counts = np.insert(self._counts, at, 0)
+        keys = (
+            np.searchsorted(self._pairs, pairs).astype(np.int64) << _PORT_BITS
+        ) | port_proto
+        at, held = _member(self._keys, keys)
+        new = keys[~held]
+        self._keys = np.insert(self._keys, at[~held], new)
+        self._counts = self._counts + np.bincount(
+            new >> _PORT_BITS, minlength=len(self._pairs)
         )
 
     def counts(self) -> Dict[tuple, int]:
         """Per-(src, day) distinct-port counts over everything added."""
-        return port_counts_from_triples(*self.triples())
+        src = (self._pairs >> np.uint64(32)).tolist()
+        day = ((self._pairs & _PAIR_DAY_MASK).astype(np.int64) - _DAY_BIAS)
+        return dict(zip(zip(src, day.tolist()), self._counts.tolist()))
+
+    def summary(self, events: EventTable, floor: float) -> tuple:
+        """Daily port counts as if ``events`` were added; ``self`` is
+        untouched.
+
+        Returns the histogram of every (src, day) pair's distinct-port
+        count and, for the pairs counting more than ``floor``, their
+        sources and counts.  The events' triples that the set already
+        holds count once.
+        """
+        src, day, port_proto = events.daily_port_triples(self.day_seconds)
+        pairs = _pack_pairs(src, day)
+        index, known = _member(self._pairs, pairs)
+        held = known.copy()
+        held[known] = _member(
+            self._keys,
+            (index[known].astype(np.int64) << _PORT_BITS)
+            | port_proto[known],
+        )[1]
+        extra = pairs[~held]
+        merged = np.union1d(self._pairs, extra)
+        counts = np.zeros(len(merged), dtype=np.int64)
+        counts[np.searchsorted(merged, self._pairs)] = self._counts
+        counts += np.bincount(
+            np.searchsorted(merged, extra), minlength=len(merged)
+        )
+        histogram = StreamingECDF()
+        histogram.add(counts)
+        hot = counts > floor
+        return (
+            histogram,
+            (merged[hot] >> np.uint64(32)).astype(np.uint32),
+            counts[hot],
+        )
+
+
+def _increasing(values: np.ndarray) -> bool:
+    """Strictly increasing: sorted, no repeats."""
+    return not bool(np.any(values[1:] <= values[:-1]))
 
 
 #: Versioned header guarding detector-state checkpoints; bump when the
 #: pickled layout changes incompatibly so stale checkpoints are
 #: rejected (and their shards re-run) instead of merged.
-STATE_MAGIC = b"repro-detector-state-v2\n"
+STATE_MAGIC = b"repro-detector-state-v3\n"
+#: The previous header: its sorted-run ECDF, port-day runs and
+#: single-segment counts convert exactly on load (``__setstate__``), so
+#: checkpoints and the journals truncated behind them stay usable.
+LEGACY_STATE_MAGIC = b"repro-detector-state-v2\n"
+
+
+def _source_peaks(src: np.ndarray, values: np.ndarray) -> tuple:
+    """Distinct sources, ascending, with each one's largest value."""
+    if not len(src):
+        return src, values
+    order = np.argsort(src, kind="stable")
+    src, values = src[order], values[order]
+    starts = np.flatnonzero(np.concatenate([[True], src[1:] != src[:-1]]))
+    return src[starts], np.maximum.reduceat(values, starts)
+
+
+def _merge_peaks(src, peaks, new_src, new_peaks) -> tuple:
+    """Fold one sorted (source, peak) table into another, as new arrays."""
+    at, found = _member(src, new_src)
+    peaks = peaks.copy()
+    peaks[at[found]] = np.maximum(peaks[at[found]], new_peaks[found])
+    return (
+        np.insert(src, at[~found], new_src[~found]),
+        np.insert(peaks, at[~found], new_peaks[~found]),
+    )
+
+
+@dataclass(frozen=True)
+class DetectorSummary:
+    """What an AH query needs from one detector shard.
+
+    Built by :meth:`StreamingDetector.summary` as if every open flow
+    closed now, and small: no event table, destination segment or
+    sorted sample, only what the three threshold rules read.  Sources
+    whose peak cannot pass a definition's floor are left out, since a
+    threshold never falls below its floor.  Summaries of source-disjoint
+    shards combine in :func:`detections_from_summaries`.
+    """
+
+    #: events in the final table if the stream ended now.
+    events: int
+    #: per-event packet counts (Definition 2's sample).
+    volume: StreamingECDF
+    #: sources whose largest event passes the packet floor, and that peak.
+    volume_sources: np.ndarray
+    volume_peaks: np.ndarray
+    #: sources with an event reaching the dispersion threshold.
+    dispersion: set
+    #: per-(src, day) distinct-port counts (Definition 3's sample).
+    ports: StreamingECDF
+    #: each (src, day) pair counting more ports than the floor.
+    port_sources: np.ndarray
+    port_counts: np.ndarray
+
+
+def detections_from_summaries(
+    summaries: List[DetectorSummary],
+    dark_size: int,
+    config: DetectionConfig,
+) -> Tuple[int, Dict[int, DetectionResult]]:
+    """``(events, detections)`` over source-disjoint shard summaries.
+
+    Sources and thresholds equal those of
+    :meth:`StreamingDetector.finish` over the merged shards; the
+    results carry no daily breakdowns or qualifying events, which only
+    ``finish`` derives.
+    """
+    volume, ports, dispersion = StreamingECDF(), StreamingECDF(), set()
+    for summary in summaries:
+        volume.merge(summary.volume)
+        ports.merge(summary.ports)
+        dispersion |= summary.dispersion
+    thresholds = {
+        1: dispersion_threshold(dark_size, config),
+        2: volume_threshold(volume, config) if len(volume) else 0.0,
+        3: ports_threshold(ports, config) if len(ports) else 0.0,
+    }
+    sources = {1: dispersion, 2: set(), 3: set()}
+    for summary in summaries:
+        sources[2].update(
+            summary.volume_sources[
+                summary.volume_peaks > thresholds[2]
+            ].tolist()
+        )
+        sources[3].update(
+            summary.port_sources[
+                summary.port_counts > thresholds[3]
+            ].tolist()
+        )
+    return sum(summary.events for summary in summaries), {
+        d: DetectionResult(
+            definition=d, sources=sources[d], threshold=float(thresholds[d])
+        )
+        for d in (1, 2, 3)
+    }
 
 
 @dataclass(frozen=True)
@@ -766,11 +995,17 @@ class StreamingDetector:
     * Definition 1 (dispersion): threshold is static, so qualifying
       sources accumulate into a running set.
     * Definition 2 (volume): per-event packet counts accumulate into a
-      :class:`~repro.core.ecdf.StreamingECDF`; the tail threshold only
-      exists over the full sample, so membership is applied at finish.
-    * Definition 3 (ports): per-chunk (src, day, port) triples are kept
-      as mergeable runs; the per-day distinct-port counts and their
-      ECDF threshold are derived at finish.
+      :class:`~repro.core.ecdf.StreamingECDF` histogram, and each
+      source's largest event into a per-source peak; the tail threshold
+      only exists over the full sample, so membership is applied at
+      query or finish time (a source qualifies iff its peak passes).
+    * Definition 3 (ports): (src, day, port) triples accumulate into a
+      deduplicated set with per-(src, day) distinct-port counts
+      (:class:`PortDayState`); their ECDF threshold is derived at query
+      or finish time.
+
+    :meth:`summary` answers a query from this state without finishing;
+    :meth:`finish` is the full path, with daily breakdowns.
 
     Memory is bounded by the open-flow state plus the (much smaller)
     finalized event columns — the raw packet chunks are never retained.
@@ -789,6 +1024,10 @@ class StreamingDetector:
         self.day_seconds = float(day_seconds)
         self._chunks: List[EventTable] = []
         self._volume = StreamingECDF()
+        #: sources of finalized events, ascending, and each one's
+        #: largest event's packets.
+        self._peak_src = np.empty(0, dtype=np.uint32)
+        self._peak_packets = np.empty(0, dtype=np.int64)
         self._ports = PortDayState(self.day_seconds)
         self._dispersion = DispersionState(
             dispersion_threshold(self.dark_size, self.config)
@@ -842,6 +1081,11 @@ class StreamingDetector:
         self._chunks.append(events)
         self._events_finalized += len(events)
         self._volume.add(events.packets.astype(np.float64))
+        self._peak_src, self._peak_packets = _merge_peaks(
+            self._peak_src,
+            self._peak_packets,
+            *_source_peaks(events.src, events.packets),
+        )
         self._dispersion.update(events)
         self._ports.update(events)
 
@@ -873,43 +1117,74 @@ class StreamingDetector:
         self.builder.merge(other.builder)
         self._chunks.extend(other._chunks)
         self._volume.merge(other._volume)
+        self._peak_src, self._peak_packets = _merge_peaks(
+            self._peak_src,
+            self._peak_packets,
+            other._peak_src,
+            other._peak_packets,
+        )
         self._dispersion.merge(other._dispersion)
         self._ports.merge(other._ports)
         self._packets_seen += other._packets_seen
         self._events_finalized += other._events_finalized
 
     # ------------------------------------------------------------------
-    def query_view(self) -> "StreamingDetector":
-        """A finish-ready view of the state so far; ``self`` is untouched.
+    def summary(self) -> DetectorSummary:
+        """This shard's :class:`DetectorSummary`; ``self`` is untouched.
 
-        ``view.finish()`` returns exactly what ``self.finish()`` would
-        now, and views of disjoint shards merge like detectors, while
-        ``self`` keeps folding chunks.  The view shares this detector's
-        finalized event tables, ECDF runs and port-day runs (folds only
-        ever append or rebind them, never write into them) and holds the
-        open flows already closed into pending columns
-        (:meth:`StreamingEventBuilder.open_columns`).  It has no open
-        table and no per-flow destination segments — the bulk of the
-        builder — so it is also cheap to pickle across a process pipe.
+        Open flows count as the events they would close as.  Their
+        packets join the volume histogram and peaks; their (src, day,
+        port) triples are deduplicated against the port-day set.  For
+        Definition 1 only flows whose destination bounds straddle the
+        threshold are unioned
+        (:meth:`StreamingEventBuilder.open_sources_reaching`).  Every
+        finalized event has already been drained into the state
+        (``add_batch`` drains after each chunk).
         """
         if self._finished:
             raise RuntimeError("detector already finished")
         live = self.builder
-        builder = StreamingEventBuilder(live.timeout)
-        builder._closed_cols = live._closed_cols + [live.open_columns()]
-        builder._pending_closed = live._pending_closed + live.open_flows
-        builder._n_closed = live._n_closed
-        builder._peak_open = live._peak_open
-        builder._watermark = live._watermark
-        view = copy.copy(self)
-        view.builder = builder
-        view._chunks = list(self._chunks)
-        view._volume = self._volume.copy()
-        view._ports = copy.copy(self._ports)
-        view._ports._runs = list(self._ports._runs)
-        view._dispersion = copy.copy(self._dispersion)
-        view._dispersion.sources = set(self._dispersion.sources)
-        return view
+        # Nothing here reads exact destination counts, so the open
+        # events carry their lower bounds instead of unions.
+        open_events = EventTable(
+            *live._row_columns(np.arange(live.open_flows), live._dst_lo)
+        )
+        volume = StreamingECDF()
+        volume.merge(self._volume)
+        volume.add(open_events.packets.astype(np.float64))
+        floor = self.config.min_packet_threshold
+        peaked = self._peak_packets > floor
+        opened = open_events.packets > floor
+        ports, port_sources, port_counts = self._ports.summary(
+            open_events, self.config.min_port_threshold
+        )
+        return DetectorSummary(
+            events=self._events_finalized + live.open_flows,
+            volume=volume,
+            volume_sources=np.concatenate(
+                [self._peak_src[peaked], open_events.src[opened]]
+            ),
+            volume_peaks=np.concatenate(
+                [self._peak_packets[peaked], open_events.packets[opened]]
+            ),
+            dispersion=self._dispersion.sources
+            | set(
+                live.open_sources_reaching(self._dispersion.threshold).tolist()
+            ),
+            ports=ports,
+            port_sources=port_sources,
+            port_counts=port_counts,
+        )
+
+    def __setstate__(self, state: dict) -> None:
+        """Load a pickled detector; one pickled before per-source peaks
+        derives them from its finalized events."""
+        if "_peak_src" not in state:
+            events = EventTable.concat(state["_chunks"])
+            state["_peak_src"], state["_peak_packets"] = _source_peaks(
+                events.src, events.packets
+            )
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
@@ -932,18 +1207,22 @@ class StreamingDetector:
     def from_bytes(cls, data: bytes) -> "StreamingDetector":
         """Rebuild a detector serialized by :meth:`to_bytes`.
 
+        A v2 state (:data:`LEGACY_STATE_MAGIC`) converts on load.
         Raises ``ValueError`` on an unrecognized or incompatible
         header — a checkpoint written by a different state version must
         be discarded (and the shard re-run), never merged.
         """
         import pickle
 
-        if not data.startswith(STATE_MAGIC):
+        header = STATE_MAGIC
+        if data.startswith(LEGACY_STATE_MAGIC):
+            header = LEGACY_STATE_MAGIC
+        if not data.startswith(header):
             raise ValueError(
                 "not a serialized StreamingDetector state (missing or "
                 f"mismatched header; expected {STATE_MAGIC!r})"
             )
-        detector = pickle.loads(data[len(STATE_MAGIC):])
+        detector = pickle.loads(data[len(header):])
         if not isinstance(detector, cls):
             raise ValueError(
                 f"serialized state holds {type(detector).__name__}, "
@@ -962,7 +1241,7 @@ class StreamingDetector:
             "watermark": self.builder.watermark,
             "dispersion_sources": len(self._dispersion),
             "volume_threshold": (
-                volume_threshold(self._volume.ecdf(), self.config)
+                volume_threshold(self._volume, self.config)
                 if len(self._volume)
                 else None
             ),
@@ -989,7 +1268,7 @@ class StreamingDetector:
         else:
             results[2] = volume_result(
                 events,
-                volume_threshold(self._volume.ecdf(), self.config),
+                volume_threshold(self._volume, self.config),
                 self.day_seconds,
             )
         results[3] = ports_result_from_counts(

@@ -25,12 +25,12 @@ Design points:
   (finalized event columns accumulate), so shipping it back and forth
   per fold would cost O(history) each time.  Instead only small
   :class:`FoldReply` gauge structs cross the pipe per fold.  A query
-  pulls each shard's read-only query view (``views``: finalized
-  history plus the open flows closed into columns, without the
-  open-flow destination segments); snapshots and finish pull the full
-  serialized state (``collect``).
+  pulls each shard's :class:`~repro.core.streaming.DetectorSummary`
+  (``summary``: histograms, per-source peaks, dispersion sources and
+  daily port counts — no event table or destination segment);
+  snapshots and finish pull the full serialized state (``collect``).
 * **Fan-out.**  Requests that touch several workers (``fold_many``,
-  ``views``, ``collect``) are all sent before any reply is read, so
+  ``summary``, ``collect``) are all sent before any reply is read, so
   distinct workers serve them concurrently.
 * **Zero-copy hand-off.**  Sub-batches above the shared-memory auto
   threshold travel as :class:`~repro.io.shm.ShmBatch` handles over one
@@ -57,7 +57,7 @@ import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.engine import FoldReply, ShardHost
-from repro.core.streaming import StreamingDetector
+from repro.core.streaming import DetectorSummary
 
 #: Upper bound the auto policy puts on the fold-worker count.
 AUTO_MAX_PROCESSES = 4
@@ -167,7 +167,7 @@ class FoldPool:
         no message kind is large both ways.  Fold and load requests may
         be large, but their replies are small gauge structs or acks
         that fit in the pipe buffer, so a worker never blocks sending
-        one and is always back reading the next request.  View and
+        one and is always back reading the next request.  Summary and
         collect requests carry just one key, which fits in the buffer
         even while the worker is blocked writing a large reply; that
         worker only waits for the read loop below to reach it.  So a
@@ -253,23 +253,23 @@ class FoldPool:
             ]
         )
 
-    def views(self, keys: Sequence) -> List[Optional[StreamingDetector]]:
-        """Finish-ready query views of shard states, one per key.
+    def summary(self, keys: Sequence) -> List[Optional[DetectorSummary]]:
+        """Query summaries of shard states, one per key.
 
-        Each is the live shard's :meth:`StreamingDetector.query_view`
-        (``None`` for a key with no state here): the finalized history
-        plus the open flows closed into columns, never the open flows'
-        destination segments.  One fan-out, so shards on distinct
-        workers build and ship their views concurrently.
+        Each is the live shard's
+        :meth:`~repro.core.streaming.StreamingDetector.summary` (``None``
+        for a key with no state here).  One fan-out, so shards on
+        distinct workers summarize concurrently.
         """
-        return self._fan_out(
-            [(self.worker_index(key), ("view", key)) for key in keys]
+        replies = self._fan_out(
+            [(self.worker_index(key), ("summary", [key])) for key in keys]
         )
+        return [summaries[0] for summaries in replies]
 
     def collect(self, keys: Sequence) -> List[Optional[bytes]]:
         """Shard states serialized, one per key (None if never used).
 
-        One fan-out, like :meth:`views`: every shard on a distinct
+        One fan-out, like :meth:`summary`: every shard on a distinct
         worker pickles its state concurrently.
         """
         replies = self._fan_out(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.ecdf import ECDF
+from repro.core.ecdf import ECDF, StreamingECDF
 
 
 class TestECDF:
@@ -73,3 +73,45 @@ class TestTailThreshold:
         summary = ECDF(np.arange(10)).summary()
         assert summary["n"] == 10
         assert summary["min"] == 0 and summary["max"] == 9
+
+
+class TestHistogramQuantile:
+    """StreamingECDF's histogram answers exactly what ECDF's sorted
+    sample does, ties at the quantile boundary included."""
+
+    QS = (0.0, 0.05, 0.25, 0.5, 0.9, 0.95, 1.0 - 1e-4, 1.0)
+
+    def test_ties_at_every_boundary(self):
+        # Two tied runs, the split point swept over every rank: the
+        # lower empirical quantile's index lands exactly on a run end.
+        for n in range(1, 41):
+            for split in range(n + 1):
+                sample = np.array([3.0] * split + [9.0] * (n - split))
+                hist = StreamingECDF()
+                hist.add(sample[: n // 2])
+                hist.add(sample[n // 2:])
+                batch = ECDF(sample)
+                for q in self.QS:
+                    assert hist.quantile(q) == batch.quantile(q), (n, split, q)
+                assert hist.tail_threshold(0.05) == batch.tail_threshold(0.05)
+
+    def test_random_histograms(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            sample = rng.integers(0, rng.integers(1, 12), rng.integers(1, 80))
+            hist = StreamingECDF()
+            for part in np.array_split(sample, rng.integers(1, 5)):
+                hist.add(part)
+            batch = ECDF(sample)
+            assert len(hist) == len(sample)
+            for q in (*self.QS, float(rng.random())):
+                assert hist.quantile(q) == batch.quantile(q)
+
+    def test_empty_and_bad_input(self):
+        hist = StreamingECDF()
+        with pytest.raises(ValueError):
+            hist.quantile(0.5)
+        with pytest.raises(ValueError):
+            hist.add([1.0, np.inf])
+        hist.add([])
+        assert len(hist) == 0

@@ -8,6 +8,7 @@ hex literals for batch, serial streaming, and pooled runs alike.
 
 import hashlib
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,16 +17,20 @@ from hypothesis import strategies as st
 
 from repro.config import DetectionConfig
 from repro.core.detection import detect_all
+from repro.core.ecdf import StreamingECDF
 from repro.core.engine import (
     ENGINE_STATE_MAGIC,
+    LEGACY_ENGINE_STATE_MAGIC,
     DegradedSnapshotError,
     DetectionEngine,
     EngineQuery,
 )
-from repro.core.events import build_events
+from repro.core.events import EventTable, build_events
 from repro.core.faults import CheckpointStore
 from repro.core.streaming import (
+    LEGACY_STATE_MAGIC,
     STATE_MAGIC,
+    PortDayState,
     StreamingDetector,
     StreamingEventBuilder,
 )
@@ -40,6 +45,7 @@ from tests.test_serialization import (
 )
 from tests.test_streaming import (
     _assert_detections_identical,
+    _assert_query_identical,
     _assert_tables_identical,
 )
 
@@ -174,8 +180,11 @@ class TestEngineLifecycle:
             scenario.detection,
             scenario.clock.seconds_per_day,
         )
-        assert query.events == len(ref_events)
-        _assert_detections_identical(query.detections, ref)
+        _assert_query_identical(
+            query, SimpleNamespace(events=len(ref_events), detections=ref)
+        )
+        # Daily breakdowns come only from finish(), the full path.
+        _assert_detections_identical(engine.finish()[1], ref)
 
     def test_query_does_not_disturb_the_stream(self):
         scenario, telescope, population, timeout = _world()
@@ -391,6 +400,283 @@ class TestLegacySegmentLayout:
         ref_events, ref_detections = engine.finish()
         _assert_tables_identical(events, ref_events)
         _assert_detections_identical(detections, ref_detections)
+
+
+def _prefix_answers(chunks, workers=1, timeout=600.0):
+    """Ingest ``chunks`` one by one into an inline engine, asserting
+    after each that the query equals the offline prefix oracle."""
+    engine = DetectionEngine(timeout, _DARK_SIZE, _CONFIG, workers=workers)
+    for n, chunk in enumerate(chunks, start=1):
+        engine.ingest(chunk)
+        events = build_events(PacketBatch.concat(chunks[:n]), timeout)
+        _assert_query_identical(
+            engine.query(),
+            SimpleNamespace(
+                events=len(events),
+                detections=detect_all(events, _DARK_SIZE, _CONFIG),
+            ),
+        )
+    return engine
+
+
+class TestSummaryQuery:
+    """Targeted cases for the summary query's shortcuts."""
+
+    @staticmethod
+    def _open_builder(engine, src):
+        """The builder holding ``src``'s open flows, and its row."""
+        for detector in engine._host._detectors.values():
+            builder = detector.builder
+            rows = np.flatnonzero((builder._keys >> np.uint64(24)) == src)
+            if len(rows):
+                return builder, int(rows[0])
+        raise AssertionError(f"no open flow of source {src}")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dispersion_bounds_settle_only_what_they_can(self, workers):
+        # Threshold 6.4 of 64.  Source 1: segments of 4 and 4 distinct
+        # destinations whose union is 8 — every segment below, the union
+        # above.  Source 2: the same 4 destinations twice — the lengths
+        # sum to 8, the union stays 4.
+        chunks = [
+            _packets(
+                [(t, 1, t, 80, TCP) for t in range(4)]
+                + [(t, 2, t, 80, TCP) for t in range(4)]
+            ),
+            _packets(
+                [(100 + t, 1, 4 + t, 80, TCP) for t in range(4)]
+                + [(100 + t, 2, t, 80, TCP) for t in range(4)]
+            ),
+        ]
+        engine = _prefix_answers(chunks, workers=workers)
+        for src in (1, 2):
+            builder, row = self._open_builder(engine, src)
+            assert builder._nseg[row] == 2
+            assert builder._dst_lo[row] == 4 and builder._dst_hi[row] == 8
+        assert engine.query().ah_sources(1) == {1}
+
+    def test_port_triples_repeated_across_folds_and_open_events(self):
+        # Source 3 hits port 22 on day 0 in three events: the first two
+        # finalize in different folds, the last stays open.  Its
+        # distinct-port count stays 1, so with every other pair at 1
+        # port nobody passes the port threshold.
+        filler = [(5.0, s, 0, 80, TCP) for s in range(10, 30)]
+        chunks = [
+            _packets([(0.0, 3, 1, 22, TCP)] + filler),
+            _packets([(1_000.0, 3, 2, 22, TCP)]),
+            _packets([(2_500.0, 3, 3, 22, TCP)]),
+            _packets([(2_600.0, 3, 4, 22, TCP)]),
+        ]
+        engine = _prefix_answers(chunks)
+        assert engine.query().ah_sources(3) == set()
+        assert engine.events_finalized == 22  # two of source 3's events
+        _, detections = engine.finish()
+        assert detections[3].sources == set()
+
+    def test_unix_epoch_days(self):
+        # Day indexes past 20,000: packed (src, day) keys keep them.
+        base = 20_001 * 86_400.0
+        chunks = [
+            _packets(
+                [(base + 10.0 * p, 5, p, 20 + p, TCP) for p in range(5)]
+                + [(base + 1.0, s, 0, 80, TCP) for s in range(10, 30)]
+            ),
+            _packets([(base + 86_400.0 + 5.0, 5, 9, 80, TCP)]),
+        ]
+        engine = _prefix_answers(chunks, workers=2)
+        _, detections = engine.finish()
+        events = build_events(PacketBatch.concat(chunks), 600.0)
+        _assert_detections_identical(
+            detections, detect_all(events, _DARK_SIZE, _CONFIG)
+        )
+        assert detections[3].daily_active == {20_001: {5}}
+
+    @pytest.mark.parametrize("big", [1, 2, 3])
+    def test_volume_ties_at_the_lower_quantile(self, big):
+        # 20 events: q * n = 19 puts the quantile on the 19th value, so
+        # with 18 tied 3-packet events it is the first 9-packet one.
+        rows = []
+        for s in range(20):
+            packets = 9 if s < big else 3
+            rows += [(10.0 * k, 100 + s, k, 22, TCP) for k in range(packets)]
+        engine = _prefix_answers([_packets(rows)])
+        assert engine.query().detections[2].threshold == (
+            3.0 if big == 1 else 9.0
+        )
+
+
+def _v2_blob(monkeypatch, write):
+    """What ``write()`` produced before the summary state: sorted ECDF
+    runs, port-day triple runs (one repeated), ``_seg0`` instead of
+    destination bounds, no per-source peaks, v2 headers."""
+
+    def ecdf_state(self):
+        sample = np.repeat(self._values, self._counts)
+        half = len(sample) // 2
+        return {"_runs": [sample[:half], sample[half:]], "_n": self._n,
+                "_cached": None}
+
+    def ports_state(self):
+        index = self._keys >> 24
+        src = (self._pairs[index] >> np.uint64(32)).astype(np.int64)
+        day = (self._pairs[index] & np.uint64(0xFFFFFFFF)).astype(
+            np.int64
+        ) - 2**31
+        run = (src, day, self._keys & 0xFFFFFF)
+        return {"day_seconds": self.day_seconds, "_runs": [run, run]}
+
+    builder_state = StreamingEventBuilder.__getstate__
+
+    def segments_state(self):
+        state = builder_state(self)
+        state["_seg0"] = state.pop("_dst_lo")
+        del state["_dst_hi"]
+        return state
+
+    def detector_state(self):
+        state = self.__dict__.copy()
+        del state["_peak_src"], state["_peak_packets"]
+        return state
+
+    monkeypatch.setattr(StreamingECDF, "__getstate__", ecdf_state, raising=False)
+    monkeypatch.setattr(PortDayState, "__getstate__", ports_state, raising=False)
+    monkeypatch.setattr(StreamingEventBuilder, "__getstate__", segments_state)
+    monkeypatch.setattr(
+        StreamingDetector, "__getstate__", detector_state, raising=False
+    )
+    try:
+        blob = write()
+    finally:
+        monkeypatch.undo()
+
+    def detector(blob):
+        assert blob.startswith(STATE_MAGIC)
+        return LEGACY_STATE_MAGIC + blob[len(STATE_MAGIC):]
+
+    if blob.startswith(STATE_MAGIC):
+        return detector(blob)
+    payload = pickle.loads(blob[len(ENGINE_STATE_MAGIC):])
+    payload["detectors"] = [detector(b) for b in payload["detectors"]]
+    return LEGACY_ENGINE_STATE_MAGIC + pickle.dumps(payload, protocol=4)
+
+
+def _assert_state_identical(a, b):
+    """Two detectors hold the same state, array for array."""
+    pairs = [
+        (a._volume, b._volume, ("_values", "_counts")),
+        (a._ports, b._ports, ("_pairs", "_keys", "_counts")),
+        (a, b, ("_peak_src", "_peak_packets")),
+        (a.builder, b.builder, ("_keys", "_start", "_last", "_packets",
+                                "_nseg", "_dst_lo", "_dst_hi")),
+    ]
+    for x, y, names in pairs:
+        for name in names:
+            assert np.array_equal(getattr(x, name), getattr(y, name)), name
+            assert getattr(x, name).dtype == getattr(y, name).dtype, name
+    assert len(a._volume) == len(b._volume)
+    assert a._dispersion.sources == b._dispersion.sources
+    _assert_segments_identical(a.builder._segs, b.builder._segs)
+    _assert_tables_identical(
+        EventTable.concat(a._chunks), EventTable.concat(b._chunks)
+    )
+
+
+class TestV2Snapshots:
+    """v2 detector and engine snapshots restore as v3 state and then
+    continue exactly like the live run."""
+
+    @staticmethod
+    def _chunks():
+        return [c for _, _, c in _dense_capture(24).iter_time_chunks(600.0)]
+
+    def test_detector_restores_as_v3_and_continues(self, monkeypatch):
+        chunks = self._chunks()
+        half = len(chunks) // 2
+        detector = StreamingDetector(600.0, _DARK_SIZE, _CONFIG)
+        for chunk in chunks[:half]:
+            detector.add_batch(chunk)
+        assert any(len(v) > 1 for v in detector.builder._segs.values())
+        blob = _v2_blob(monkeypatch, detector.to_bytes)
+        assert b"_seg0" in blob and b"_runs" in blob
+        resumed = StreamingDetector.from_bytes(blob)
+        _assert_state_identical(resumed, detector)
+        for chunk in chunks[half:]:
+            detector.add_batch(chunk)
+            resumed.add_batch(chunk)
+        events, detections = resumed.finish()
+        ref_events, ref_detections = detector.finish()
+        _assert_tables_identical(events, ref_events)
+        _assert_detections_identical(detections, ref_detections)
+
+    def test_engine_restores_as_v3_and_continues(self, monkeypatch):
+        chunks = self._chunks()
+        half = len(chunks) // 2
+        engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG, workers=2)
+        for chunk in chunks[:half]:
+            engine.ingest(chunk)
+        blob = _v2_blob(monkeypatch, engine.snapshot)
+        assert blob.startswith(LEGACY_ENGINE_STATE_MAGIC)
+        resumed = DetectionEngine.restore(blob)
+        for key, detector in engine._host._detectors.items():
+            _assert_state_identical(resumed._host._detectors[key], detector)
+        for chunk in chunks[half:]:
+            engine.ingest(chunk)
+            resumed.ingest(chunk)
+            _assert_query_identical(resumed.query(), engine.query())
+        events, detections = resumed.finish()
+        ref_events, ref_detections = engine.finish()
+        _assert_tables_identical(events, ref_events)
+        _assert_detections_identical(detections, ref_detections)
+
+
+class TestTornSummaryState:
+    """Histogram and port-day state that disagrees with itself is
+    refused on load, never answered from."""
+
+    @staticmethod
+    def _detector():
+        detector = StreamingDetector(600.0, _DARK_SIZE, _CONFIG)
+        for _, _, chunk in _dense_capture(25).iter_time_chunks(600.0):
+            detector.add_batch(chunk)
+        return detector
+
+    @pytest.mark.parametrize("field", ["_counts", "_n"])
+    def test_histogram_counts_disagreeing_with_total(self, monkeypatch, field):
+        def torn(self):
+            state = self.__dict__.copy()
+            state[field] = state[field] + 1
+            return state
+
+        detector = self._detector()
+        monkeypatch.setattr(StreamingECDF, "__getstate__", torn, raising=False)
+        blob = detector.to_bytes()
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="histogram"):
+            StreamingDetector.from_bytes(blob)
+
+    @pytest.mark.parametrize("tear", ["unsorted", "repeated", "miscounted"])
+    def test_triple_set_not_sorted_and_unique(self, monkeypatch, tear):
+        def torn(self):
+            state = self.__dict__.copy()
+            keys = state["_keys"]
+            if tear == "unsorted":
+                state["_keys"] = keys[::-1].copy()
+            elif tear == "repeated":
+                state["_keys"] = np.insert(keys, 1, keys[0])
+                state["_counts"] = np.bincount(
+                    state["_keys"] >> 24, minlength=len(self._pairs)
+                )
+            else:
+                state["_counts"] = state["_counts"] + 1
+            return state
+
+        detector = self._detector()
+        assert len(detector._ports._keys) > 2
+        monkeypatch.setattr(PortDayState, "__getstate__", torn, raising=False)
+        blob = detector.to_bytes()
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="port-day"):
+            StreamingDetector.from_bytes(blob)
 
 
 # ----------------------------------------------------------------------

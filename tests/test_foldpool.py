@@ -7,6 +7,7 @@ the worker-death failure mode (state-desync detection + heal from
 snapshot).
 """
 
+import itertools
 import os
 import signal
 import threading
@@ -15,6 +16,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DetectionConfig
 from repro.core.detection import detect_all
@@ -26,6 +29,7 @@ from repro.packet import PacketBatch, Protocol
 from repro.parallel import shard_of
 from repro.serve.foldpool import FoldPool, FoldPoolError
 from repro.serve.tenants import Tenant, TenantConfig
+from tests.test_streaming import _assert_query_identical
 
 TCP = Protocol.TCP_SYN.value
 
@@ -309,7 +313,7 @@ class TestQueryViews:
             )
 
     def test_unknown_key_views_as_an_empty_shard(self, pool):
-        assert pool.views([("nobody", 0)]) == [None]
+        assert pool.summary([("nobody", 0)]) == [None]
         engine = _engine(workers=2)
         engine.attach_pool(pool, "never-fed")
         got = engine.query()
@@ -321,6 +325,67 @@ class TestQueryViews:
                 expected.detections[definition].threshold
             )
         engine.detach_pool()
+
+
+_SUMMARY_KEYS = itertools.count()
+
+_summary_row = st.tuples(
+    st.floats(min_value=0, max_value=5_000, allow_nan=False),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=_DARK_SIZE - 1),
+    st.sampled_from([22, 23, 80]),
+)
+
+
+class TestSummaryQuery:
+    """At every chunk of any chunking, for any shard count, inline or
+    pooled, a query equals the offline oracle over the prefix in sources,
+    thresholds and event count, and leaves every shard's bytes alone."""
+
+    @given(
+        rows=st.lists(_summary_row, min_size=1, max_size=150),
+        chunk_seconds=st.floats(min_value=100.0, max_value=2_000.0),
+        timeout=st.floats(min_value=50.0, max_value=1_500.0),
+        workers=st.integers(min_value=1, max_value=3),
+        pooled=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_prefix_oracle(
+        self, pool, rows, chunk_seconds, timeout, workers, pooled
+    ):
+        n = len(rows)
+        batch = PacketBatch(
+            ts=np.array([r[0] for r in rows], dtype=np.float64),
+            src=np.array([r[1] for r in rows], dtype=np.uint32),
+            dst=np.array([r[2] for r in rows], dtype=np.uint32),
+            dport=np.array([r[3] for r in rows], dtype=np.uint16),
+            proto=np.full(n, TCP, dtype=np.uint8),
+            ipid=np.zeros(n, dtype=np.uint16),
+        )
+        engine = DetectionEngine(
+            timeout, _DARK_SIZE, _CONFIG, 86_400.0, workers=workers
+        )
+        if pooled:
+            engine.attach_pool(pool, f"summary-{next(_SUMMARY_KEYS)}")
+        keys = engine._shard_keys()
+        seen = []
+        try:
+            for _, _, chunk in batch.iter_time_chunks(chunk_seconds):
+                engine.ingest(chunk)
+                seen.append(chunk)
+                before = engine._host.collect(keys)
+                got = engine.query()
+                assert engine._host.collect(keys) == before
+                events = build_events(PacketBatch.concat(seen), timeout)
+                _assert_query_identical(
+                    got,
+                    SimpleNamespace(
+                        events=len(events),
+                        detections=detect_all(events, _DARK_SIZE, _CONFIG),
+                    ),
+                )
+        finally:
+            engine.abandon_pool()
 
 
 class _FakeConn:
@@ -376,14 +441,19 @@ class TestFanOut:
             for key, spec, expect, payload in requests
         ]
 
-    def test_views_send_everything_before_reading(self):
+    def test_summary_sends_everything_before_reading(self):
         pool, log = self._pool()
         keys = [("t", i) for i in range(6)]
-        replies = pool.views(keys)
+        replies = pool.summary(keys)
         self._assert_sends_first(log, len(keys))
-        assert replies == [
-            (pool.worker_index(key), ("view", key)) for key in keys
+        # A fake reply echoes (worker, message); summary keeps item 0.
+        assert replies == [pool.worker_index(key) for key in keys]
+        sent = [
+            message
+            for worker in pool._workers
+            for message in worker.conn.sent
         ]
+        assert sorted(sent) == sorted(("summary", [key]) for key in keys)
 
     def test_collect_sends_everything_before_reading(self):
         """Snapshots and detach fetch every shard's state in one

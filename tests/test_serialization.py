@@ -127,7 +127,7 @@ class TestDetectorRoundTrip:
     def test_magic_is_versioned(self):
         blob = _detector().to_bytes()
         assert blob.startswith(STATE_MAGIC)
-        assert b"v2" in STATE_MAGIC
+        assert b"v3" in STATE_MAGIC
 
 
 def _dense_capture(seed, n=20_000, duration=20_000.0):

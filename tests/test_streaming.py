@@ -1,5 +1,7 @@
 """Tests for the incremental (streaming) event builder and detector."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,12 @@ from hypothesis import strategies as st
 
 from repro.config import DetectionConfig
 from repro.core.detection import detect_all
-from repro.core.events import build_events
+from repro.core.events import build_events, port_counts_from_triples
 from repro.core.streaming import (
     StreamingDetector,
     StreamingEventBuilder,
     chunked_events,
+    detections_from_summaries,
     stream_detect,
     tables_equivalent,
 )
@@ -359,62 +362,67 @@ class TestPortDayStateCompaction:
             tables.append(build_events(_packets(rows), 60.0))
         return tables
 
-    @staticmethod
-    def _stored_triples(state):
-        return sum(len(run[0]) for run in state._runs)
+    def _reference(self, tables):
+        return port_counts_from_triples(*(
+            np.concatenate(columns)
+            for columns in zip(
+                *(table.daily_port_triples(self._DAY) for table in tables)
+            )
+        ))
 
     def test_memory_flat_and_counts_identical(self):
         from repro.core.streaming import PortDayState
 
-        compacted = PortDayState(self._DAY)
-        unbounded = PortDayState(self._DAY)
-        # Instance attribute shadows the class threshold: this copy
-        # keeps every run, as the pre-compaction code did.
-        unbounded.COMPACT_AFTER = 10**9
-
+        state = PortDayState(self._DAY)
         tables = self._tables()
-        rounds = 8 * PortDayState.COMPACT_AFTER
-        for i in range(rounds):
-            table = tables[i % len(tables)]
-            compacted.update(table)
-            unbounded.update(table)
+        for i in range(512):
+            state.update(tables[i % len(tables)])
+        reference = self._reference(tables)
+        # Memory is the distinct triples, not the update() calls.
+        assert len(state._keys) == sum(reference.values())
+        assert state.counts() == reference
+        assert state.counts()  # non-trivial state
 
-        assert len(unbounded._runs) == rounds
-        assert len(compacted._runs) < PortDayState.COMPACT_AFTER
-        # Memory is bounded by distinct triples, not update() calls.
-        assert (
-            self._stored_triples(compacted)
-            < self._stored_triples(unbounded) / 4
-        )
-        assert compacted.counts() == unbounded.counts()
-        assert compacted.counts()  # non-trivial state
-
-    def test_merge_triggers_compaction_and_preserves_counts(self):
+    def test_merge_preserves_counts(self):
         from repro.core.streaming import PortDayState
 
         tables = self._tables()
-        half = PortDayState.COMPACT_AFTER // 2 + 1
-
         left = PortDayState(self._DAY)
         right = PortDayState(self._DAY)
-        reference = PortDayState(self._DAY)
-        reference.COMPACT_AFTER = 10**9
-        for i in range(half):
+        for i in range(33):
             left.update(tables[i % len(tables)])
             right.update(tables[(i + 1) % len(tables)])
-            reference.update(tables[i % len(tables)])
-            reference.update(tables[(i + 1) % len(tables)])
-
-        assert len(left._runs) == half  # below threshold: untouched
         left.merge(right)
-        assert len(left._runs) < PortDayState.COMPACT_AFTER
-        assert left.counts() == reference.counts()
+        reference = self._reference(tables)
+        assert len(left._keys) == sum(reference.values())
+        assert left.counts() == reference
 
 
-# Property: a query view finishes exactly like a serialized deep copy,
-# at every point of any chunking — before the first chunk (an empty
-# detector), across flows compacted past _COMPACT_SEGMENTS
-# continuations — and taking and finishing it leaves the live
+def _assert_query_identical(got, expected):
+    """A query answer: sources, thresholds and event count per
+    definition (daily breakdowns come only from ``finish()``)."""
+    assert got.events == expected.events
+    for definition in (1, 2, 3):
+        assert got.detections[definition].sources == (
+            expected.detections[definition].sources
+        )
+        assert got.detections[definition].threshold == (
+            expected.detections[definition].threshold
+        )
+
+
+def _summary_answer(detector):
+    """What an engine over this one detector would answer now."""
+    events, detections = detections_from_summaries(
+        [detector.summary()], detector.dark_size, detector.config
+    )
+    return SimpleNamespace(events=events, detections=detections)
+
+
+# Property: a detector's summary answers exactly like finishing a
+# serialized copy, at every point of any chunking — before the first
+# chunk (an empty detector), across flows compacted past
+# _COMPACT_SEGMENTS continuations — and summarizing leaves the live
 # detector's bytes unchanged.
 @given(
     st.lists(packet_row, max_size=120),
@@ -423,7 +431,7 @@ class TestPortDayStateCompaction:
     st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_query_view_finishes_like_a_round_trip(
+def test_summary_answers_like_a_finished_copy(
     rows, chunk_seconds, timeout, long_flow
 ):
     from repro.core.streaming import _COMPACT_SEGMENTS
@@ -444,16 +452,15 @@ def test_query_view_finishes_like_a_round_trip(
 
     def check():
         before = detector.to_bytes()
-        view = detector.query_view()
-        assert detector.to_bytes() == before
-        assert view.open_flows == 0 and not view.builder._segs
-        events, detections = view.finish()
+        got = _summary_answer(detector)
         assert detector.to_bytes() == before
         ref_events, ref_detections = StreamingDetector.from_bytes(
             before
         ).finish()
-        _assert_tables_identical(events, ref_events)
-        _assert_detections_identical(detections, ref_detections)
+        _assert_query_identical(
+            got,
+            SimpleNamespace(events=len(ref_events), detections=ref_detections),
+        )
 
     check()
     for _, _, chunk in batch.iter_time_chunks(chunk_seconds):

@@ -11,7 +11,7 @@ from repro.io.packetlog import packets_to_npz_bytes
 from repro.packet import PacketBatch, Protocol
 from repro.serve.journal import JOURNAL_DIR_NAME
 from repro.serve.tenants import TenantConfig, TenantRegistry
-from tests.test_streaming import _assert_detections_identical
+from tests.test_streaming import _assert_query_identical
 
 TCP = Protocol.TCP_SYN.value
 
@@ -126,9 +126,7 @@ class TestRegistry:
         _feed(b, batch_b)
         solo = TenantRegistry().create("solo", _config())
         _feed(solo, batch_a)
-        _assert_detections_identical(
-            a.query().detections, solo.query().detections
-        )
+        _assert_query_identical(a.query(), solo.query())
         assert b.engine.packets_seen == len(batch_b)
 
 
@@ -145,9 +143,7 @@ class TestDurability:
         after = revived.get("merit")
         assert after.config == tenant.config
         assert after.engine.packets_seen == tenant.engine.packets_seen
-        _assert_detections_identical(
-            after.query().detections, before.detections
-        )
+        _assert_query_identical(after.query(), before)
 
     def test_restore_without_snapshot_starts_empty(self, tmp_path):
         registry = TenantRegistry(tmp_path / "snap")
@@ -214,9 +210,7 @@ class TestJournalDurability:
         after = revived.get("t")
         assert after.engine.packets_seen == len(batch)
         assert after.serve_stats.replayed_chunks > 0
-        _assert_detections_identical(
-            after.query().detections, before.detections
-        )
+        _assert_query_identical(after.query(), before)
 
     def test_journal_replays_only_uncovered_suffix(self, tmp_path):
         registry = TenantRegistry(tmp_path / "snap")
@@ -233,9 +227,7 @@ class TestJournalDurability:
         after = revived.get("t")
         # Only the unsnapshotted suffix was re-folded.
         assert after.serve_stats.replayed_chunks == len(payloads) - half
-        _assert_detections_identical(
-            after.query().detections, expected.detections
-        )
+        _assert_query_identical(after.query(), expected)
 
     def test_truncated_journal_tail_keeps_intact_prefix(self, tmp_path):
         registry = TenantRegistry(tmp_path / "snap")
@@ -294,9 +286,7 @@ class TestJournalDurability:
         budget = coalesce_chunks if coalesce_bytes > 1 else 1
         assert len(folds) <= math.ceil(len(payloads) / budget)
         assert after.engine.last_seq == tenant.engine.last_seq
-        _assert_detections_identical(
-            after.query().detections, expected.detections
-        )
+        _assert_query_identical(after.query(), expected)
 
     def test_duplicate_records_replay_once(self, tmp_path):
         # A client that never saw its ack may get the same chunk
@@ -317,9 +307,7 @@ class TestJournalDurability:
         assert after.serve_stats.replayed_chunks == len(payloads)
         solo = TenantRegistry().create("solo", _config())
         _feed(solo, batch)
-        _assert_detections_identical(
-            after.query().detections, solo.query().detections
-        )
+        _assert_query_identical(after.query(), solo.query())
 
     def test_corrupt_segment_isolated_from_sibling_tenants(self, tmp_path):
         registry = TenantRegistry(tmp_path / "snap")
@@ -400,9 +388,7 @@ class TestRecycle:
             if i % 10 == 0:
                 churned.recycle()
         assert churned.recycles > 0
-        _assert_detections_identical(
-            churned.query().detections, steady.query().detections
-        )
+        _assert_query_identical(churned.query(), steady.query())
 
     def test_recycle_counts_errors_independently(self):
         registry = TenantRegistry()
