@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve layerbench-smoke perf-gate ci-local src-delta snapshot-split query-split
+.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve layerbench-smoke perf-gate ci-local src-delta snapshot-split query-split ledger
 
 lint:
 	ruff check .
@@ -91,6 +91,16 @@ snapshot-split:
 query-split:
 	$(PYTHON) benchmarks/query_split.py --seed $(SEED)
 
+# One traced repository-benchmark run (workload WORKLOAD, seed SEED,
+# scenario SCENARIO) and its per-layer ledger sorted by self seconds,
+# with calls: the before/after line an optimisation change shows for
+# the layer it targets.  layerbench/ is only run, never changed.
+WORKLOAD ?= study-batch
+SCENARIO ?= stream-72h
+ledger:
+	$(PYTHON) layerbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
+		--scenario $(SCENARIO) --trace 1 | $(PYTHON) benchmarks/ledger_table.py
+
 # The repository benchmark's smoke tests (layerbench/): every workload
 # on the tiny scenario, untraced and traced, with its output checks.
 layerbench-smoke:
@@ -112,8 +122,9 @@ perf-gate:
 # The whole CI job sequence, in order, on the local machine: lint,
 # byte-compile, tier-1 tests (with the same JUnit/durations artifacts),
 # benchmark smoke, ingestion-service smoke + bench + chaos, both fault
-# matrices, the layerbench smoke with both split probes on the tiny
-# scenario, then the perf gate against the committed (HEAD) baselines.
+# matrices, the layerbench smoke with both split probes and the traced
+# study ledger on the tiny scenario, then the perf gate against the
+# committed (HEAD) baselines.
 ci-local:
 	$(MAKE) lint
 	$(PYTHON) -m compileall -q src
@@ -128,4 +139,5 @@ ci-local:
 	$(MAKE) layerbench-smoke
 	$(PYTHON) benchmarks/query_split.py --scenario tiny
 	$(PYTHON) benchmarks/snapshot_split.py --scenario tiny
+	$(MAKE) ledger WORKLOAD=study-batch SEED=1 SCENARIO=tiny
 	$(MAKE) perf-gate BASELINE_GIT=HEAD

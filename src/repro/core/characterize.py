@@ -126,7 +126,7 @@ def origins(
         AH population: ``{"ips": (count, share), "slash24": ...,
         "packets": ...}``.
     """
-    sources = np.array(sorted(int(a) for a in ah_sources), dtype=np.uint32)
+    sources = np.unique(np.fromiter((int(a) for a in ah_sources), dtype=np.uint32))
     acked_sources = acked_sources or set()
     if len(sources) == 0:
         return [], {"ips": (0, 0.0), "slash24": (0, 0.0), "packets": (0, 0.0)}
@@ -134,11 +134,9 @@ def origins(
 
     packets_by_src: Dict[int, int] = {}
     total_ah_packets = 0
-    if capture is not None and len(capture.packets):
-        mask = np.isin(capture.packets.src, sources)
-        src_col = capture.packets.src[mask]
-        uniq, counts = np.unique(src_col, return_counts=True)
-        packets_by_src = {int(s): int(c) for s, c in zip(uniq, counts)}
+    if capture is not None:
+        seen, counts = capture.source_packets(sources)
+        packets_by_src = dict(zip(seen.tolist(), counts.tolist()))
         total_ah_packets = int(counts.sum())
 
     by_as: Dict[int, dict] = {}
@@ -265,10 +263,9 @@ def zipf_contribution(
     Returns the cumulative fraction array ``c`` where ``c[k-1]`` is the
     share of all AH packets contributed by the top-k sources.
     """
-    batch = capture.select_sources(set(ah_sources))
-    if len(batch) == 0:
+    _, counts = capture.source_packets(ah_sources)
+    if len(counts) == 0:
         return np.empty(0, dtype=np.float64)
-    _, counts = np.unique(batch.src, return_counts=True)
     counts = np.sort(counts)[::-1].astype(np.float64)
     return np.cumsum(counts) / counts.sum()
 

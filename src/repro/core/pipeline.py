@@ -26,6 +26,9 @@ class StudyReport:
 
     result: ScenarioResult
     _gn_cache: Optional[GreyNoiseDB] = field(default=None, repr=False)
+    _acked_cache: Dict[int, validation.AckedMatchResult] = field(
+        default_factory=dict, repr=False
+    )
 
     # ------------------------------------------------------------------
     # Shared ingredients
@@ -52,12 +55,15 @@ class StudyReport:
         return self._gn_cache
 
     def acked_match(self, definition: int = 1) -> validation.AckedMatchResult:
-        """Acknowledged-scanner attribution for one definition."""
-        return validation.match_acknowledged(
-            self.detections[definition].sources,
-            self.result.population.acked,
-            self.result.capture,
-        )
+        """Acknowledged-scanner attribution for one definition (cached;
+        callers share the result and must not mutate it)."""
+        if definition not in self._acked_cache:
+            self._acked_cache[definition] = validation.match_acknowledged(
+                self.detections[definition].sources,
+                self.result.population.acked,
+                self.result.capture,
+            )
+        return self._acked_cache[definition]
 
     # ------------------------------------------------------------------
     # Table 1 — dataset description

@@ -3,12 +3,15 @@
 The capture is the raw material every analysis starts from: the event
 builder consumes it to form logical scans, and the characterization
 modules compute port rankings and fingerprints straight from it.
+Every source-set question (packets from a set, its rows, per-source
+volumes) is answered from one cached per-source index, not by a
+membership pass over the whole capture.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -24,6 +27,9 @@ class DarknetCapture:
 
     packets: PacketBatch
     telescope: "Telescope"
+    _index: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.packets) > 1 and not bool(
@@ -43,31 +49,55 @@ class DarknetCapture:
         i1 = int(np.searchsorted(self.packets.ts, hi, side="left"))
         return self.packets.select(slice(i0, i1))
 
+    def source_index(self) -> tuple:
+        """``(sources, counts, inverse)`` of the capture's source column.
+
+        Sorted distinct sources, packets per source, and each packet's
+        position in ``sources`` (int32) — one sort, built on first use.
+        Capture packets are immutable after :meth:`Telescope.capture`;
+        the index is cached against the batch it was built from, so
+        assigning a new ``packets`` batch rebuilds it.
+        """
+        if self._index is None or self._index[0] is not self.packets:
+            uniq, inverse, counts = np.unique(
+                self.packets.src, return_inverse=True, return_counts=True
+            )
+            self._index = (self.packets, (uniq, counts, inverse.astype(np.int32)))
+        return self._index[1]
+
+    def _hits(self, sources) -> np.ndarray:
+        """Mask over the index's sources: those in ``sources``."""
+        uniq = self.source_index()[0]
+        wanted = np.fromiter((int(a) for a in sources), dtype=np.uint32)
+        pos = np.searchsorted(uniq, wanted)
+        found = pos < len(uniq)
+        found[found] = uniq[pos[found]] == wanted[found]
+        hits = np.zeros(len(uniq), dtype=bool)
+        hits[pos[found]] = True  # a repeated address sets one flag
+        return hits
+
     def source_count(self) -> int:
         """Number of distinct source IPs observed."""
-        return len(self.packets.unique_sources())
+        return len(self.source_index()[0])
 
     def destination_count(self) -> int:
         """Number of distinct dark IPs contacted."""
         return len(self.packets.unique_destinations())
 
+    def source_packets(self, sources) -> tuple:
+        """``(sources, packets)``: the set's sorted distinct sources seen
+        in the capture and the packets each sent."""
+        uniq, counts, _ = self.source_index()
+        hits = self._hits(sources)
+        return uniq[hits], counts[hits]
+
     def packets_from(self, sources) -> int:
         """Total packets originating from the given source set."""
-        if len(self.packets) == 0:
-            return 0
-        wanted = np.asarray(sorted(int(a) for a in sources), dtype=np.uint32)
-        if len(wanted) == 0:
-            return 0
-        mask = np.isin(self.packets.src, wanted)
-        return int(np.count_nonzero(mask))
+        return int(self.source_packets(sources)[1].sum())
 
     def select_sources(self, sources) -> PacketBatch:
-        """Packets originating from the given source set."""
-        wanted = np.asarray(sorted(int(a) for a in sources), dtype=np.uint32)
-        if len(wanted) == 0 or len(self.packets) == 0:
-            return PacketBatch.empty()
-        mask = np.isin(self.packets.src, wanted)
-        return self.packets.select(mask)
+        """Packets originating from the given source set, in time order."""
+        return self.packets.select(self._hits(sources)[self.source_index()[2]])
 
     def summary(self) -> dict:
         """Table-1-style dataset description."""

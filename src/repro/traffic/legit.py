@@ -60,9 +60,10 @@ class DiurnalTrafficModel:
         tod = (ts / clock.seconds_per_day - day) * 24.0
         phase = 2.0 * np.pi * (tod - self.peak_hour) / 24.0
         diurnal = 1.0 + self.diurnal_amplitude * np.cos(phase)
+        days, which = np.unique(day, return_inverse=True)
         weekend = np.array(
-            [self.weekend_factor if clock.is_weekend(int(d)) else 1.0 for d in day]
-        )
+            [self.weekend_factor if clock.is_weekend(int(d)) else 1.0 for d in days]
+        )[which]
         demand = self.base_pps * diurnal * weekend
         return demand * self.cache.border_factor() + self.floor_pps
 

@@ -1,5 +1,7 @@
 """Tests for the full study report and packet-log serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,54 @@ class TestFullReport:
         assert "Network impact (sampled flows)" not in text
         assert "Network impact (packet streams)" not in text
         assert "Detection (the three AH definitions)" in text
+
+
+#: sha256 of ``render_full_report`` on the tiny scenario, recorded
+#: before the report's source-set queries moved onto the capture's
+#: per-source index; batch and sharded streaming render the same text.
+TINY_REPORT_SHA256 = "e4ad8f6727341f2eaf87f96649b28f033e8e265d229e2578849fb43edb107bf4"
+
+
+class TestReportGolden:
+    @pytest.fixture(scope="class")
+    def streaming_report(self):
+        from repro.core.pipeline import run_study
+        from repro.sim.scenario import tiny_scenario
+
+        return run_study(tiny_scenario(), mode="streaming", workers=2)
+
+    @staticmethod
+    def digest(report) -> str:
+        return hashlib.sha256(render_full_report(report).encode()).hexdigest()
+
+    def test_batch_digest(self, tiny_report):
+        assert self.digest(tiny_report) == TINY_REPORT_SHA256
+
+    def test_sharded_streaming_digest(self, streaming_report):
+        assert self.digest(streaming_report) == TINY_REPORT_SHA256
+
+    @pytest.mark.parametrize("mode", ["batch", "streaming"])
+    def test_no_full_capture_isin(self, mode, tiny_report, streaming_report, monkeypatch):
+        # Source-set questions go through the capture's per-source
+        # index; a membership pass over a capture-long array is a
+        # rescan of the whole capture.
+        from repro.core.pipeline import StudyReport
+
+        base = tiny_report if mode == "batch" else streaming_report
+        report = StudyReport(result=base.result)  # fresh caches
+        n = len(report.result.capture)  # materializes a lazy capture
+        assert n > 0
+        real_isin = np.isin
+        lengths = []
+
+        def guarded(element, test_elements, *args, **kwargs):
+            lengths.append(np.size(element))
+            lengths.append(np.size(test_elements))
+            return real_isin(element, test_elements, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isin", guarded)
+        render_full_report(report)
+        assert n not in lengths
 
 
 class TestPacketLog:

@@ -38,6 +38,38 @@ class TestDiurnalModel:
         with pytest.raises(ValueError):
             DiurnalTrafficModel(weekend_factor=0.0)
 
+    @pytest.mark.parametrize(
+        "seconds_per_day, window",
+        [
+            (86_400.0, (80_000.0, 260_000.0)),  # Fri -> Sat -> Sun -> Mon
+            (900.0, (0.0, 4_500.0)),  # compressed days, same crossings
+        ],
+    )
+    def test_rates_match_per_second_loop(self, seconds_per_day, window):
+        # The weekend factor is looked up once per distinct day; the
+        # rates must be bit-identical to a per-timestamp lookup.
+        clock = SimClock(
+            start_date=dt.date(2022, 1, 14), seconds_per_day=seconds_per_day
+        )
+        model = DiurnalTrafficModel(base_pps=1_000.0, cache=ContentCacheModel(0.3))
+        ts = np.arange(*window, 7.0)
+        days = np.floor(ts / seconds_per_day).astype(np.int64)
+        assert {clock.is_weekend(int(d)) for d in days} == {False, True}
+        # Reference: the same arithmetic, weekend looked up per timestamp.
+        tod = (ts / seconds_per_day - days) * 24.0
+        diurnal = 1.0 + model.diurnal_amplitude * np.cos(
+            2.0 * np.pi * (tod - model.peak_hour) / 24.0
+        )
+        weekend = np.array(
+            [model.weekend_factor if clock.is_weekend(int(d)) else 1.0 for d in days]
+        )
+        expected = (
+            model.base_pps * diurnal * weekend * model.cache.border_factor()
+            + model.floor_pps
+        )
+        assert np.array_equal(model.mean_rate_at(ts, clock), expected)
+        assert len(model.mean_rate_at(np.empty(0), clock)) == 0
+
     def test_weekend_dip(self, clock, rng):
         model = DiurnalTrafficModel(base_pps=1_000.0, noise=0.0)
         friday = model.daily_total(0, clock, rng)
