@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve layerbench-smoke perf-gate ci-local src-delta snapshot-split query-split ledger
+.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve layerbench-smoke perf-gate ci-local src-delta snapshot-split query-split shard-split ledger
 
 lint:
 	ruff check .
@@ -91,6 +91,14 @@ snapshot-split:
 query-split:
 	$(PYTHON) benchmarks/query_split.py --seed $(SEED)
 
+# How evenly detection's source-hash shards split the work: run
+# generate+detect and --capture-dir replay at WORKERS workers on
+# darknet-2021 (2 days) and print every worker's packets and busy
+# seconds with the max/min spread; exits 1 if the two paths' AH sets
+# differ.  The spread only means something with >= WORKERS free cores.
+shard-split:
+	$(PYTHON) benchmarks/shard_split.py --workers $(WORKERS)
+
 # One traced repository-benchmark run (workload WORKLOAD, seed SEED,
 # scenario SCENARIO) and its per-layer ledger sorted by self seconds,
 # with calls: the before/after line an optimisation change shows for
@@ -122,7 +130,7 @@ perf-gate:
 # The whole CI job sequence, in order, on the local machine: lint,
 # byte-compile, tier-1 tests (with the same JUnit/durations artifacts),
 # benchmark smoke, ingestion-service smoke + bench + chaos, both fault
-# matrices, the layerbench smoke with both split probes and the traced
+# matrices, the layerbench smoke with the three split probes and the traced
 # study ledger on the tiny scenario, then the perf gate against the
 # committed (HEAD) baselines.
 ci-local:
@@ -139,5 +147,6 @@ ci-local:
 	$(MAKE) layerbench-smoke
 	$(PYTHON) benchmarks/query_split.py --scenario tiny
 	$(PYTHON) benchmarks/snapshot_split.py --scenario tiny
+	$(PYTHON) benchmarks/shard_split.py --scenario tiny --workers 2
 	$(MAKE) ledger WORKLOAD=study-batch SEED=1 SCENARIO=tiny
 	$(MAKE) perf-gate BASELINE_GIT=HEAD

@@ -10,8 +10,8 @@ many-port, long-duration sources):
   draws, one multinomial over all count rows, one binomial over the
   true-count column) beats the scalar loop reference by >= 5x while
   producing a bit-identical ``FlowTable``.
-* **Shard-parallel** — 4 workers under the size-aware ``stealing``
-  schedule beat the loop baseline >= 3.8x end to end (process pool +
+* **Shard-parallel** — 4 workers under the cost-capped ``stealing``
+  plan (the only flow-synthesis plan) beat the loop baseline >= 3.8x end to end (process pool +
   pickling included) with worker-time spread (max/min shard seconds)
   < 2x, again bit-identical.
 
@@ -178,7 +178,7 @@ def test_perf_flows_parallel(flows_world, loop_baseline, results_dir):
         table, totals = merit.collect_scanner_flows(
             heavy, scenario.window(), scenario.clock,
             np.random.default_rng(5),
-            workers=4, schedule="stealing", telemetry=telemetry,
+            workers=4, telemetry=telemetry,
         )
         seconds = time.perf_counter() - t0
         _assert_tables_identical(table, loop_table)

@@ -303,24 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "shard work across N worker processes; in streaming mode "
             "each worker generates (or, with --capture-dir, replays) "
-            "and detects its own source shard, and in any mode — batch "
-            "included — the ISP flow synthesis behind impact/mitigation "
-            "shards its scanner population across the same pool "
-            "(results are identical for any N)"
-        ),
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=("static", "packed", "stealing"),
-        default="stealing",
-        help=(
-            "how parallel work is laid out across --workers: static "
-            "keeps the legacy layout (even contiguous/hash shards, one "
-            "per worker); packed bin-packs shards by each scanner's "
-            "predicted cost so every worker gets equal work; stealing "
-            "(default) additionally over-decomposes into sub-tasks "
-            "that idle workers steal from stragglers — results are "
-            "bit-identical in every mode, only load balance changes"
+            "and detects the sources that hash to its shard, and in any "
+            "mode — batch included — the ISP flow synthesis behind "
+            "impact/mitigation spreads cost-capped slices of its "
+            "scanner population over the same pool, idle workers "
+            "taking the next queued slice (results are identical for "
+            "any N)"
         ),
     )
     parser.add_argument(
@@ -512,7 +500,6 @@ def main(argv: Optional[list] = None) -> int:
             mode=args.mode,
             chunk_seconds=chunk_seconds,
             workers=args.workers,
-            schedule=args.schedule,
             capture_dir=args.capture_dir,
             checkpoint_dir=args.checkpoint_dir,
             shard_retries=args.shard_retries,

@@ -219,29 +219,24 @@ def top_ports(
     keys = (
         batch.dport.astype(np.uint32) << np.uint32(8)
     ) | batch.proto.astype(np.uint32)
-    order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
-    tools_sorted = tools[order]
-    boundaries = np.flatnonzero(
-        np.concatenate([[True], keys_sorted[1:] != keys_sorted[:-1]])
+    unique, inverse, counts = np.unique(
+        keys, return_inverse=True, return_counts=True
     )
-    ends = np.concatenate([boundaries[1:], [len(keys_sorted)]])
-    rows = []
-    for b, e in zip(boundaries, ends):
-        key = int(keys_sorted[b])
-        segment = tools_sorted[b:e]
-        rows.append(
-            PortRow(
-                port=key >> 8,
-                proto=key & 0xFF,
-                packets=int(e - b),
-                zmap_packets=int(np.count_nonzero(segment == Tool.ZMAP.value)),
-                masscan_packets=int(
-                    np.count_nonzero(segment == Tool.MASSCAN.value)
-                ),
-                other_packets=int(np.count_nonzero(segment == Tool.OTHER.value)),
-            )
+    zmap, masscan, other = (
+        np.bincount(inverse, weights=tools == tool.value, minlength=len(unique))
+        for tool in (Tool.ZMAP, Tool.MASSCAN, Tool.OTHER)
+    )
+    rows = [
+        PortRow(
+            port=int(key) >> 8,
+            proto=int(key) & 0xFF,
+            packets=int(counts[i]),
+            zmap_packets=int(zmap[i]),
+            masscan_packets=int(masscan[i]),
+            other_packets=int(other[i]),
         )
+        for i, key in enumerate(unique)
+    ]
     rows.sort(key=lambda r: r.packets, reverse=True)
     return rows[:top_n]
 

@@ -871,11 +871,8 @@ class DetectionEngine:
                         peak_open_flows=report.peak_open_flows,
                         seconds=report.seconds,
                         generate_seconds=report.generate_seconds,
-                        spans_derived=getattr(report, "spans_derived", 0),
-                        spans_emitted=getattr(report, "spans_emitted", 0),
-                        planned_cost=getattr(report, "planned_cost", 0.0),
-                        tasks=getattr(report, "tasks", 1),
-                        stolen_tasks=getattr(report, "stolen_tasks", 0),
+                        spans_derived=report.spans_derived,
+                        spans_emitted=report.spans_emitted,
                     )
                 total_packets = sum(r.packets for r in reports)
                 # Assigned, not accumulated: an in-memory run already

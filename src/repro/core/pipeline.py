@@ -248,7 +248,6 @@ def run_study(
     mode: str = "batch",
     chunk_seconds: Optional[float] = None,
     workers: Optional[int] = None,
-    schedule: str = "stealing",
     capture_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
     shard_retries: Optional[int] = None,
@@ -258,10 +257,9 @@ def run_study(
 
     ``mode="streaming"`` routes detection through the chunked pipeline
     (identical results, bounded memory, telemetry on the result);
-    ``workers=N`` additionally shards the capture by source across N
-    worker processes (:mod:`repro.parallel`) — still identical results,
-    with ``schedule`` picking the shard layout (``static``/``packed``/
-    ``stealing``; see :mod:`repro.core.schedule`).
+    ``workers=N`` additionally shards the capture by source hash across
+    N worker processes (:mod:`repro.parallel`) — still identical
+    results.
     The remaining keywords plug the fault-tolerant execution layer in:
     ``capture_dir`` detects over saved digest-verified chunk archives,
     ``checkpoint_dir`` persists shard states for crash/resume,
@@ -275,7 +273,6 @@ def run_study(
             mode=mode,
             chunk_seconds=chunk_seconds,
             workers=workers,
-            schedule=schedule,
             capture_dir=capture_dir,
             checkpoint_dir=checkpoint_dir,
             shard_retries=shard_retries,

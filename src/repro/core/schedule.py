@@ -1,33 +1,23 @@
-"""Size-aware shard planning and work-stealing decomposition.
+"""Cost-capped work-stealing plans for flow synthesis.
 
 The paper's central measurement — scanner traffic is extremely
-heavy-tailed — is also the parallel pipeline's scaling problem: static
-contiguous shards (``np.array_split``) put one aggressive scanner's
+heavy-tailed — is also flow synthesis's scaling problem: even-count
+contiguous slices (``np.array_split``) put one aggressive scanner's
 entire workload on one worker while the others idle.  This module turns
-per-item *cost predictions* (``Scanner.cost_estimate``, measured packet
-counts, or uniform weights) into an explicit :class:`SchedulePlan`:
-which items form which task, which logical shard each task belongs to,
-and in what order tasks should be submitted to the pool.
+per-scanner *cost predictions* (``Scanner.cost_estimate``) into an
+explicit :class:`SchedulePlan`: which items form which task, which
+logical shard each task belongs to, and in what order tasks should be
+submitted to the pool.
 
-Three planning shapes cover every parallel entry point:
+Flow synthesis merges by concatenation in population order, so tasks
+must be contiguous index ranges.  :func:`plan_contiguous` over-decomposes
+the population into cost-capped slices (a few per worker), isolates any
+single item whose cost exceeds the cap in its own task, and assigns the
+slices to logical shards by LPT bin packing.
 
-* :func:`plan_static` — the legacy layout (``static`` mode): one
-  zero-cost task per shard, items assigned by a given shard index
-  (a source hash, or even ``array_split`` slices).
-
-* :func:`plan_contiguous` — for stages whose merge is a concatenation
-  in population order (flow synthesis): tasks must be contiguous index
-  ranges.  ``packed`` cuts the population at cumulative-cost quantiles
-  into exactly ``workers`` balanced slices; ``stealing``
-  over-decomposes into cost-capped slices (a few per worker) so
-  stragglers are drained by idle workers, and isolates any single item
-  whose cost exceeds the cap in its own task.
-* :func:`plan_grouped` — for stages whose merge is partition-
-  independent (detection: all state is keyed per source): items are
-  pre-grouped into indivisible units (same-source scanners, hash
-  fine-shards) and the groups are LPT bin-packed into ``workers``
-  logical shards; ``stealing`` additionally splits each shard's group
-  list into cost-capped sub-tasks.
+Detection needs no plan: all of its state is keyed per source, so it
+shards by source hash (:func:`repro.parallel.shard_of`), one task per
+worker.
 
 Scheduling never touches results.  Tasks carry their *logical* task
 index, results merge in logical order regardless of execution order,
@@ -39,8 +29,8 @@ idle worker "steals" the next queued task the moment it finishes its
 own (:func:`repro.core.faults.run_sharded` with ``submit_order``).
 
 Everything here is deterministic: plans are pure functions of the cost
-vector, the worker count and the mode, with explicit tie-breaking — a
-resumed or retried run re-derives the identical plan.
+vector and the worker count, with explicit tie-breaking — a resumed or
+retried run re-derives the identical plan.
 """
 
 from __future__ import annotations
@@ -50,27 +40,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-#: Recognized scheduling modes, in increasing order of machinery:
-#: ``static`` — the legacy layout (contiguous ``array_split`` slices or
-#: hash shards, :func:`plan_static`), no cost prediction; ``packed`` —
-#: size-aware bin packing into exactly ``workers`` tasks; ``stealing``
-#: — packed plus over-decomposition into stealable sub-tasks.
-SCHEDULE_MODES = ("static", "packed", "stealing")
-
-#: Target tasks per worker in ``stealing`` mode.  More tasks = finer
-#: stealing granularity but more per-task overhead (pickling, pool
-#: dispatch, checkpoint files); 4 keeps the straggler tail under a
-#: quarter-worker of work without measurable dispatch cost.
+#: Target tasks per worker.  More tasks = finer stealing granularity but
+#: more per-task overhead (pickling, pool dispatch, checkpoint files); 4
+#: keeps the straggler tail under a quarter-worker of work without
+#: measurable dispatch cost.
 DEFAULT_STEAL_FACTOR = 4
-
-
-def validate_mode(mode: str) -> str:
-    """Return ``mode`` or raise with the accepted set in the message."""
-    if mode not in SCHEDULE_MODES:
-        raise ValueError(
-            f"schedule must be one of {SCHEDULE_MODES}, got {mode!r}"
-        )
-    return mode
 
 
 @dataclass(frozen=True)
@@ -84,8 +58,8 @@ class TaskPlan:
         shard: logical shard (0..workers-1) this task belongs to; the
             telemetry/checkpoint grouping, and the "home" worker a
             stolen task is accounted against.
-        items: indices into the planner's input (scanner positions,
-            fine-shard ids...), ascending.
+        items: indices into the planner's input (scanner positions),
+            ascending.
         cost: predicted work, in the caller's cost unit.
     """
 
@@ -99,7 +73,6 @@ class TaskPlan:
 class SchedulePlan:
     """A complete task decomposition for one parallel stage."""
 
-    mode: str
     workers: int
     tasks: Tuple[TaskPlan, ...]
 
@@ -162,33 +135,12 @@ def lpt_assign(costs: Sequence[float], bins: int) -> List[int]:
 
 
 def _even_bounds(n: int, parts: int) -> List[int]:
-    """Cut points of ``np.array_split(range(n), parts)`` (static twin)."""
+    """Cut points of ``np.array_split(range(n), parts)``."""
     sizes = [len(part) for part in np.array_split(np.arange(n), parts)]
     bounds = [0]
     for size in sizes:
         bounds.append(bounds[-1] + size)
     return bounds
-
-
-def _quantile_bounds(costs: np.ndarray, parts: int) -> List[int]:
-    """Contiguous cut points at cumulative-cost quantiles.
-
-    A single item heavier than ``total/parts`` swallows several
-    quantiles, leaving the slices around it empty — which is exactly
-    right: the heavy item is isolated and the remaining cost spreads
-    over the other parts.
-    """
-    cum = np.cumsum(costs)
-    total = float(cum[-1])
-    if total <= 0.0:
-        return _even_bounds(len(costs), parts)
-    targets = total * np.arange(1, parts) / parts
-    # cum is nondecreasing and targets are increasing, so the cut
-    # sequence is already monotone; only clip to the index range.
-    cuts = np.clip(
-        np.searchsorted(cum, targets, side="left") + 1, 0, len(costs)
-    )
-    return [0] + [int(c) for c in cuts] + [len(costs)]
 
 
 def _cap_bounds(costs: Sequence[float], cap: float) -> List[int]:
@@ -209,90 +161,28 @@ def _cap_bounds(costs: Sequence[float], cap: float) -> List[int]:
     return bounds
 
 
-def even_shards(n: int, workers: int) -> np.ndarray:
-    """Shard index per item of ``np.array_split(range(n), workers)``."""
-    return np.repeat(np.arange(workers), np.diff(_even_bounds(n, workers)))
-
-
-def plan_static(shards: Sequence[int], workers: int) -> SchedulePlan:
-    """The legacy layout as a plan: item ``i`` on shard ``shards[i]``.
-
-    One task per shard, task index = shard index, items in ascending
-    order — the hash layout (``shards`` from
-    :func:`repro.parallel.shard_of`) or the contiguous ``array_split``
-    one (:func:`even_shards`).  No cost was predicted, so every task
-    costs 0.0: :meth:`SchedulePlan.submit_order` stays FIFO and
-    ``planned_cost`` stays 0 in telemetry.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    shards = np.asarray(shards, dtype=np.int64)
-    tasks = tuple(
-        TaskPlan(
-            index=shard,
-            shard=shard,
-            items=tuple(int(i) for i in np.flatnonzero(shards == shard)),
-            cost=0.0,
-        )
-        for shard in range(workers)
-    )
-    return SchedulePlan(mode="static", workers=workers, tasks=tasks)
-
-
-def _empty_plan(mode: str, workers: int) -> SchedulePlan:
-    """One empty task per shard — the shape static sharding gives an
-    empty population, so downstream merge/telemetry code sees the same
-    arity in every mode."""
-    tasks = tuple(
-        TaskPlan(index=shard, shard=shard, items=(), cost=0.0)
-        for shard in range(workers)
-    )
-    return SchedulePlan(mode=mode, workers=workers, tasks=tasks)
-
-
-def plan_contiguous(
-    costs: Sequence[float],
-    workers: int,
-    mode: str,
-    *,
-    steal_factor: int = DEFAULT_STEAL_FACTOR,
-) -> SchedulePlan:
+def plan_contiguous(costs: Sequence[float], workers: int) -> SchedulePlan:
     """Plan a stage whose merge concatenates results in item order.
 
     Tasks are contiguous index ranges — the only decomposition whose
-    in-order concat reproduces the serial output — so balance is
-    limited by how evenly cost can be cut along the population.
-
-    * ``static``: even *count* slices (``np.array_split`` twin), one
-      task per shard.
-    * ``packed``: cumulative-cost quantile slices, one task per shard.
-    * ``stealing``: cost-capped slices (≈ ``workers * steal_factor``
-      of them), LPT-assigned to logical shards, submitted heaviest
-      first; a single item heavier than the cap is isolated in its own
-      task.
+    in-order concat reproduces the serial output.  The population is
+    cut into cost-capped slices (≈ ``workers * DEFAULT_STEAL_FACTOR``
+    of them), LPT-assigned to logical shards and submitted heaviest
+    first; a single item heavier than the cap is isolated in its own
+    task.  With no predicted cost at all (an empty population, or every
+    cost 0) the plan is even *count* slices, one task per shard.
     """
-    validate_mode(mode)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if steal_factor < 1:
-        raise ValueError("steal_factor must be >= 1")
-    costs = np.asarray(
-        [max(float(c), 0.0) for c in costs], dtype=np.float64
-    )
-    n = len(costs)
-    if n == 0:
-        return _empty_plan(mode, workers)
+    costs = np.maximum(np.asarray(costs, dtype=np.float64), 0.0)
     total = float(costs.sum())
-    if mode == "static" or total <= 0.0:
-        bounds = _even_bounds(n, workers)
-    elif mode == "packed":
-        bounds = _quantile_bounds(costs, workers)
+    if total <= 0.0:
+        bounds = _even_bounds(len(costs), workers)
     else:
-        cap = total / (workers * steal_factor)
-        bounds = _cap_bounds(costs, cap)
+        bounds = _cap_bounds(costs, total / (workers * DEFAULT_STEAL_FACTOR))
     slices = list(zip(bounds[:-1], bounds[1:]))
     slice_costs = [float(costs[lo:hi].sum()) for lo, hi in slices]
-    if mode == "stealing" and total > 0.0:
+    if total > 0.0:
         shards = lpt_assign(slice_costs, workers)
     else:
         shards = list(range(len(slices)))
@@ -305,77 +195,4 @@ def plan_contiguous(
         )
         for index, (lo, hi) in enumerate(slices)
     )
-    return SchedulePlan(mode=mode, workers=workers, tasks=tasks)
-
-
-def plan_grouped(
-    costs: Sequence[float],
-    groups: Sequence[Sequence[int]],
-    workers: int,
-    mode: str,
-    *,
-    steal_factor: int = DEFAULT_STEAL_FACTOR,
-) -> SchedulePlan:
-    """Plan a stage whose merge is partition-independent.
-
-    ``groups`` are the indivisible units (all scanners sharing a source
-    address, one hash fine-shard...) with one predicted cost each;
-    results may be partitioned any way that keeps a group whole.
-
-    * ``packed``: LPT bin-pack groups into exactly ``workers`` tasks
-      (one per shard; a shard that packs empty still gets an empty
-      task, so task arity equals ``workers`` like the static path).
-    * ``stealing``: the same LPT shard assignment, then each shard's
-      group list splits into cost-capped sub-tasks drained by whichever
-      worker goes idle first.
-
-    Within a task, item indices stay ascending (population order) — the
-    tie-breaking contract shared with :func:`repro.parallel.shard_scanners`.
-    """
-    validate_mode(mode)
-    if mode == "static":
-        raise ValueError(
-            "static scheduling keeps the legacy hash layout; "
-            "build it with plan_static"
-        )
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if steal_factor < 1:
-        raise ValueError("steal_factor must be >= 1")
-    if len(costs) != len(groups):
-        raise ValueError("costs must align with groups")
-    if not groups:
-        return _empty_plan(mode, workers)
-    costs = [max(float(c), 0.0) for c in costs]
-    assignment = lpt_assign(costs, workers)
-    total = sum(costs)
-    tasks: List[TaskPlan] = []
-    for shard in range(workers):
-        members = [g for g in range(len(groups)) if assignment[g] == shard]
-        if not members:
-            tasks.append(
-                TaskPlan(index=len(tasks), shard=shard, items=(), cost=0.0)
-            )
-            continue
-        if mode == "packed" or total <= 0.0:
-            segments = [members]
-        else:
-            cap = total / (workers * steal_factor)
-            member_costs = [costs[g] for g in members]
-            bounds = _cap_bounds(member_costs, cap)
-            segments = [
-                members[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-        for segment in segments:
-            items: List[int] = []
-            for g in segment:
-                items.extend(int(i) for i in groups[g])
-            tasks.append(
-                TaskPlan(
-                    index=len(tasks),
-                    shard=shard,
-                    items=tuple(sorted(items)),
-                    cost=float(sum(costs[g] for g in segment)),
-                )
-            )
-    return SchedulePlan(mode=mode, workers=workers, tasks=tuple(tasks))
+    return SchedulePlan(workers=workers, tasks=tasks)

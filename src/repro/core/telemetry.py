@@ -73,15 +73,6 @@ class WorkerStats:
     #: derived spans that actually produced packets; the gap to
     #: ``spans_derived`` is derivation work with no emitted packets.
     spans_emitted: int = 0
-    #: work the size-aware planner predicted for this shard (0 when the
-    #: run used static sharding — no plan existed).
-    planned_cost: float = 0.0
-    #: schedulable tasks this shard was decomposed into (1 = the shard
-    #: ran whole, as static/packed shards do).
-    tasks: int = 1
-    #: tasks of this shard executed by a different pool process than
-    #: its heaviest task — drained off a straggler by an idle worker.
-    stolen_tasks: int = 0
 
     @property
     def throughput(self) -> Optional[float]:
@@ -109,9 +100,6 @@ class WorkerStats:
             "spans_emitted": self.spans_emitted,
             "throughput": self.throughput,
             "generate_throughput": self.generate_throughput,
-            "planned_cost": self.planned_cost,
-            "tasks": self.tasks,
-            "stolen_tasks": self.stolen_tasks,
         }
 
 
@@ -132,8 +120,7 @@ class FlowWorkerStats:
     #: sampling; see ``benchmarks/test_perf_flows.py`` for both units.
     rows: int = 0
     seconds: float = 0.0
-    #: work the size-aware planner predicted for this shard (0 when the
-    #: run used static sharding — no plan existed).
+    #: work the planner predicted for this shard.
     planned_cost: float = 0.0
     #: schedulable tasks this shard was decomposed into.
     tasks: int = 1
@@ -425,9 +412,6 @@ class PipelineTelemetry:
         generate_seconds: float = 0.0,
         spans_derived: int = 0,
         spans_emitted: int = 0,
-        planned_cost: float = 0.0,
-        tasks: int = 1,
-        stolen_tasks: int = 0,
     ) -> None:
         """Fold one shard worker's report into the gauges.
 
@@ -446,9 +430,6 @@ class PipelineTelemetry:
                 generate_seconds=float(generate_seconds),
                 spans_derived=int(spans_derived),
                 spans_emitted=int(spans_emitted),
-                planned_cost=float(planned_cost),
-                tasks=int(tasks),
-                stolen_tasks=int(stolen_tasks),
             )
         )
         self.peak_open_flows = max(
@@ -535,12 +516,6 @@ class PipelineTelemetry:
                     detail += (
                         f", spans {worker.spans_derived:,} derived / "
                         f"{worker.spans_emitted:,} emitted"
-                    )
-                if worker.tasks > 1 or worker.planned_cost > 0.0:
-                    detail += (
-                        f", plan {worker.planned_cost:,.0f} over "
-                        f"{worker.tasks} task(s), "
-                        f"{worker.stolen_tasks} stolen"
                     )
                 rows.append((f"worker {worker.shard}", detail))
         for worker in self.flow_worker_stats:

@@ -20,20 +20,21 @@ serial run would have accumulated — the events, thresholds and AH sets
 are **identical to the serial path for any shard count**.  A hypothesis
 property test pins this invariant.
 
-Every detection run takes the same steps — plan the source partition
-(:mod:`repro.core.schedule`), fold each task's packets into its own
-detector (:func:`fold`), merge, finish once — and differs only in where
-a task's packets come from, its :class:`PacketSource`:
+Every detection run takes the same steps — one task per worker, shard
+``i`` holding the sources with ``shard_of(src, workers) == i``; fold
+each shard's packets into its own detector (:func:`fold`), merge,
+finish once — and differs only in where a shard's packets come from,
+its :class:`PacketSource`:
 
 * :class:`MemorySource` — :func:`parallel_detect` shards an in-memory
-  chunk stream in the parent and ships each task its sub-batches.
+  chunk stream in the parent and ships each shard its sub-batches.
 * :class:`DirectorySource` — :func:`parallel_detect_directory` points
   the workers at a ``chunk-*.npz`` directory written by
   :func:`repro.io.packetlog.save_packets_chunked`; each worker reads
-  every archive itself and keeps only its task's packets, so no packet
+  every archive itself and keeps only its shard's packets, so no packet
   ever crosses a process pipe and parent memory stays at one chunk.
 * :class:`LazySource` — :func:`parallel_generate_detect` ships each
-  task its *scanners* and the worker generates their capture locally.
+  shard its *scanners* and the worker generates their capture locally.
 
 Every entry point executes through the fault-tolerant layer
 (:mod:`repro.core.faults`): failed shards are retried with backoff, a
@@ -55,7 +56,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -80,15 +80,7 @@ from repro.core.faults import (
     sha256_hex,
 )
 from repro.core.engine import DetectionEngine
-from repro.core.schedule import (
-    DEFAULT_STEAL_FACTOR,
-    SchedulePlan,
-    even_shards,
-    plan_contiguous,
-    plan_grouped,
-    plan_static,
-    validate_mode,
-)
+from repro.core.schedule import SchedulePlan, plan_contiguous
 from repro.core.streaming import StreamingDetector
 from repro.core.telemetry import PipelineTelemetry, RunHealth
 from repro.io.shm import (
@@ -97,12 +89,6 @@ from repro.io.shm import (
     want_shared_memory,
 )
 from repro.packet import PacketBatch
-
-#: Hash fine-shards per worker when the scheduler runs over a chunk
-#: directory: every task streams the whole archive sequence, so the
-#: fan-out is kept low — 2x over-decomposition halves the straggler
-#: tail for one extra pass of (cheap, page-cached) reads.
-DIRECTORY_FINE_FACTOR = 2
 
 #: Fibonacci-hash multiplier: decorrelates the shard index from address
 #: structure (plain ``src % n`` would map whole prefixes to one shard).
@@ -174,16 +160,6 @@ class WorkerReport:
     #: directory reads only; every worker sees the same archives, so
     #: the parent deduplicates when folding into ``RunHealth``).
     quarantined: Tuple[str, ...] = ()
-    #: OS process id that executed the work — lets the parent tell
-    #: which tasks of a logical shard were stolen by another worker.
-    pid: int = 0
-    #: planner-predicted work for this logical shard (0 = unplanned).
-    planned_cost: float = 0.0
-    #: tasks folded into this logical shard (1 = no over-decomposition).
-    tasks: int = 1
-    #: tasks executed by a different process than the shard's heaviest
-    #: task — drained from the pool queue by an idle worker.
-    stolen_tasks: int = 0
 
 
 @dataclass
@@ -200,7 +176,7 @@ class ParallelResult:
 
 
 class PacketSource(Protocol):
-    """Where one task's packets come from.
+    """Where one shard's packets come from.
 
     Implementations are picklable (they cross into pool workers) and
     yield time-ordered :class:`~repro.packet.PacketBatch`\\ es.  Once
@@ -214,7 +190,7 @@ class PacketSource(Protocol):
 
 @dataclass(frozen=True)
 class MemorySource:
-    """Sub-batches the parent already routed to this task.
+    """Sub-batches the parent already routed to this shard.
 
     ``payload`` is either the batch list (the pickled hand-off) or a
     :class:`~repro.io.shm.ShmBatchList` handle, resolved in the worker
@@ -259,7 +235,7 @@ class DirectorySource:
 class LazySource:
     """A population slice whose capture the worker generates itself.
 
-    The task carries its *scanners* (a compact description of behavior,
+    The shard carries its *scanners* (a compact description of behavior,
     kilobytes) instead of their packets (gigabytes at scale) and streams
     their capture with a
     :class:`~repro.telescope.chunks.LazyCaptureSource` — raw packets
@@ -292,42 +268,40 @@ class LazySource:
 
 
 def fold(
-    task_index: int,
+    shard: int,
     source: PacketSource,
-    shard_filter: Optional[Tuple[int, Tuple[int, ...]]],
+    shard_filter: Optional[Tuple[int, int]],
     timeout: float,
     dark_size: int,
     config: Optional[DetectionConfig],
     day_seconds: float,
 ) -> Tuple[StreamingDetector, WorkerReport]:
-    """The shard worker: fold one task's packets into a fresh detector.
+    """The shard worker: fold one shard's packets into a fresh detector.
 
     Top-level (not a closure) so it pickles under any multiprocessing
     start method.  ``shard_filter`` is ``None`` when the source holds
-    only this task's sources, else ``(n_fine, fines)``: keep the packets
-    whose source hashes (mod ``n_fine``) into the task's fine shards —
-    the union filter keeps the source partition disjoint across tasks,
-    so one detector per task stays correct.  Returns the *unfinished*
-    detector — thresholds must only be derived after the merge.
+    only this shard's sources, else ``(n_shards, shard)``: keep the
+    packets with ``shard_of(src, n_shards) == shard``.  Returns the
+    *unfinished* detector — thresholds must only be derived after the
+    merge.
     """
     t0 = time.perf_counter()
     detector = StreamingDetector(timeout, dark_size, config, day_seconds)
     extra: dict = {}
     for batch in source.batches(extra):
         if shard_filter is not None:
-            n_fine, fines = shard_filter
-            batch = batch.select(np.isin(shard_of(batch.src, n_fine), fines))
+            n_shards, keep = shard_filter
+            batch = batch.select(shard_of(batch.src, n_shards) == keep)
         if len(batch):
             detector.add_batch(batch)
     report = WorkerReport(
-        shard=task_index,
+        shard=shard,
         packets=detector.packets_seen,
         events_finalized=detector.events_finalized,
         open_flows=detector.open_flows,
         peak_open_flows=detector.peak_open_flows,
         seconds=time.perf_counter() - t0,
         watermark=detector.watermark,
-        pid=os.getpid(),
         **extra,
     )
     return detector, report
@@ -344,10 +318,9 @@ def _resolve_health(telemetry: Optional[PipelineTelemetry]) -> RunHealth:
     return telemetry.health if telemetry is not None else RunHealth()
 
 
-def _check_run(workers: int, schedule: str) -> None:
+def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    validate_mode(schedule)
 
 
 def _population_sources(scanners: Sequence) -> np.ndarray:
@@ -421,179 +394,8 @@ def _load_flow_state(payload: bytes) -> tuple:
     return flow_state_from_bytes(blob), report
 
 
-# ----------------------------------------------------------------------
-# Size-aware scheduling plumbing shared by the entry points
-# ----------------------------------------------------------------------
-
-
-def _scanner_cost(scanner, view, kind: str) -> float:
-    """Predicted work for one scanner, 1.0 when it cannot say.
-
-    Duck-typed so foreign scanner-like objects without
-    :meth:`~repro.scanners.base.Scanner.cost_estimate` still schedule
-    (uniform weight keeps the planner no worse than static for them).
-    """
-    estimate = getattr(scanner, "cost_estimate", None)
-    if estimate is None:
-        return 1.0
-    return float(estimate(view, kind=kind))
-
-
-def _source_groups(scanners: Sequence) -> List[List[int]]:
-    """Group scanner indices by source address, first-occurrence order.
-
-    Per-source detection state (events, flows, day/port statistics)
-    must stay within one task, so all scanners sharing a source — the
-    spoofed sentinel 0 included — form one indivisible planning unit.
-    """
-    by_src: Dict[int, List[int]] = {}
-    for index, scanner in enumerate(scanners):
-        by_src.setdefault(int(scanner.src), []).append(index)
-    return list(by_src.values())
-
-
-def _stolen_tasks(plan_tasks, reports) -> int:
-    """Tasks of one logical shard executed away from its home worker.
-
-    The home worker is wherever the shard's heaviest task ran; any
-    sibling task that a different process drained from the pool queue
-    counts as stolen.  In-process runs share one pid, so this is 0
-    there — it measures actual pool dynamics, not the plan.
-    """
-    if len(reports) <= 1:
-        return 0
-    heavy = max(
-        range(len(plan_tasks)),
-        key=lambda i: (plan_tasks[i].cost, -i),
-    )
-    home_pid = reports[heavy].pid
-    return sum(1 for report in reports if report.pid != home_pid)
-
-
-def _plan(
-    schedule: str,
-    workers: int,
-    static_shards: Sequence[int],
-    costed: Callable[[], SchedulePlan],
-) -> SchedulePlan:
-    """The run's task plan — the only place ``static`` is special.
-
-    ``static`` is the legacy layout, item ``i`` on shard
-    ``static_shards[i]`` (:func:`~repro.core.schedule.plan_static`);
-    ``packed``/``stealing`` call ``costed()`` for a size-aware plan.
-    """
-    if schedule == "static":
-        return plan_static(static_shards, workers)
-    return costed()
-
-
-def _fine_plan(
-    costs: Sequence[float], workers: int, schedule: str
-) -> SchedulePlan:
-    """Plan hash fine-shards (``len(costs)``, a multiple of ``workers``).
-
-    Static puts fine shard ``f`` on shard ``f % workers``: because
-    ``workers`` divides the fine count, that is exactly the legacy
-    ``shard_of(src, workers)`` partition.
-    """
-    n_fine = len(costs)
-    return _plan(
-        schedule,
-        workers,
-        np.arange(n_fine) % workers,
-        lambda: plan_grouped(
-            costs, [[fine] for fine in range(n_fine)], workers, schedule
-        ),
-    )
-
-
-def _fold_detect_tasks(
-    plan: SchedulePlan,
-    task_results: List[Tuple[StreamingDetector, WorkerReport]],
-) -> List[Tuple[StreamingDetector, WorkerReport]]:
-    """Fold per-task detector states into one pair per logical shard.
-
-    Detection merges are partition-independent, so task detectors fold
-    in logical task order without changing results; the per-shard
-    report aggregates the task reports and carries the plan/steal
-    telemetry.  Every detection plan gives each shard at least one
-    (possibly empty) task, so the output arity is exactly
-    ``plan.workers`` in every mode.
-    """
-    folded: List[Tuple[StreamingDetector, WorkerReport]] = []
-    for shard in range(plan.workers):
-        tasks = plan.shard_tasks(shard)
-        reports = [task_results[task.index][1] for task in tasks]
-        detector = merge_detectors(
-            [task_results[task.index][0] for task in tasks]
-        )
-        watermarks = [
-            report.watermark
-            for report in reports
-            if report.watermark is not None
-        ]
-        folded.append(
-            (
-                detector,
-                WorkerReport(
-                    shard=shard,
-                    packets=sum(r.packets for r in reports),
-                    events_finalized=sum(
-                        r.events_finalized for r in reports
-                    ),
-                    open_flows=detector.open_flows,
-                    peak_open_flows=max(
-                        r.peak_open_flows for r in reports
-                    ),
-                    seconds=sum(r.seconds for r in reports),
-                    watermark=max(watermarks) if watermarks else None,
-                    generate_seconds=sum(
-                        r.generate_seconds for r in reports
-                    ),
-                    spans_derived=sum(r.spans_derived for r in reports),
-                    spans_emitted=sum(r.spans_emitted for r in reports),
-                    # every task reads the same archives: dedup, in order
-                    quarantined=tuple(
-                        dict.fromkeys(p for r in reports for p in r.quarantined)
-                    ),
-                    pid=reports[0].pid,
-                    planned_cost=plan.planned_cost(shard),
-                    tasks=len(tasks),
-                    stolen_tasks=_stolen_tasks(tasks, reports),
-                ),
-            )
-        )
-    return folded
-
-
-def _record_flow_workers(
-    telemetry: PipelineTelemetry,
-    plan: SchedulePlan,
-    task_results: List[tuple],
-) -> None:
-    """Fold per-task flow reports into one telemetry entry per shard.
-
-    Keeps the long-standing arity invariant — exactly ``plan.workers``
-    ``flow_worker_stats`` entries whose scanner counts sum to the
-    population — whatever the task decomposition was.
-    """
-    for shard in range(plan.workers):
-        tasks = plan.shard_tasks(shard)
-        reports = [task_results[task.index][1] for task in tasks]
-        telemetry.record_flow_worker(
-            shard=shard,
-            scanners=sum(r.scanners for r in reports),
-            rows=sum(r.rows for r in reports),
-            seconds=sum(r.seconds for r in reports),
-            planned_cost=plan.planned_cost(shard),
-            tasks=len(tasks),
-            stolen_tasks=_stolen_tasks(tasks, reports),
-        )
-
-
 def _detect(
-    plan: SchedulePlan,
-    inputs: Sequence[Tuple[PacketSource, Optional[tuple]]],
+    inputs: Sequence[Tuple[PacketSource, Optional[Tuple[int, int]]]],
     detector_args: tuple,
     meta: dict,
     *,
@@ -604,17 +406,18 @@ def _detect(
     checkpoint_dir: Union[str, Path, None],
     lease=None,
 ) -> ParallelResult:
-    """Run a planned detection: fold every task, merge, finish once.
+    """Run a sharded detection: fold every shard, merge, finish once.
 
     The one execution path behind every detect entry point.
-    ``inputs`` holds one ``(source, shard_filter)`` pair per plan task;
+    ``inputs`` holds one ``(source, shard_filter)`` pair per shard;
     ``detector_args`` is ``(timeout, dark_size, config, day_seconds)``;
     ``meta`` names the entry point and its inputs for ``run.json``.
-    Task detectors fold into one per logical shard, whose states the
-    engine merges in shard order before deriving thresholds once.  A
-    shared-memory ``lease`` is closed as soon as the pool has joined.
+    The engine merges the shard states in shard order before deriving
+    thresholds once.  A shared-memory ``lease`` is closed as soon as the
+    pool has joined.
     """
     timeout, dark_size, config, day_seconds = detector_args
+    workers = len(inputs)
     health = _resolve_health(telemetry)
     try:
         store = _checkpoint_store(
@@ -622,25 +425,23 @@ def _detect(
             health,
             {
                 **meta,
-                "workers": plan.workers,
-                "schedule": plan.mode,
+                "workers": workers,
                 "timeout": float(timeout),
                 "dark_size": int(dark_size),
                 "day_seconds": float(day_seconds),
                 "config": _config_meta(config),
             },
         )
-        task_results = run_sharded(
+        shard_results = run_sharded(
             fold,
             [
-                (task.index, source, shard_filter, *detector_args)
-                for task, (source, shard_filter) in zip(plan.tasks, inputs)
+                (shard, source, shard_filter, *detector_args)
+                for shard, (source, shard_filter) in enumerate(inputs)
             ],
             policy=retry,
             plan=fault_plan,
-            use_processes=use_processes and plan.workers > 1,
-            max_workers=plan.workers,
-            submit_order=plan.submit_order(),
+            use_processes=use_processes and workers > 1,
+            max_workers=workers,
             health=health,
             store=store,
             kind="detect",
@@ -650,10 +451,11 @@ def _detect(
     finally:
         if lease is not None:
             lease.close()
-    shard_results = _fold_detect_tasks(plan, task_results)
-    for _, report in shard_results:
-        for path in report.quarantined:
-            health.record_quarantine(path)
+    # every shard reads the same archives: dedup, in order
+    for path in dict.fromkeys(
+        path for _, report in shard_results for path in report.quarantined
+    ):
+        health.record_quarantine(path)
     engine = DetectionEngine.from_shards(shard_results, telemetry=telemetry)
     events, detections = engine.finish()
     return ParallelResult(
@@ -671,7 +473,6 @@ def parallel_detect(
     day_seconds: float = 86_400.0,
     *,
     workers: int,
-    schedule: str = "static",
     shm: Optional[bool] = None,
     use_processes: bool = True,
     telemetry: Optional[PipelineTelemetry] = None,
@@ -684,18 +485,11 @@ def parallel_detect(
     Args:
         chunks: time-ordered capture chunks — ``PacketBatch`` objects or
             anything with a ``.packets`` batch attribute (e.g.
-            :class:`~repro.telescope.chunks.CaptureChunk`).
+            :class:`~repro.telescope.chunks.CaptureChunk`).  Each chunk
+            is split by :func:`shard_batch` as it arrives, so every
+            shard's sub-batches stay in time order.
         workers: number of source shards, one detector (and, with
             ``use_processes``, one worker process) per shard.
-        schedule: sources hash into ``workers * steal-factor`` *fine*
-            shards whose packets are counted while chunking.
-            ``static`` groups them back into the legacy
-            ``shard_of(src, workers)`` layout, one task per worker;
-            ``packed`` and ``stealing`` bin-pack the fine shards by
-            measured packet count — ``packed`` into one task per
-            worker, ``stealing`` into cost-capped sub-tasks drained by
-            idle workers.  All modes produce identical events and
-            detections.
         shm: hand shard payloads to the pool through a named
             shared-memory segment (:mod:`repro.io.shm`) instead of
             pickling them — workers map the segment read-only, so no
@@ -726,23 +520,17 @@ def parallel_detect(
     detections are identical to the serial streaming (and batch) path —
     also under any injected faults, retries, or resume.
     """
-    _check_run(workers, schedule)
-    n_fine = workers * DEFAULT_STEAL_FACTOR
-    pending: List[Optional[PacketBatch]] = []
-    fine_packets = np.zeros(n_fine, dtype=np.int64)
+    _check_workers(workers)
+    shard_batches: List[List[PacketBatch]] = [[] for _ in range(workers)]
     t_prev = time.perf_counter()
     shard_stage = telemetry.stage("shard") if telemetry is not None else None
     for chunk in chunks:
         batch = getattr(chunk, "packets", chunk)
         if len(batch) == 0:
             continue
-        # Routing needs the task plan, and the plan needs every chunk's
-        # fine-shard packet counts — so only count here and route after
-        # the stream is exhausted.
-        pending.append(batch)
-        fine_packets += np.bincount(
-            shard_of(batch.src, n_fine), minlength=n_fine
-        )
+        for batches, sub in zip(shard_batches, shard_batch(batch, workers)):
+            if len(sub):
+                batches.append(sub)
         if telemetry is not None:
             now = time.perf_counter()
             shard_stage.add(len(batch), len(batch), now - t_prev)
@@ -755,30 +543,10 @@ def parallel_detect(
                 watermark=watermark,
             )
             t_prev = time.perf_counter()
-
-    # Bin-pack the fine hash-shards by measured packet count, then
-    # route every chunk to each task with a union-of-fine-shards mask.
-    # One sub-batch per (chunk, task) keeps the chunks arriving in time
-    # order within each task, and the union masks partition the sources
-    # — one detector per task is exactly as correct as one per hash
-    # shard.
-    plan = _fine_plan(fine_packets.tolist(), workers, schedule)
-    task_fines = [
-        np.asarray(task.items, dtype=np.int64) for task in plan.tasks
-    ]
-    task_batches: List[List[PacketBatch]] = [[] for _ in plan.tasks]
-    for position, batch in enumerate(pending):
-        fine = shard_of(batch.src, n_fine)
-        for index, fines in enumerate(task_fines):
-            sub = batch.select(np.isin(fine, fines))
-            if len(sub):
-                task_batches[index].append(sub)
-        pending[position] = None  # free as we go; peak stays ~one capture
     payloads, lease = _ship_payloads(
-        task_batches, shm, use_processes and workers > 1
+        shard_batches, shm, use_processes and workers > 1
     )
     return _detect(
-        plan,
         [(MemorySource(payload), None) for payload in payloads],
         (timeout, dark_size, config, day_seconds),
         {"kind": "detect"},
@@ -799,7 +567,6 @@ def parallel_detect_directory(
     day_seconds: float = 86_400.0,
     *,
     workers: int,
-    schedule: str = "static",
     use_processes: bool = True,
     telemetry: Optional[PipelineTelemetry] = None,
     retry: Optional[RetryPolicy] = None,
@@ -809,20 +576,13 @@ def parallel_detect_directory(
 ) -> ParallelResult:
     """Shard-parallel detection over a ``save_packets_chunked`` directory.
 
-    Each worker streams the archive sequence itself and filters to its
-    shard, so raw packets never cross a process boundary; only the
-    (much smaller) merged detector states travel back.  The directory
-    is validated up front — a missing directory, no ``chunk-*.npz``
-    archives, or a gap in the chunk sequence raise immediately with a
-    clear message rather than failing mid-run.
-
-    Sources hash into ``workers * 2`` fine shards; ``static`` groups
-    them back into the legacy hash layout, ``packed``/``stealing``
-    bin-pack them into tasks (``packed``: one per worker; ``stealing``:
-    over-decomposed and drained by idle workers).  Packet counts are
-    unknown before reading, so fine shards are weighted uniformly — the
-    win here is finer granularity and stealing, not size prediction;
-    results are identical in every mode.
+    Each worker streams the archive sequence itself and keeps the
+    packets of its own ``shard_of(src, workers)`` shard, so raw packets
+    never cross a process boundary; only the (much smaller) merged
+    detector states travel back.  The directory is validated up front —
+    a missing directory, no ``chunk-*.npz`` archives, or a gap in the
+    chunk sequence raise immediately with a clear message rather than
+    failing mid-run.
 
     Chunk archives are digest-verified against the directory manifest.
     ``on_corrupt="raise"`` (default) surfaces the first damaged archive
@@ -838,7 +598,7 @@ def parallel_detect_directory(
     """
     from repro.io.packetlog import CORRUPT_MODES, chunk_paths
 
-    _check_run(workers, schedule)
+    _check_workers(workers)
     if on_corrupt not in CORRUPT_MODES:
         raise ValueError(
             f"on_corrupt must be one of {CORRUPT_MODES}, got {on_corrupt!r}"
@@ -847,16 +607,11 @@ def parallel_detect_directory(
     # Absolute, so a resume from another working directory reads the
     # same archives (run.json records it).
     directory = str(Path(directory).resolve())
-    # Every task re-reads the archive sequence, so keep the fan-out
-    # modest; counts are unknown before reading — uniform weights.
-    n_fine = workers * DIRECTORY_FINE_FACTOR
-    plan = _fine_plan([1.0] * n_fine, workers, schedule)
     source = DirectorySource(directory, on_corrupt)
     return _detect(
-        plan,
         [
-            (source, None if len(task.items) == n_fine else (n_fine, task.items))
-            for task in plan.tasks
+            (source, None if workers == 1 else (workers, shard))
+            for shard in range(workers)
         ],
         (timeout, dark_size, config, day_seconds),
         {"kind": "directory", "directory": directory},
@@ -910,7 +665,6 @@ def resume_run(
         config,
         meta["day_seconds"],
         workers=meta["workers"],
-        schedule=meta.get("schedule", "static"),
         use_processes=use_processes,
         telemetry=telemetry,
         retry=retry,
@@ -932,10 +686,131 @@ def shard_scanners(scanners: Sequence, n_shards: int) -> List[list]:
     packet, so results are unaffected.  Population order is preserved
     within each shard (part of the tie-breaking contract).
     """
-    plan = plan_static(
-        shard_of(_population_sources(scanners), n_shards), n_shards
+    shards: List[list] = [[] for _ in range(n_shards)]
+    for scanner, shard in zip(
+        scanners, shard_of(_population_sources(scanners), n_shards)
+    ):
+        shards[shard].append(scanner)
+    return shards
+
+
+def parallel_generate_detect(
+    scanners: Sequence,
+    view,
+    chunk_seconds: float,
+    timeout: float,
+    dark_size: int,
+    config: Optional[DetectionConfig] = None,
+    day_seconds: float = 86_400.0,
+    *,
+    workers: int,
+    window: Optional[tuple] = None,
+    use_processes: bool = True,
+    telemetry: Optional[PipelineTelemetry] = None,
+    retry: Optional[RetryPolicy] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    checkpoint_dir: Union[str, Path, None] = None,
+) -> ParallelResult:
+    """Shard-parallel detection with shard-local lazy generation.
+
+    The synthetic-capture twin of :func:`parallel_detect_directory`:
+    instead of sharding packets, the parent shards the *population* by
+    source address (:func:`shard_scanners`) and each worker lazily
+    generates its own shard's capture
+    (:class:`~repro.telescope.chunks.LazyCaptureSource`) while
+    detecting.  Raw packets never cross a process pipe and no process —
+    parent or worker — ever materializes a capture, so peak memory per
+    worker is one chunk plus open generation spans and open flows.
+
+    Results are identical to the serial and batch paths for any worker
+    count: sharding scanners by source is equivalent to sharding their
+    packets (every packet carries its scanner's source), and thresholds
+    are derived once, after the merge.
+
+    Args:
+        scanners: the full population, in emission order.
+        view: the monitored address region (the telescope's view).
+        chunk_seconds: generation window length (epoch-aligned).
+        timeout: event inactivity timeout.
+        dark_size: telescope aperture (threshold normalization).
+        config: detection thresholds configuration.
+        day_seconds: day length for per-day statistics.
+        workers: number of source shards / worker processes.
+        window: overall [start, end) restriction (the scenario window).
+        use_processes: ``False`` runs shards serially in-process (same
+            code path; useful for tests).
+        telemetry: optional gauge sink; per-worker generate/detect
+            throughput is recorded after the join.
+    """
+    _check_workers(workers)
+    scanners = list(scanners)
+    return _detect(
+        [
+            (LazySource(shard, view, chunk_seconds, window), None)
+            for shard in shard_scanners(scanners, workers)
+        ],
+        (timeout, dark_size, config, day_seconds),
+        {
+            "kind": "generate",
+            "chunk_seconds": float(chunk_seconds),
+            "window": _window_meta(window),
+            "n_scanners": len(scanners),
+            "population": sha256_hex(_population_sources(scanners).tobytes()),
+        },
+        use_processes=use_processes,
+        telemetry=telemetry,
+        retry=retry,
+        fault_plan=fault_plan,
+        checkpoint_dir=checkpoint_dir,
     )
-    return [[scanners[i] for i in task.items] for task in plan.tasks]
+
+
+# ----------------------------------------------------------------------
+# Flow synthesis: contiguous, cost-capped work-stealing slices
+# ----------------------------------------------------------------------
+
+
+def _stolen_tasks(plan_tasks, reports) -> int:
+    """Tasks of one logical shard executed away from its home worker.
+
+    The home worker is wherever the shard's heaviest task ran; any
+    sibling task that a different process drained from the pool queue
+    counts as stolen.  In-process runs share one pid, so this is 0
+    there — it measures actual pool dynamics, not the plan.
+    """
+    if len(reports) <= 1:
+        return 0
+    heavy = max(
+        range(len(plan_tasks)),
+        key=lambda i: (plan_tasks[i].cost, -i),
+    )
+    home_pid = reports[heavy].pid
+    return sum(1 for report in reports if report.pid != home_pid)
+
+
+def _record_flow_workers(
+    telemetry: PipelineTelemetry,
+    plan: SchedulePlan,
+    task_results: List[tuple],
+) -> None:
+    """Fold per-task flow reports into one telemetry entry per shard.
+
+    Keeps the long-standing arity invariant — exactly ``plan.workers``
+    ``flow_worker_stats`` entries whose scanner counts sum to the
+    population — whatever the task decomposition was.
+    """
+    for shard in range(plan.workers):
+        tasks = plan.shard_tasks(shard)
+        reports = [task_results[task.index][1] for task in tasks]
+        telemetry.record_flow_worker(
+            shard=shard,
+            scanners=sum(r.scanners for r in reports),
+            rows=sum(r.rows for r in reports),
+            seconds=sum(r.seconds for r in reports),
+            planned_cost=plan.planned_cost(shard),
+            tasks=len(tasks),
+            stolen_tasks=_stolen_tasks(tasks, reports),
+        )
 
 
 @dataclass(frozen=True)
@@ -997,7 +872,6 @@ def parallel_flow_columns(
     base: int,
     *,
     workers: int,
-    schedule: str = "static",
     use_processes: bool = True,
     telemetry: Optional[PipelineTelemetry] = None,
     retry: Optional[RetryPolicy] = None,
@@ -1013,7 +887,13 @@ def parallel_flow_columns(
     and concatenating the per-task columns in logical task order
     reproduces the serial population order exactly — the merge is a
     concat, and results are bit-identical to serial for any worker
-    count and schedule mode (hypothesis-tested 1..8).
+    count (hypothesis-tested 1..8).
+
+    Synthesis time is heavy-tailed across scanners, so the slices are
+    cost-capped (:func:`~repro.core.schedule.plan_contiguous` over each
+    scanner's :meth:`~repro.scanners.base.Scanner.cost_estimate`), a
+    few per worker, and submitted heaviest-first: idle workers drain
+    the stragglers' queued slices.
 
     Args:
         scanners: full population slice to synthesize, in order.
@@ -1022,13 +902,7 @@ def parallel_flow_columns(
         window: [start, end) collection period.
         day_seconds: day length for day indexing.
         base: the run's flow base seed.
-        workers: number of contiguous shards / worker processes.
-        schedule: ``static`` cuts even *count* slices
-            (``np.array_split``, the legacy layout); ``packed`` cuts at
-            cumulative :meth:`~repro.scanners.base.Scanner.cost_estimate`
-            quantiles so each worker gets equal predicted work;
-            ``stealing`` over-decomposes into cost-capped sub-tasks
-            submitted heaviest-first, so idle workers drain stragglers.
+        workers: number of logical shards / worker processes.
         use_processes: ``False`` runs shards serially in-process (same
             shard/merge code path; useful for tests).
         telemetry: optional gauge sink for per-worker throughput.
@@ -1038,17 +912,10 @@ def parallel_flow_columns(
     """
     from repro.flows.netflow import FlowColumns
 
-    _check_run(workers, schedule)
+    _check_workers(workers)
     scanners = list(scanners)
-    plan = _plan(
-        schedule,
-        workers,
-        even_shards(len(scanners), workers),
-        lambda: plan_contiguous(
-            [_scanner_cost(s, view, "flows") for s in scanners],
-            workers,
-            schedule,
-        ),
+    plan = plan_contiguous(
+        [scanner.cost_estimate(day_seconds) for scanner in scanners], workers
     )
     health = _resolve_health(telemetry)
     store = _checkpoint_store(
@@ -1057,7 +924,6 @@ def parallel_flow_columns(
         {
             "kind": "flows",
             "workers": workers,
-            "schedule": schedule,
             "n_tasks": plan.n_tasks,
             "day_seconds": float(day_seconds),
             "base": int(base),
@@ -1100,110 +966,3 @@ def parallel_flow_columns(
     return FlowColumns.concat([columns for columns, _ in task_results])
 
 
-def parallel_generate_detect(
-    scanners: Sequence,
-    view,
-    chunk_seconds: float,
-    timeout: float,
-    dark_size: int,
-    config: Optional[DetectionConfig] = None,
-    day_seconds: float = 86_400.0,
-    *,
-    workers: int,
-    schedule: str = "static",
-    window: Optional[tuple] = None,
-    use_processes: bool = True,
-    telemetry: Optional[PipelineTelemetry] = None,
-    retry: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    checkpoint_dir: Union[str, Path, None] = None,
-) -> ParallelResult:
-    """Shard-parallel detection with shard-local lazy generation.
-
-    The synthetic-capture twin of :func:`parallel_detect_directory`:
-    instead of sharding packets, the parent shards the *population* by
-    source address and each worker lazily generates its own shard's
-    capture (:class:`~repro.telescope.chunks.LazyCaptureSource`) while
-    detecting.  Raw packets never cross a process pipe and no process —
-    parent or worker — ever materializes a capture, so peak memory per
-    worker is one chunk plus open generation spans and open flows.
-
-    Results are identical to the serial and batch paths for any worker
-    count: sharding scanners by source is equivalent to sharding their
-    packets (every packet carries its scanner's source), and thresholds
-    are derived once, after the merge.
-
-    Args:
-        scanners: the full population, in emission order.
-        view: the monitored address region (the telescope's view).
-        chunk_seconds: generation window length (epoch-aligned).
-        timeout: event inactivity timeout.
-        dark_size: telescope aperture (threshold normalization).
-        config: detection thresholds configuration.
-        day_seconds: day length for per-day statistics.
-        workers: number of source shards / worker processes.
-        schedule: ``static`` hash-shards the population by source (the
-            legacy layout); ``packed``/``stealing`` group scanners by
-            source address, predict each group's packet output with
-            :meth:`~repro.scanners.base.Scanner.cost_estimate`, and LPT
-            bin-pack the groups — ``stealing`` further splits each
-            worker's groups into stealable sub-tasks submitted
-            heaviest-first.  Same-source scanners always stay together
-            (per-source detection state), and results are identical in
-            every mode.
-        window: overall [start, end) restriction (the scenario window).
-        use_processes: ``False`` runs shards serially in-process (same
-            code path; useful for tests).
-        telemetry: optional gauge sink; per-worker generate/detect
-            throughput is recorded after the join.
-    """
-    _check_run(workers, schedule)
-    scanners = list(scanners)
-    sources = _population_sources(scanners)
-    # Same-source scanners are one indivisible unit (per-source
-    # detection state); any source-disjoint partition of the population
-    # yields identical merged results, so the planner is free to
-    # bin-pack the groups by predicted packet output.
-    groups = _source_groups(scanners)
-    plan = _plan(
-        schedule,
-        workers,
-        shard_of(sources, workers),
-        lambda: plan_grouped(
-            [
-                sum(_scanner_cost(scanners[i], view, "packets") for i in group)
-                for group in groups
-            ],
-            groups,
-            workers,
-            schedule,
-        ),
-    )
-    return _detect(
-        plan,
-        [
-            (
-                LazySource(
-                    [scanners[i] for i in task.items],
-                    view,
-                    chunk_seconds,
-                    window,
-                ),
-                None,
-            )
-            for task in plan.tasks
-        ],
-        (timeout, dark_size, config, day_seconds),
-        {
-            "kind": "generate",
-            "chunk_seconds": float(chunk_seconds),
-            "window": _window_meta(window),
-            "n_scanners": len(scanners),
-            "population": sha256_hex(sources.tobytes()),
-        },
-        use_processes=use_processes,
-        telemetry=telemetry,
-        retry=retry,
-        fault_plan=fault_plan,
-        checkpoint_dir=checkpoint_dir,
-    )

@@ -18,7 +18,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fingerprint import Tool
-from repro.scanners.base import ScanMode, ScanSession, Scanner
+from repro.scanners.base import (
+    FLOW_SCANNER_BASE_COST,
+    ScanMode,
+    ScanSession,
+    Scanner,
+)
 from repro.scanners.ports import SMALL_SCAN_PROFILE, PortProfile
 
 
@@ -246,26 +251,12 @@ class SpoofedScan:
             ipid=rng.integers(0, 65536, size=k, dtype=np.uint16),
         )
 
-    def cost_estimate(self, view=None, *, kind="packets", day_seconds=86_400.0):
-        """Predicted work for the shard planner (same protocol as
-        :meth:`repro.scanners.base.Scanner.cost_estimate`).
-
-        A spoofed scan emits roughly ``coverage × view size`` one-packet
-        sources, so its generation/detection cost tracks the view
-        aperture; it never produces flow cells, so its flow cost is the
-        per-scanner fixed floor.
-        """
-        if kind == "flows":
-            from repro.scanners.base import FLOW_SCANNER_BASE_COST
-
-            return FLOW_SCANNER_BASE_COST
-        from repro.net.prefix import ranges_size
-        from repro.scanners.base import full_ipv4_ranges
-
-        size = ranges_size(
-            view.ranges() if view is not None else full_ipv4_ranges()
-        )
-        return 1.0 + self.coverage * float(size)
+    def cost_estimate(self, day_seconds=86_400.0):
+        """Predicted flow-synthesis work (same protocol as
+        :meth:`repro.scanners.base.Scanner.cost_estimate`): a spoofed
+        scan never produces flow cells, so it costs the per-scanner
+        fixed floor."""
+        return FLOW_SCANNER_BASE_COST
 
     def count_rows(self, view, window, day_seconds, rng):
         """Spoofed probes never join the per-source flow accounting."""

@@ -49,10 +49,6 @@ class ScenarioResult:
     #: shards its synthesis across this many processes (results are
     #: identical for any value).
     workers: Optional[int] = None
-    #: schedule mode the run was configured with (``static``/``packed``/
-    #: ``stealing``); lazy flow collection plans its shards the same
-    #: way.  Results are identical in every mode.
-    schedule: str = "stealing"
     #: checkpoint/run directory the run was configured with; lazy flow
     #: collection checkpoints its shards under ``<dir>/flows``.
     checkpoint_dir: Optional[str] = None
@@ -150,7 +146,6 @@ class ScenarioResult:
             rng,
             exporter,
             workers=workers,
-            schedule=self.schedule,
             telemetry=self.telemetry,
             retry=retry,
             checkpoint_dir=flow_checkpoint,
@@ -284,7 +279,6 @@ def run_scenario(
     mode: str = "batch",
     chunk_seconds: Optional[float] = None,
     workers: Optional[int] = None,
-    schedule: str = "stealing",
     capture_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
     shard_retries: Optional[int] = None,
@@ -308,17 +302,12 @@ def run_scenario(
             :data:`repro.config.DEFAULT_CHUNK_SECONDS`.
         workers: shard work across this many worker processes —
             identical results for any count.  With ``mode="streaming"``
-            the capture is sharded by source address and detector states
-            merged (:mod:`repro.parallel`); in *any* mode the columnar
-            ISP flow synthesis behind ``collect_flows`` shards its
-            population across the same pool.  Defaults to the scenario's
+            the capture is sharded by source-address hash, one shard per
+            worker, and detector states merged (:mod:`repro.parallel`);
+            in *any* mode the columnar ISP flow synthesis behind
+            ``collect_flows`` spreads cost-capped population slices
+            across the same pool.  Defaults to the scenario's
             ``workers``; ``None`` or 1 runs the serial pipelines.
-        schedule: how parallel work is laid out across the pool —
-            ``static`` (legacy contiguous/hash shards, one per worker),
-            ``packed`` (size-aware bin packing by predicted cost) or
-            ``stealing`` (the default: packed plus over-decomposition
-            into sub-tasks that idle workers steal).  Results are
-            bit-identical in every mode; only load balance changes.
         capture_dir: detect over a ``save_packets_chunked`` directory
             instead of generating the capture (streaming mode only);
             archives are digest-verified against the chunk manifest.
@@ -333,11 +322,8 @@ def run_scenario(
             chunk archive, naming it; ``"quarantine"`` skips damaged
             archives and accounts them in ``telemetry.health``.
     """
-    from repro.core.schedule import validate_mode
-
     if mode not in ("batch", "streaming"):
         raise ValueError(f"unknown mode: {mode!r}")
-    validate_mode(schedule)
     if workers is None:
         workers = scenario.workers
     if workers is not None and workers < 1:
@@ -386,7 +372,6 @@ def run_scenario(
             )
             sharded = dict(
                 workers=workers or 1,
-                schedule=schedule,
                 telemetry=telemetry,
                 retry=retry,
                 checkpoint_dir=checkpoint_dir,
@@ -439,7 +424,6 @@ def run_scenario(
         mode=mode,
         telemetry=telemetry,
         workers=workers,
-        schedule=schedule,
         checkpoint_dir=None if checkpoint_dir is None else str(checkpoint_dir),
         shard_retries=shard_retries,
         _capture=capture,

@@ -26,6 +26,7 @@ from repro.core.faults import (
     run_sharded,
     sha256_hex,
 )
+from repro.core.schedule import plan_contiguous
 from repro.core.telemetry import PipelineTelemetry, RunHealth
 from repro.io.packetlog import save_packets_chunked
 from repro.parallel import (
@@ -618,7 +619,14 @@ class TestFlowShardFaults:
             workers=3, use_processes=False,
             telemetry=telemetry, checkpoint_dir=run_dir,
         )
-        assert telemetry.health.checkpoint_hits == 2
+        # The in-process pass runs tasks in submit order, so the
+        # interrupted run checkpointed exactly the tasks submitted
+        # before the victim — the resume must reload precisely those.
+        plan = plan_contiguous(
+            [s.cost_estimate(result.clock.seconds_per_day) for s in scanners],
+            3,
+        )
+        assert telemetry.health.checkpoint_hits == plan.submit_order().index(2)
         for name in ("router", "day", "src", "dport", "proto", "true"):
             assert np.array_equal(
                 getattr(serial, name), getattr(resumed, name)
@@ -626,86 +634,10 @@ class TestFlowShardFaults:
 
 
 class TestScheduledFaults:
-    """Scheduling modes preserve the whole fault-tolerance contract:
-    kills, interrupts and resumes still converge to the serial result,
-    and a checkpointed run refuses to resume under a different plan."""
+    """The flow planner's cost-capped tasks keep the fault-tolerance
+    contract: a killed task retries into the serial result."""
 
-    @settings(deadline=None, max_examples=12)
-    @given(
-        workers=st.integers(1, 6),
-        victim=st.integers(0, 5),
-        schedule=st.sampled_from(["packed", "stealing"]),
-    )
-    def test_scheduled_kill_retry_identical(self, workers, victim, schedule):
-        plan = FaultPlan(kill={victim % workers: 1})
-        result = parallel_detect(
-            _chunks(),
-            600.0,
-            _DARK_SIZE,
-            _CONFIG,
-            workers=workers,
-            schedule=schedule,
-            use_processes=False,
-            retry=RetryPolicy(max_retries=1, backoff_seconds=0.0),
-            fault_plan=plan,
-        )
-        _assert_tables_identical(result.events, _REF_EVENTS)
-        _assert_detections_identical(result.detections, _REF_DETECTIONS)
-
-    @pytest.mark.parametrize("schedule", ["packed", "stealing"])
-    def test_scheduled_interrupt_resume_identical(self, schedule, tmp_path):
-        run_dir = tmp_path / "run"
-        with pytest.raises(ShardFailedError):
-            parallel_detect(
-                _chunks(), 600.0, _DARK_SIZE, _CONFIG,
-                workers=3, schedule=schedule, use_processes=False,
-                retry=RetryPolicy(max_retries=0, backoff_seconds=0.0),
-                fault_plan=FaultPlan(kill={1: 1}),
-                checkpoint_dir=run_dir,
-            )
-        telemetry = PipelineTelemetry(chunk_seconds=3_600.0)
-        result = parallel_detect(
-            _chunks(), 600.0, _DARK_SIZE, _CONFIG,
-            workers=3, schedule=schedule, use_processes=False,
-            telemetry=telemetry, checkpoint_dir=run_dir,
-        )
-        # The plan is a pure function of (costs, workers, mode), so the
-        # resume re-derives it and reloads every task that finished
-        # before the injected kill.
-        assert telemetry.health.checkpoint_hits >= 1
-        _assert_tables_identical(result.events, _REF_EVENTS)
-        _assert_detections_identical(result.detections, _REF_DETECTIONS)
-
-    def test_schedule_change_refuses_resume(self, tmp_path):
-        parallel_detect(
-            _chunks(), 600.0, _DARK_SIZE, _CONFIG,
-            workers=2, schedule="packed", use_processes=False,
-            checkpoint_dir=tmp_path / "run",
-        )
-        with pytest.raises(ValueError, match="schedule"):
-            parallel_detect(
-                _chunks(), 600.0, _DARK_SIZE, _CONFIG,
-                workers=2, schedule="stealing", use_processes=False,
-                checkpoint_dir=tmp_path / "run",
-            )
-
-    def test_resume_run_restores_schedule(self, tmp_path):
-        save_packets_chunked(_BATCH, tmp_path / "cap", 50_000.0)
-        run_dir = tmp_path / "run"
-        with pytest.raises(ShardFailedError):
-            parallel_detect_directory(
-                tmp_path / "cap", 600.0, _DARK_SIZE, _CONFIG,
-                workers=3, schedule="stealing", use_processes=False,
-                retry=RetryPolicy(max_retries=0, backoff_seconds=0.0),
-                fault_plan=FaultPlan(kill={1: 1}),
-                checkpoint_dir=run_dir,
-            )
-        result = resume_run(run_dir, use_processes=False)
-        _assert_tables_identical(result.events, _REF_EVENTS)
-        _assert_detections_identical(result.detections, _REF_DETECTIONS)
-
-    @pytest.mark.parametrize("schedule", ["packed", "stealing"])
-    def test_scheduled_flow_kill_retry_identical(self, schedule):
+    def test_scheduled_flow_kill_retry_identical(self):
         from repro.flows.synthesis import synthesize_flow_columns
         from repro.sim.runner import run_scenario
         from repro.sim.scenario import tiny_scenario
@@ -724,7 +656,7 @@ class TestScheduledFaults:
         faulted = parallel_flow_columns(
             scanners, mixes, result.merit.transit_view, window,
             day_seconds, base,
-            workers=3, schedule=schedule, use_processes=False,
+            workers=3, use_processes=False,
             retry=RetryPolicy(max_retries=1, backoff_seconds=0.0),
             fault_plan=FaultPlan(kill={0: 1}),
         )
@@ -732,6 +664,87 @@ class TestScheduledFaults:
             assert np.array_equal(
                 getattr(serial, name), getattr(faulted, name)
             ), name
+
+
+def _add_schedule_key(run_dir, schedule: str) -> None:
+    """Rewrite ``run.json`` as the layout with a ``--schedule`` knob
+    recorded it: the same keys plus the schedule mode."""
+    store = CheckpointStore(run_dir)
+    store.write_meta({**store.load_meta(), "schedule": schedule})
+
+
+def _checkpoint_bytes(run_dir) -> dict:
+    return {
+        path.name: path.read_bytes()
+        for path in sorted(run_dir.iterdir())
+        if path.suffix == ".ckpt"
+    }
+
+
+class TestScheduleEraCheckpointsRefused:
+    """A run directory whose ``run.json`` records a schedule mode was
+    planned under a layout that no longer exists: every entry point
+    refuses it with a ``ValueError`` naming ``schedule`` before any
+    shard state is loaded or merged."""
+
+    @pytest.mark.parametrize("schedule", ["static", "stealing"])
+    def test_directory_run_refused(self, tmp_path, schedule):
+        save_packets_chunked(_BATCH, tmp_path / "cap", 50_000.0)
+        run_dir = tmp_path / "run"
+        with pytest.raises(ShardFailedError):
+            parallel_detect_directory(
+                tmp_path / "cap", 600.0, _DARK_SIZE, _CONFIG,
+                workers=3, use_processes=False,
+                retry=RetryPolicy(max_retries=0, backoff_seconds=0.0),
+                fault_plan=FaultPlan(kill={1: 1}),
+                checkpoint_dir=run_dir,
+            )
+        _add_schedule_key(run_dir, schedule)
+        saved = _checkpoint_bytes(run_dir)
+        assert saved
+        telemetry = PipelineTelemetry(chunk_seconds=50_000.0)
+        with pytest.raises(ValueError, match="schedule"):
+            parallel_detect_directory(
+                tmp_path / "cap", 600.0, _DARK_SIZE, _CONFIG,
+                workers=3, use_processes=False,
+                telemetry=telemetry, checkpoint_dir=run_dir,
+            )
+        with pytest.raises(ValueError, match="schedule"):
+            resume_run(run_dir, use_processes=False, telemetry=telemetry)
+        assert telemetry.health.checkpoint_hits == 0
+        assert _checkpoint_bytes(run_dir) == saved
+
+    def test_flow_run_refused(self, tmp_path):
+        from repro.sim.runner import run_scenario
+        from repro.sim.scenario import tiny_scenario
+
+        result = run_scenario(tiny_scenario(), mode="batch")
+        scanners = result.flow_scanners()
+        sources = np.array([int(s.src) for s in scanners], dtype=np.uint32)
+        args = (
+            scanners,
+            result.merit.router_mix_many(sources),
+            result.merit.transit_view,
+            (0.0, 2 * result.clock.seconds_per_day),
+            result.clock.seconds_per_day,
+            777,
+        )
+        run_dir = tmp_path / "flows"
+        parallel_flow_columns(
+            *args, workers=2, use_processes=False, checkpoint_dir=run_dir
+        )
+        _add_schedule_key(run_dir, "static")
+        saved = _checkpoint_bytes(run_dir)
+        assert saved
+        telemetry = PipelineTelemetry()
+        with pytest.raises(ValueError, match="schedule"):
+            parallel_flow_columns(
+                *args, workers=2, use_processes=False,
+                telemetry=telemetry, checkpoint_dir=run_dir,
+            )
+        assert telemetry.health.checkpoint_hits == 0
+        assert telemetry.flow_worker_stats == []
+        assert _checkpoint_bytes(run_dir) == saved
 
 
 class TestRunHealthTelemetry:

@@ -173,12 +173,9 @@ class TestShardedEqualsSerial:
 
     @given(
         workers=st.integers(min_value=1, max_value=8),
-        schedule=st.sampled_from(["static", "packed", "stealing"]),
     )
     @settings(max_examples=18, deadline=None)
-    def test_any_worker_count(
-        self, merit_world, flow_population, workers, schedule
-    ):
+    def test_any_worker_count(self, merit_world, flow_population, workers):
         _, merit = merit_world
         mixes, base = self._mixes_and_base(merit, flow_population)
         serial = synthesize_flow_columns(
@@ -186,14 +183,11 @@ class TestShardedEqualsSerial:
         )
         sharded = parallel_flow_columns(
             flow_population, mixes, merit.transit_view, self.WINDOW, DAY, base,
-            workers=workers, schedule=schedule, use_processes=False,
+            workers=workers, use_processes=False,
         )
         _assert_columns_identical(serial, sharded)
 
-    @pytest.mark.parametrize("schedule", ["static", "packed", "stealing"])
-    def test_more_workers_than_scanners(
-        self, merit_world, flow_population, schedule
-    ):
+    def test_more_workers_than_scanners(self, merit_world, flow_population):
         _, merit = merit_world
         few = flow_population[:3]
         mixes, base = self._mixes_and_base(merit, few)
@@ -202,14 +196,11 @@ class TestShardedEqualsSerial:
         )
         sharded = parallel_flow_columns(
             few, mixes, merit.transit_view, self.WINDOW, DAY, base,
-            workers=8, schedule=schedule, use_processes=False,
+            workers=8, use_processes=False,
         )
         _assert_columns_identical(serial, sharded)
 
-    @pytest.mark.parametrize("schedule", ["packed", "stealing"])
-    def test_scheduled_telemetry_units(
-        self, merit_world, flow_population, schedule
-    ):
+    def test_scheduled_telemetry_units(self, merit_world, flow_population):
         # Satellite units contract: per-shard telemetry ``rows`` counts
         # pre-sampling synthesis rows — their sum equals the serial
         # FlowColumns length — while the exported table (post 1:1000
@@ -223,7 +214,7 @@ class TestShardedEqualsSerial:
         telemetry = PipelineTelemetry()
         sharded = parallel_flow_columns(
             flow_population, mixes, merit.transit_view, self.WINDOW, DAY, base,
-            workers=3, schedule=schedule, use_processes=False,
+            workers=3, use_processes=False,
             telemetry=telemetry,
         )
         workers = telemetry.flow_worker_stats
@@ -232,8 +223,7 @@ class TestShardedEqualsSerial:
         assert sum(w.scanners for w in workers) == len(flow_population)
         assert all(w.planned_cost > 0 for w in workers)
         assert all(w.tasks >= 1 for w in workers)
-        if schedule == "stealing":
-            assert sum(w.tasks for w in workers) > 3
+        assert sum(w.tasks for w in workers) > 3
         exporter = NetflowExporter()
         table = exporter.export_columns(sharded, base)
         assert len(table) <= len(serial.day)

@@ -82,9 +82,8 @@ class TestSharding:
             shard_of(np.arange(4, dtype=np.uint32), 0)
 
     def test_shard_scanners_legacy_layout_stable(self):
-        # Backward compat for schedule="static": the hash-grouped
-        # scanner partition must keep matching shard_of on each source,
-        # preserving population order within a shard.
+        # The lazy path's scanner partition must keep matching shard_of
+        # on each source, preserving population order within a shard.
         class _Fake:
             def __init__(self, src):
                 self.src = src
@@ -223,25 +222,6 @@ class TestRunnerIntegration:
         )
         assert parallel.telemetry.workers == 2
 
-    @pytest.mark.parametrize("schedule", ["static", "packed", "stealing"])
-    def test_schedule_modes_match_batch(self, batch_result, schedule):
-        # The full streaming pipeline — lazy generation, grouped
-        # scheduling, detection, flow synthesis — under every mode:
-        # identical results, telemetry arity pinned to the worker count.
-        parallel = run_scenario(
-            tiny_scenario(), mode="streaming", workers=2, schedule=schedule
-        )
-        _assert_tables_identical(parallel.events, batch_result.events)
-        _assert_detections_identical(
-            parallel.detections, batch_result.detections
-        )
-        assert parallel.schedule == schedule
-        assert len(parallel.telemetry.worker_stats) == 2
-        if schedule == "stealing":
-            assert any(
-                w.tasks > 1 for w in parallel.telemetry.worker_stats
-            )
-
     def test_span_counters_threaded_to_telemetry(self, batch_result):
         # The lazy path reports spans_derived (pre-dedup derivation
         # units) separately from spans_emitted, all the way into the
@@ -260,31 +240,27 @@ class TestRunnerIntegration:
         rows = dict(parallel.telemetry.summary_rows())
         assert any("derived" in value for value in rows.values())
 
-    def test_static_telemetry_carries_no_plan(self):
-        # static is the legacy layout, not a prediction: every detection
-        # and flow shard row reports zero planned cost, one task and no
-        # steals, and the summary carries no "plan ... over" suffix.
-        result = run_scenario(
-            tiny_scenario(), mode="streaming", workers=2, schedule="static"
-        )
+    def test_flow_telemetry_carries_plan(self):
+        # Detection shards by source hash and predicts nothing; flow
+        # synthesis plans cost-capped slices, so only its rows carry a
+        # planned cost and a task count.
+        result = run_scenario(tiny_scenario(), mode="streaming", workers=2)
         result.collect_flows()
         telemetry = result.telemetry
         assert len(telemetry.worker_stats) == 2
         assert len(telemetry.flow_worker_stats) == 2
-        for row in telemetry.worker_stats + telemetry.flow_worker_stats:
-            assert (row.planned_cost, row.tasks, row.stolen_tasks) == (
-                0.0, 1, 0
-            )
+        assert "planned_cost" not in telemetry.worker_stats[0].as_dict()
+        assert all(row.planned_cost > 0 for row in telemetry.flow_worker_stats)
+        assert sum(row.tasks for row in telemetry.flow_worker_stats) > 2
+        rows = telemetry.summary_rows()
         assert not any(
-            ", plan " in value for _, value in telemetry.summary_rows()
+            ", plan " in value for label, value in rows
+            if label.startswith("worker ")
         )
-
-    def test_invalid_schedule_rejected(self):
-        with pytest.raises(ValueError, match="schedule"):
-            run_scenario(
-                tiny_scenario(), mode="streaming", workers=2,
-                schedule="adaptive",
-            )
+        assert any(
+            ", plan " in value for label, value in rows
+            if label.startswith("flows worker ")
+        )
 
     def test_workers_allowed_in_batch_mode(self, batch_result):
         # Batch mode now accepts workers: detection runs serially, but
@@ -301,8 +277,7 @@ class TestRunnerIntegration:
 
 
 # ----------------------------------------------------------------------
-# Property: for any shard count in 1..8 and any scheduling mode,
-# sharded streaming detection emits AH sets (and thresholds, and the
+# Property: for any shard count in 1..8, sharded streaming detection emits AH sets (and thresholds, and the
 # event table) identical to serial detect_all, for all three
 # definitions.  In-process execution — the shard/merge code path is
 # exactly the process-pool one.
@@ -323,12 +298,11 @@ packet_rows = st.lists(
 @given(
     packet_rows,
     st.integers(min_value=1, max_value=8),
-    st.sampled_from(["static", "packed", "stealing"]),
     st.floats(min_value=10.0, max_value=2_000.0),
     st.floats(min_value=50.0, max_value=6_000.0),
 )
 @settings(max_examples=60, deadline=None)
-def test_sharded_equals_serial(rows, workers, schedule, timeout, chunk_seconds):
+def test_sharded_equals_serial(rows, workers, timeout, chunk_seconds):
     batch = _packets([(ts, s, d, p, TCP) for ts, s, d, p in rows])
     ref_events = build_events(batch, timeout)
     ref_detections = detect_all(ref_events, _DARK_SIZE, _CONFIG)
@@ -339,7 +313,6 @@ def test_sharded_equals_serial(rows, workers, schedule, timeout, chunk_seconds):
         _DARK_SIZE,
         _CONFIG,
         workers=workers,
-        schedule=schedule,
         use_processes=False,
     )
     _assert_tables_identical(
@@ -350,8 +323,8 @@ def test_sharded_equals_serial(rows, workers, schedule, timeout, chunk_seconds):
 
 # ----------------------------------------------------------------------
 # Parity across packet sources: in-memory batches, a chunk directory and
-# lazy generation all run the same plan -> fold -> merge path, so every
-# source x schedule x worker count must reproduce the batch reference —
+# lazy generation all run the same shard -> fold -> merge path, so every
+# source x worker count must reproduce the batch reference —
 # events, detections and the pool-run telemetry totals.
 # ----------------------------------------------------------------------
 
@@ -412,15 +385,13 @@ def _run_source(world, source, **options):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("schedule", ["static", "packed", "stealing"])
 @pytest.mark.parametrize("source", ["memory", "directory", "lazy"])
-def test_sources_and_schedules_agree(tiny_world, source, schedule, workers):
+def test_sources_agree(tiny_world, source, workers):
     telemetry = PipelineTelemetry(chunk_seconds=_PARITY_CHUNK_SECONDS)
     result = _run_source(
         tiny_world,
         source,
         workers=workers,
-        schedule=schedule,
         use_processes=False,
         telemetry=telemetry,
     )
@@ -429,3 +400,26 @@ def test_sources_and_schedules_agree(tiny_world, source, schedule, workers):
     assert telemetry.total_packets == len(tiny_world["capture"])
     assert telemetry.watermark == tiny_world["watermark"]
     assert len(telemetry.worker_stats) == workers
+
+
+@pytest.mark.parametrize("workers", range(1, 9))
+@pytest.mark.parametrize("source", ["memory", "directory", "lazy"])
+def test_one_shard_per_worker_by_source_hash(tiny_world, source, workers):
+    # The detection layout: exactly one report per worker, shard i
+    # holding every packet whose source hashes to i, and the batch
+    # reference's events and detections at every worker count.  Lazy
+    # shards place spoofed scanners by their sentinel source, so only
+    # their total is pinned.
+    result = _run_source(
+        tiny_world, source, workers=workers, use_processes=False
+    )
+    _assert_tables_identical(result.events, tiny_world["events"])
+    _assert_detections_identical(result.detections, tiny_world["detections"])
+    capture = tiny_world["capture"]
+    packets = [r.packets for r in result.worker_reports]
+    assert [r.shard for r in result.worker_reports] == list(range(workers))
+    assert sum(packets) == len(capture)
+    if source != "lazy":
+        assert packets == np.bincount(
+            shard_of(capture.src, workers), minlength=workers
+        ).tolist()

@@ -1,7 +1,7 @@
 """Tests for the shared-memory columnar hand-off (repro.io.shm).
 
 The contract: shared memory is pure *transport*.  For any worker
-count, schedule mode, fault plan, or interrupt/resume sequence, a run
+count, fault plan, or interrupt/resume sequence, a run
 whose shards travelled as named-segment handles is bit-identical to
 the pickled hand-off and to serial — and every segment is unlinked by
 the time the entry point returns, crash or no crash.
@@ -183,22 +183,20 @@ class TestShmDetectionIdentity:
     @settings(deadline=None, max_examples=16)
     @given(
         workers=st.integers(1, 8),
-        schedule=st.sampled_from(["static", "packed", "stealing"]),
         victim=st.integers(0, 7),
         kill=st.booleans(),
     )
     def test_shm_equals_serial_any_workers_any_schedule(
-        self, workers, schedule, victim, kill
+        self, workers, victim, kill
     ):
-        """Forced shared-memory hand-off, 1..8 workers, every schedule
-        mode, with and without an injected kill: bit-identical to the
-        fault-free serial reference."""
+        """Forced shared-memory hand-off, 1..8 workers, with and
+        without an injected kill: bit-identical to the fault-free
+        serial reference."""
         plan = (
             FaultPlan(kill={victim % workers: 1}) if kill else FaultPlan()
         )
         result = _detect(
             workers=workers,
-            schedule=schedule,
             shm=True,
             fault_plan=plan,
             retry=RetryPolicy(max_retries=1, backoff_seconds=0.0),
@@ -227,8 +225,7 @@ class TestShmDetectionIdentity:
         _assert_tables_identical(result.events, _REF_EVENTS)
         _assert_detections_identical(result.detections, _REF_DETECTIONS)
 
-    @pytest.mark.parametrize("schedule", ["static", "stealing"])
-    def test_shm_across_real_processes(self, schedule):
+    def test_shm_across_real_processes(self):
         """Cross-process attach: workers map the parent's segment."""
         result = parallel_detect(
             _chunks(),
@@ -236,7 +233,6 @@ class TestShmDetectionIdentity:
             _DARK_SIZE,
             _CONFIG,
             workers=2,
-            schedule=schedule,
             shm=True,
             use_processes=True,
         )
