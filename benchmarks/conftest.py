@@ -15,6 +15,7 @@ Add ``-s`` to also see each table on stdout.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,33 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
+
+
+class BenchSections:
+    """The ``BENCH_*.json`` sections measured in one session.
+
+    :meth:`write` rewrites a file with only the sections measured in
+    this session: the first write replaces whatever the file held,
+    later writes add their sections.  A section whose test did not run
+    (a skip on a host with too few cores) is absent from the fresh
+    file, so ``benchmarks/perf_gate.py`` reports it "n/a" instead of
+    passing a committed number against itself.
+    """
+
+    def __init__(self):
+        self._files: dict = {}
+
+    def write(self, path: Path, section: str, payload: dict) -> None:
+        sections = self._files.setdefault(Path(path), {})
+        sections[section] = payload
+        Path(path).write_text(
+            json.dumps(sections, indent=2, sort_keys=True) + "\n"
+        )
+
+
+@pytest.fixture(scope="session")
+def bench_sections() -> BenchSections:
+    return BenchSections()
 
 
 def emit(results_dir: Path, name: str, text: str) -> None:

@@ -31,7 +31,6 @@ different names (``tests/test_parallel.py`` pins the relationship).
 """
 
 import dataclasses
-import json
 import os
 import time
 
@@ -54,15 +53,6 @@ N_SCANNERS = 1_000
 _BENCH_JSON = RESULTS_DIR / "BENCH_flows.json"
 
 _TABLE_COLS = ("router", "day", "src", "dport", "proto", "packets", "sampled")
-
-
-def _merge_bench_json(section: str, payload: dict) -> None:
-    """Fold one test's numbers into the shared BENCH_flows.json."""
-    data = {}
-    if _BENCH_JSON.exists():
-        data = json.loads(_BENCH_JSON.read_text())
-    data[section] = payload
-    _BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _assert_tables_identical(a, b):
@@ -100,7 +90,9 @@ def loop_baseline(flows_world):
     return table, totals, seconds
 
 
-def test_perf_flows_vectorized(flows_world, loop_baseline, results_dir):
+def test_perf_flows_vectorized(
+    flows_world, loop_baseline, results_dir, bench_sections
+):
     """Columnar single-process: bit-identical table, >= 5x faster."""
     scenario, merit, heavy = flows_world
     loop_table, loop_totals, loop_seconds = loop_baseline
@@ -116,7 +108,8 @@ def test_perf_flows_vectorized(flows_world, loop_baseline, results_dir):
     assert totals == loop_totals
 
     speedup = loop_seconds / columnar_seconds
-    _merge_bench_json(
+    bench_sections.write(
+        _BENCH_JSON,
         "flows",
         {
             "scenario": scenario.name,
@@ -163,7 +156,9 @@ def test_perf_flows_vectorized(flows_world, loop_baseline, results_dir):
     reason="speedup floor needs >= 4 cores "
     "(set REPRO_BENCH_FORCE=1 to regenerate the baseline anyway)",
 )
-def test_perf_flows_parallel(flows_world, loop_baseline, results_dir):
+def test_perf_flows_parallel(
+    flows_world, loop_baseline, results_dir, bench_sections
+):
     """4 stealing workers: bit-identical, >= 3.8x, spread < 2x."""
     scenario, merit, heavy = flows_world
     loop_table, loop_totals, loop_seconds = loop_baseline
@@ -197,7 +192,8 @@ def test_perf_flows_parallel(flows_world, loop_baseline, results_dir):
     speedup = loop_seconds / parallel_seconds
     shard_seconds = [w.seconds for w in workers]
     spread = max(shard_seconds) / max(min(shard_seconds), 1e-9)
-    _merge_bench_json(
+    bench_sections.write(
+        _BENCH_JSON,
         "parallel",
         {
             "scenario": scenario.name,

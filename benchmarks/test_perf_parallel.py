@@ -1,26 +1,20 @@
-"""Performance benchmark for the shard-parallel detection layer.
+"""Determinism benchmark for shard-parallel detection on real data.
 
-Times the serial streaming pipeline against :func:`parallel_detect`
-over the darknet-year capture and pins the contract from both sides:
-the parallel path must return *identical* events and detections (the
-determinism guarantee) and, with 4 workers on a machine that has the
-cores for it, must run at least 2x faster than serial.
-
-Self-timed with ``perf_counter`` rather than the ``benchmark`` fixture
-so a single pass still measures and asserts under
-``--benchmark-disable`` (the CI bench-smoke mode).
+Replays the darknet-year capture from a ``save_packets_chunked``
+directory through :func:`parallel_detect_directory` at 2 workers — the
+``--capture-dir`` path — and checks it against the serial streaming
+pipeline: the sharded run must return *identical* events and
+detections.  The 4-worker >= 2x speedup bar on sharded detection is
+enforced by ``test_perf_emit.py::test_perf_lazy_parallel_speedup``, on
+the generate+detect path every sharded simulation run takes.
 """
-
-import os
-import time
 
 import numpy as np
 import pytest
 
-from benchmarks.conftest import emit
-from repro.analysis.tables import format_table
 from repro.core.streaming import stream_detect
-from repro.parallel import parallel_detect
+from repro.io.packetlog import save_packets_chunked
+from repro.parallel import parallel_detect_directory
 from repro.sim.runner import build_world
 from repro.sim.scenario import darknet_year_scenario
 
@@ -28,90 +22,32 @@ CHUNK_SECONDS = 3_600.0
 
 
 @pytest.fixture(scope="module")
-def darknet_world():
-    """The darknet-year capture plus everything detection needs."""
+def darknet_world(tmp_path_factory):
+    """The darknet-year capture, saved as a chunk directory."""
     scenario = darknet_year_scenario(2021)
     _, telescope, _, capture, _, _, timeout = build_world(scenario)
-    return scenario, capture, telescope.size, timeout
-
-
-def _chunks(capture):
-    return (c for _, _, c in capture.packets.iter_time_chunks(CHUNK_SECONDS))
-
-
-def _time_serial(scenario, capture, dark_size, timeout):
-    t0 = time.perf_counter()
-    events, detections = stream_detect(
-        _chunks(capture),
-        timeout,
-        dark_size,
-        scenario.detection,
-        scenario.clock.seconds_per_day,
-    )
-    return time.perf_counter() - t0, events, detections
-
-
-def _time_parallel(scenario, capture, dark_size, timeout, workers):
-    t0 = time.perf_counter()
-    result = parallel_detect(
-        _chunks(capture),
-        timeout,
-        dark_size,
-        scenario.detection,
-        scenario.clock.seconds_per_day,
-        workers=workers,
-    )
-    return time.perf_counter() - t0, result
+    directory = tmp_path_factory.mktemp("darknet") / "capture"
+    save_packets_chunked(capture.packets, directory, CHUNK_SECONDS)
+    return scenario, capture, directory, telescope.size, timeout
 
 
 def test_perf_parallel_matches_serial(darknet_world):
     """Determinism on the real dataset: 2-way shard == serial, exactly."""
-    scenario, capture, dark_size, timeout = darknet_world
-    _, events, detections = _time_serial(scenario, capture, dark_size, timeout)
-    _, result = _time_parallel(scenario, capture, dark_size, timeout, 2)
+    scenario, capture, directory, dark_size, timeout = darknet_world
+    detect_args = (
+        timeout,
+        dark_size,
+        scenario.detection,
+        scenario.clock.seconds_per_day,
+    )
+    events, detections = stream_detect(
+        (c for _, _, c in capture.packets.iter_time_chunks(CHUNK_SECONDS)),
+        *detect_args,
+    )
+    result = parallel_detect_directory(directory, *detect_args, workers=2)
     assert np.array_equal(result.events.src, events.src)
     assert np.array_equal(result.events.start, events.start)
     assert np.array_equal(result.events.packets, events.packets)
     for definition in (1, 2, 3):
         assert result.detections[definition].sources == detections[definition].sources
         assert result.detections[definition].threshold == detections[definition].threshold
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="speedup floor needs >= 4 cores",
-)
-def test_perf_parallel_speedup(darknet_world, results_dir):
-    """4 workers must beat serial by >= 2x on the darknet-year capture."""
-    scenario, capture, dark_size, timeout = darknet_world
-    serial_s, events, _ = _time_serial(scenario, capture, dark_size, timeout)
-    parallel_s, result = _time_parallel(
-        scenario, capture, dark_size, timeout, 4
-    )
-    assert np.array_equal(result.events.src, events.src)
-
-    speedup = serial_s / parallel_s
-    n = len(capture)
-    rows = [
-        ("packets", f"{n:,}"),
-        ("serial", f"{serial_s:.2f} s ({n / serial_s:,.0f} pkt/s)"),
-        ("4 workers", f"{parallel_s:.2f} s ({n / parallel_s:,.0f} pkt/s)"),
-        ("speedup", f"{speedup:.2f}x"),
-    ] + [
-        (
-            f"worker {r.shard}",
-            f"{r.packets:,} pkts in {r.seconds:.2f} s",
-        )
-        for r in result.worker_reports
-    ]
-    emit(
-        results_dir,
-        "perf_parallel_speedup",
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=f"Shard-parallel speedup — {scenario.name}",
-            align_right=False,
-        ),
-    )
-    assert speedup >= 2.0

@@ -283,9 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="batch",
         help=(
             "batch: events + detection over the whole capture at once; "
-            "streaming: lazily generated chunked capture -> incremental "
-            "detection (same results; the capture is never materialized, "
-            "so memory stays bounded; telemetry in the summary)"
+            "streaming: each of --workers shards (default 1) folds its "
+            "lazily generated chunks into its own detector, then the "
+            "shards merge (same results; the capture is never "
+            "materialized, so memory stays bounded; telemetry in the "
+            "summary)"
         ),
     )
     parser.add_argument(
@@ -330,10 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "checkpoint finished shard states under DIR and resume from "
             "them: re-running after a crash re-executes only the missing "
-            "shards (results identical to an uninterrupted run); forces "
-            "the sharded detection path even with one worker, and in "
-            "any mode — batch included — the flow synthesis checkpoints "
-            "its shards under DIR/flows"
+            "shards (results identical to an uninterrupted run); in any "
+            "mode — batch included — the flow synthesis checkpoints its "
+            "shards under DIR/flows"
         ),
     )
     parser.add_argument(

@@ -1,14 +1,13 @@
 """The long-lived detection engine behind every run path.
 
-``DetectionEngine`` owns what used to live inline in
-:func:`repro.sim.runner.run_scenario`'s streaming loop and the
-:mod:`repro.parallel` drivers' merge step: a pool of source-sharded
+``DetectionEngine`` owns a pool of source-sharded
 :class:`~repro.core.streaming.StreamingDetector`\\ s, chunk routing into
-that pool, checkpoint/snapshot scheduling, and the telemetry/RunHealth
-accounting around them.  The batch drivers construct one, feed it, and
-finish it — and the always-on service layer (:mod:`repro.serve`) keeps
-one alive per tenant indefinitely, querying and snapshotting it while
-chunks keep arriving.
+that pool, checkpoint/snapshot scheduling, and the telemetry accounting
+around them.  The offline shard driver (:mod:`repro.parallel`) hands it
+the detectors its workers folded and finishes it once; the always-on
+service layer (:mod:`repro.serve`) keeps one alive per tenant
+indefinitely, querying and snapshotting it while chunks keep
+arriving.
 
 The shard states themselves live in a *shard host*: by default the
 engine's own inline :class:`ShardHost`, called directly; once a
@@ -362,11 +361,10 @@ class DetectionEngine:
         day_seconds: scenario calendar day length.
         workers: detector shards to route sources across.  Results are
             identical for any value; >1 only changes memory layout and
-            (in the offline pool path) parallelism.
+            (with a fold pool attached) parallelism.
         telemetry: optional :class:`PipelineTelemetry` to account into;
             the engine records the detect stage, per-chunk gauges, and
-            the finish-time flush/merge exactly as the pre-engine run
-            paths did.
+            the finish-time flush.
         store: optional :class:`CheckpointStore` for snapshots.
         snapshot_every_chunks: write a snapshot to ``store`` every N
             ingested chunks (``None`` disables scheduling; explicit
@@ -408,9 +406,6 @@ class DetectionEngine:
         #: newest reply per shard; its cumulative gauges mirror the
         #: shard, so gauge reads are O(1) and never touch the host.
         self._gauges: List[FoldReply] = [_EMPTY_SHARD] * self.workers
-        #: set only by :meth:`from_shards` — switches :meth:`finish`
-        #: into the pool path's telemetry accounting.
-        self._worker_reports: Optional[list] = None
         self._chunks_ingested = 0
         self._chunks_since_snapshot = 0
         #: newest journal sequence number folded in (0 = none); set by
@@ -439,24 +434,22 @@ class DetectionEngine:
         ]
 
     # ------------------------------------------------------------------
-    # Construction from already-run shard states (the offline pool path)
+    # Construction from already-folded shard states (the offline driver)
     # ------------------------------------------------------------------
     @classmethod
     def from_shards(
-        cls,
-        shard_results: Sequence[tuple],
-        telemetry: Optional[PipelineTelemetry] = None,
+        cls, detectors: Sequence[StreamingDetector]
     ) -> "DetectionEngine":
-        """Adopt ``(detector, report)`` pairs produced by a worker pool.
+        """Adopt detectors folded by the offline shard driver.
 
-        The pairs must be in shard-index order (``run_sharded``
-        guarantees it); :meth:`finish` then merges them in that order
-        and records the pool's worker telemetry, keeping pool runs
-        bit-identical to serial ones.
+        The detectors must be in shard-index order (``run_sharded``
+        guarantees it); :meth:`finish` then merges them in that order,
+        so a sharded run is bit-identical to a one-shard one.  The
+        driver accounts its own telemetry
+        (:func:`repro.parallel._detect`).
         """
-        if not shard_results:
-            raise ValueError("need at least one shard result to adopt")
-        detectors = [detector for detector, _ in shard_results]
+        if not detectors:
+            raise ValueError("need at least one shard detector to adopt")
         first = detectors[0]
         engine = cls(
             first.builder.timeout,
@@ -464,10 +457,8 @@ class DetectionEngine:
             first.config,
             first.day_seconds,
             workers=len(detectors),
-            telemetry=telemetry,
         )
         engine._load_shards(detectors)
-        engine._worker_reports = [report for _, report in shard_results]
         return engine
 
     # ------------------------------------------------------------------
@@ -643,7 +634,7 @@ class DetectionEngine:
         live = [i for i, sub in enumerate(subs) if len(sub)]
         lease = None
         if want_shared_memory(
-            self._host.shm, True, sum(subs[i].nbytes for i in live)
+            self._host.shm, sum(subs[i].nbytes for i in live)
         ):
             handles, lease = share_batches([subs[i] for i in live], "fold")
         else:
@@ -843,10 +834,8 @@ class DetectionEngine:
     def finish(self) -> Tuple[EventTable, Dict[int, DetectionResult]]:
         """Flush all shards, merge in shard order, detect once.
 
-        Terminal: the engine accepts no further chunks.  Telemetry
-        accounting reproduces the pre-engine run paths exactly — the
-        pool path (``from_shards``) records worker stats and a merge
-        stage; the local path records the flush into the detect stage.
+        Terminal: the engine accepts no further chunks.  The flush is
+        accounted into the detect stage.
         """
         if self._finished:
             raise RuntimeError("engine already finished")
@@ -861,45 +850,13 @@ class DetectionEngine:
         self._finished = True
         telemetry = self.telemetry
         if telemetry is not None:
-            if self._worker_reports is not None:
-                reports = self._worker_reports
-                for report in reports:
-                    telemetry.record_worker(
-                        shard=report.shard,
-                        packets=report.packets,
-                        events=report.events_finalized,
-                        peak_open_flows=report.peak_open_flows,
-                        seconds=report.seconds,
-                        generate_seconds=report.generate_seconds,
-                        spans_derived=report.spans_derived,
-                        spans_emitted=report.spans_emitted,
-                    )
-                total_packets = sum(r.packets for r in reports)
-                # Assigned, not accumulated: an in-memory run already
-                # counted its chunks while sharding them.
-                telemetry.total_packets = total_packets
-                generate_seconds = sum(r.generate_seconds for r in reports)
-                if generate_seconds > 0.0:
-                    telemetry.stage("generate").add(
-                        total_packets, total_packets, generate_seconds
-                    )
-                telemetry.stage("merge").add(
-                    sum(r.events_finalized for r in reports),
-                    len(events),
-                    merge_seconds,
-                )
-                telemetry.total_events = len(events)
-                telemetry.final_open_flows = merged.open_flows
-                if merged.watermark is not None:
-                    telemetry.watermark = merged.watermark
-            else:
-                flush_events = len(events) - telemetry.total_events
-                telemetry.stage("detect").add(0, flush_events, merge_seconds)
-                telemetry.total_events = len(events)
-                telemetry.peak_open_flows = max(
-                    telemetry.peak_open_flows, merged.peak_open_flows
-                )
-                telemetry.final_open_flows = merged.open_flows
+            flush_events = len(events) - telemetry.total_events
+            telemetry.stage("detect").add(0, flush_events, merge_seconds)
+            telemetry.total_events = len(events)
+            telemetry.peak_open_flows = max(
+                telemetry.peak_open_flows, merged.peak_open_flows
+            )
+            telemetry.final_open_flows = merged.open_flows
         return events, detections
 
     # ------------------------------------------------------------------

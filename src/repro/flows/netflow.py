@@ -94,21 +94,6 @@ class FlowColumns:
             true=np.concatenate([b.true for b in blocks]),
         )
 
-    @classmethod
-    def from_rows(cls, rows: list) -> "FlowColumns":
-        """Build from ``(router, day, src, dport, proto, true)`` tuples."""
-        if not rows:
-            return cls()
-        arr = np.array(rows, dtype=np.int64)
-        return cls(
-            router=arr[:, 0].astype(np.int8),
-            day=arr[:, 1].astype(np.int32),
-            src=arr[:, 2].astype(np.uint32),
-            dport=arr[:, 3].astype(np.uint16),
-            proto=arr[:, 4].astype(np.uint8),
-            true=arr[:, 5].astype(np.int64),
-        )
-
     def true_totals(self) -> Dict[tuple, int]:
         """(router, day) -> summed true packet counts.
 
@@ -317,32 +302,13 @@ class NetflowExporter:
         rng = np.random.default_rng((int(seed), SAMPLE_STREAM_SALT))
         return self._sample_columns(columns, rng)
 
-    def export(
-        self,
-        rows: list,
-        rng: np.random.Generator,
-    ) -> FlowTable:
-        """Export sampled flow records from row tuples (legacy surface).
-
-        Args:
-            rows: ``(router, day, src, dport, proto, true_count)`` rows.
-            rng: random stream for sampling draws.
-
-        Returns:
-            A :class:`FlowTable`; flows that sampled to zero packets are
-            dropped unless ``keep_zero`` is set.  The draw order matches
-            the historical per-flow loop (one binomial per row, in row
-            order), so seeded callers see identical tables.
-        """
-        return self._sample_columns(FlowColumns.from_rows(rows), rng)
-
     def sample_total(self, true_total: int, seed: int, key: int = 0) -> int:
         """Scaled-up estimate of a router-day total packet counter.
 
         The draw comes from a stream derived as
         ``(seed, TOTALS_STREAM_SALT, key)`` — *not* from a shared
         generator — so estimating totals before, after, or interleaved
-        with :meth:`export` calls always yields the same values.  Use a
+        with :meth:`export_columns` calls always yields the same values.  Use a
         distinct ``key`` per counter (e.g. ``router * n_days + day``).
         """
         rng = np.random.default_rng(

@@ -141,11 +141,13 @@ def load_packets_npz(
 class ChunkWriter:
     """Incremental, crash-consistent writer of a chunk directory.
 
-    Each :meth:`write` lands one ``chunk-<index>.npz`` atomically and
-    then rewrites ``MANIFEST.json`` (also atomically) with the digests
-    of everything written *so far* — so a writer dying between chunk N
-    and N+1 leaves a directory whose manifest certifies exactly chunks
-    0..N.  :meth:`close` marks the manifest complete.
+    Construction writes an empty, incomplete ``MANIFEST.json`` before
+    any chunk, so every chunk directory carries one.  Each :meth:`write`
+    lands one ``chunk-<index>.npz`` atomically and then rewrites the
+    manifest (also atomically) with the digests of everything written
+    *so far* — so a writer dying between chunk N and N+1 leaves a
+    directory whose manifest certifies exactly chunks 0..N.
+    :meth:`close` marks the manifest complete.
     """
 
     def __init__(
@@ -158,6 +160,7 @@ class ChunkWriter:
         self.chunk_seconds = chunk_seconds
         self.written = 0
         self._digests: List[str] = []
+        self._write_manifest(complete=False)
 
     def write(self, batch: PacketBatch) -> Path:
         """Persist the next chunk and extend the manifest."""
@@ -214,18 +217,21 @@ def save_packets_chunked(
     return writer.close()
 
 
-def load_manifest(directory: Union[str, Path]) -> Optional[dict]:
-    """The chunk directory's digest manifest, or ``None`` (legacy dir).
+def load_manifest(directory: Union[str, Path]) -> dict:
+    """The chunk directory's digest manifest.
 
-    A manifest that exists but cannot be parsed raises
-    :class:`~repro.core.faults.ChunkCorruptionError` — a damaged
-    manifest means the directory's integrity cannot be certified.
+    A missing manifest, or one that cannot be parsed, raises
+    :class:`~repro.core.faults.ChunkCorruptionError` naming its path —
+    without it the directory's integrity cannot be certified.
     """
     path = Path(directory) / MANIFEST_NAME
     try:
         manifest = json.loads(path.read_text())
-    except FileNotFoundError:
-        return None
+    except FileNotFoundError as exc:
+        raise ChunkCorruptionError(
+            f"missing chunk manifest {path}: the chunk archives cannot be "
+            "verified"
+        ) from exc
     except (ValueError, OSError) as exc:
         raise ChunkCorruptionError(
             f"corrupt chunk manifest {path}: {exc}"
@@ -286,8 +292,8 @@ def iter_packets_verified(
     parsing; chunks the manifest has not recorded (a writer died after
     the rename, before the manifest update) are accepted if they parse
     — the atomic rename guarantees a present archive is complete unless
-    externally damaged.  Directories without a manifest fall back to
-    parse-only validation.
+    externally damaged.  A directory without a manifest is refused
+    (:func:`load_manifest`) in either mode.
 
     ``on_corrupt="raise"`` (strict) propagates the first
     :class:`~repro.core.faults.ChunkCorruptionError`;
@@ -299,8 +305,7 @@ def iter_packets_verified(
             f"on_corrupt must be one of {CORRUPT_MODES}, got {on_corrupt!r}"
         )
     paths = chunk_paths(directory)
-    manifest = load_manifest(directory)
-    digests = {} if manifest is None else manifest["chunks"]
+    digests = load_manifest(directory)["chunks"]
     for path in paths:
         try:
             yield path, load_packets_npz(path, digests.get(path.name))
@@ -316,8 +321,9 @@ def verify_chunks(
     """Audit a chunk directory: ``(valid_paths, corrupt_paths)``.
 
     Every chunk is digest-checked against the manifest (or parsed, for
-    unlisted/legacy chunks); nothing is raised — this is the reporting
-    surface for "which chunks of this interrupted capture survive".
+    unlisted chunks); nothing is raised for a damaged chunk — this is
+    the reporting surface for "which chunks of this interrupted capture
+    survive".
     """
     valid: List[Path] = []
     corrupt: List[Path] = []

@@ -1,26 +1,26 @@
 """Zero-copy shared-memory hand-off of packet batches.
 
-Shipping a sharded capture to a worker pool through pickle copies every
+Shipping sub-batches to the serve layer's fold workers
+(:class:`~repro.serve.foldpool.FoldPool`) through pickle copies every
 column three times: serialize in the parent, write through the pipe,
-deserialize in the child.  For multi-gigabyte captures that tax
-dominates the pool spin-up.  This module replaces the pipe with one
-named ``multiprocessing.shared_memory`` segment per hand-off: the
-parent packs each shard's batches as struct-of-arrays blocks (columns
-in :data:`repro.packet.COLUMNS` order, 8-byte aligned) into the
-segment, and only a small picklable *handle* — segment name plus block
-offsets — crosses the process boundary.  Workers map the segment and
-rebuild their batches as **read-only views**: no packet byte is copied
-anywhere on the way in.
+deserialize in the child.  This module replaces the pipe with one named
+``multiprocessing.shared_memory`` segment per hand-off: the parent
+packs the batches as struct-of-arrays blocks (columns in
+:data:`repro.packet.COLUMNS` order, 8-byte aligned) into the segment,
+and only a small picklable *handle* — segment name plus block offsets —
+crosses the process boundary.  Workers map the segment and rebuild
+their batches as **read-only views**: no packet byte is copied anywhere
+on the way in.
 
 Lifecycle is explicitly parent-owned:
 
-* :func:`share_shard_batches` creates the segment and returns the
-  handles plus a :class:`SegmentLease`; the parent closes the lease
-  (``try/finally`` around the pool join) to unlink the segment.
-* Workers attach lazily on :meth:`ShmBatchList.load` — a raw
+* :func:`share_batches` creates the segment and returns the handles
+  plus a :class:`SegmentLease`; the parent closes the lease
+  (``try/finally`` around the fold) to unlink the segment.
+* Workers attach lazily on :meth:`ShmBatch.load` — a raw
   ``shm_open(O_RDONLY)`` + ``PROT_READ`` mmap, cached for the life of
   the process — so a worker crash, injected or real, can never reap a
-  segment the parent (and its retried siblings) still needs: readers
+  segment the parent (and the other fold workers) still needs: readers
   touch no resource-tracker state at all.  The kernel frees the memory
   once the parent has unlinked and the last mapping closes.
 * If the *parent* dies before closing the lease, its resource tracker
@@ -94,23 +94,16 @@ def shared_memory_available() -> bool:
     return _available
 
 
-def want_shared_memory(
-    shm: Optional[bool], processes: bool, nbytes: int
-) -> bool:
+def want_shared_memory(shm: Optional[bool], nbytes: int) -> bool:
     """The fallback policy: should this hand-off use shared memory?
 
     ``shm=False`` always pickles.  ``shm=True`` uses shared memory
-    whenever the platform supports it — even for an in-process pool,
-    where the hand-off is pure overhead but stays correct (that is what
-    lets the property tests drive the real segment path cheaply);
-    pickling silently otherwise, the documented fallback, not an error.
-    ``shm=None`` (auto) engages only when the hand-off actually crosses
-    process boundaries and the payload is worth a segment
-    (:data:`SHM_MIN_BYTES`).
+    whenever the platform supports it, whatever the size; pickling
+    silently otherwise, the documented fallback, not an error.
+    ``shm=None`` (auto) engages only when the payload is worth a
+    segment (:data:`SHM_MIN_BYTES`).
     """
     if shm is False:
-        return False
-    if shm is None and not processes:
         return False
     if not shared_memory_available():
         return False
@@ -213,24 +206,6 @@ class ShmBatch:
         return PacketBatch(*arrays)
 
 
-@dataclass(frozen=True)
-class ShmBatchList:
-    """Picklable handle to one shard's batch list inside a segment."""
-
-    segment: str
-    batches: Tuple[ShmBatch, ...]
-
-    def load(self) -> List[PacketBatch]:
-        return [batch.load() for batch in self.batches]
-
-
-def resolve_batches(payload) -> List[PacketBatch]:
-    """A worker's batch list, whichever way it was shipped."""
-    if isinstance(payload, ShmBatchList):
-        return payload.load()
-    return payload
-
-
 def resolve_batch(obj):
     """A single batch, whether shipped directly or as a handle."""
     if isinstance(obj, ShmBatch):
@@ -242,81 +217,50 @@ def _segment_name(label: str) -> str:
     return f"repro-{label}-{os.getpid()}-{os.urandom(4).hex()}"
 
 
-def share_shard_batches(
-    shards: Sequence[Sequence[PacketBatch]], label: str = "detect"
-) -> Tuple[List[ShmBatchList], SegmentLease]:
-    """Pack per-shard batch lists into one fresh named segment.
+def share_batches(
+    batches: Sequence[PacketBatch], label: str = "fold"
+) -> Tuple[List[ShmBatch], SegmentLease]:
+    """Pack batches into one fresh named segment, one handle each.
 
-    Returns one :class:`ShmBatchList` handle per input shard (pass
-    these to the workers instead of the batches) and the
-    :class:`SegmentLease` the caller must close once the pool has
-    joined.  Empty shards and zero-packet batches round-trip exactly.
+    The serve layer's fold hand-off: a coalesced chunk is sharded by
+    source, and each sub-batch ships to its fold worker as one
+    :class:`ShmBatch` handle over a single shared segment.  Zero-packet
+    batches round-trip exactly.  The caller closes the lease once every
+    worker has answered.
     """
     if _shared_memory is None:  # pragma: no cover - guarded by callers
         raise RuntimeError("multiprocessing.shared_memory is unavailable")
     offset = 0
-    layout: List[List[Tuple[Tuple[Tuple[int, str], ...], int]]] = []
-    for batches in shards:
-        shard_layout = []
-        for batch in batches:
-            columns = []
-            for name in COLUMNS:
-                column = getattr(batch, name)
-                offset = -(-offset // _ALIGN) * _ALIGN
-                columns.append((offset, column.dtype.str))
-                offset += column.nbytes
-            shard_layout.append((tuple(columns), len(batch)))
-        layout.append(shard_layout)
+    layout: List[Tuple[Tuple[int, str], ...]] = []
+    for batch in batches:
+        columns = []
+        for name in COLUMNS:
+            column = getattr(batch, name)
+            offset = -(-offset // _ALIGN) * _ALIGN
+            columns.append((offset, column.dtype.str))
+            offset += column.nbytes
+        layout.append(tuple(columns))
     segment = _shared_memory.SharedMemory(
         create=True, size=max(offset, 1), name=_segment_name(label)
     )
     try:
-        for batches, shard_layout in zip(shards, layout):
-            for batch, (columns, length) in zip(batches, shard_layout):
-                for name, (col_offset, dtype) in zip(COLUMNS, columns):
-                    column = getattr(batch, name)
-                    dest = np.frombuffer(
-                        segment.buf,
-                        dtype=column.dtype,
-                        count=length,
-                        offset=col_offset,
-                    )
-                    dest[:] = column
-                del dest  # noqa: F821 - release the buffer export
+        for batch, columns in zip(batches, layout):
+            for name, (col_offset, _) in zip(COLUMNS, columns):
+                column = getattr(batch, name)
+                dest = np.frombuffer(
+                    segment.buf,
+                    dtype=column.dtype,
+                    count=len(batch),
+                    offset=col_offset,
+                )
+                dest[:] = column
+                del dest  # release the buffer export
     except BaseException:
         segment.unlink()
         segment.close()
         raise
     handles = [
-        ShmBatchList(
-            segment.name,
-            tuple(
-                ShmBatch(segment.name, columns, length)
-                for columns, length in shard_layout
-            ),
-        )
-        for shard_layout in layout
+        ShmBatch(segment.name, columns, len(batch))
+        for batch, columns in zip(batches, layout)
     ]
     return handles, SegmentLease(segment)
-
-
-def share_batch(
-    batch: PacketBatch, label: str = "chunk"
-) -> Tuple[ShmBatch, SegmentLease]:
-    """Single-batch convenience over :func:`share_shard_batches`."""
-    handles, lease = share_shard_batches([[batch]], label)
-    return handles[0].batches[0], lease
-
-
-def share_batches(
-    batches: Sequence[PacketBatch], label: str = "fold"
-) -> Tuple[List[ShmBatch], SegmentLease]:
-    """Pack independent batches into one segment, one handle each.
-
-    The serve layer's fold hand-off: a coalesced chunk is sharded by
-    source, and each sub-batch ships to its fold worker as one
-    :class:`ShmBatch` handle over a single shared segment.  The caller
-    closes the lease once every worker has answered.
-    """
-    handles, lease = share_shard_batches([[b] for b in batches], label)
-    return [handle.batches[0] for handle in handles], lease

@@ -8,26 +8,26 @@ parallel across sources — hash-partition the capture by source address
 and every flow, every event, and every per-source statistic lands
 wholly inside one shard.
 
-This module exploits that: :func:`parallel_detect` shards each capture
-chunk by source, runs one independent
-:class:`~repro.core.streaming.StreamingDetector` per shard (in worker
-processes), folds the shard states back together through the explicit
-``merge()`` methods on the detector and its per-definition structures,
-and calls :meth:`~repro.core.streaming.StreamingDetector.finish` once
-on the merged state.  Because thresholds (the volume and port ECDF
-tails) are only derived *after* the merge — over exactly the sample a
-serial run would have accumulated — the events, thresholds and AH sets
-are **identical to the serial path for any shard count**.  A hypothesis
-property test pins this invariant.
+This module exploits that: it shards the capture by source, folds each
+shard into one independent
+:class:`~repro.core.streaming.StreamingDetector` (in worker processes
+once there is more than one shard), folds the shard states back
+together through the explicit ``merge()`` methods on the detector and
+its per-definition structures, and calls
+:meth:`~repro.core.streaming.StreamingDetector.finish` once on the
+merged state.  Because thresholds (the volume and port ECDF tails) are
+only derived *after* the merge — over exactly the sample a one-shard
+run would have accumulated — the events, thresholds and AH sets are
+**identical for any shard count**, and identical to the batch path.  A
+hypothesis property test pins this invariant.
 
-Every detection run takes the same steps — one task per worker, shard
-``i`` holding the sources with ``shard_of(src, workers) == i``; fold
-each shard's packets into its own detector (:func:`fold`), merge,
-finish once — and differs only in where a shard's packets come from,
-its :class:`PacketSource`:
+Every offline streaming run — one worker included — takes the same
+steps in :func:`_detect`: one task per worker, shard ``i`` holding the
+sources with ``shard_of(src, workers) == i``; fold each shard's chunks
+into its own detector (:func:`fold`), merge in shard order, finish
+once.  Runs differ only in where a shard's chunks come from, its
+:class:`PacketSource`:
 
-* :class:`MemorySource` — :func:`parallel_detect` shards an in-memory
-  chunk stream in the parent and ships each shard its sub-batches.
 * :class:`DirectorySource` — :func:`parallel_detect_directory` points
   the workers at a ``chunk-*.npz`` directory written by
   :func:`repro.io.packetlog.save_packets_chunked`; each worker reads
@@ -35,6 +35,11 @@ its :class:`PacketSource`:
   ever crosses a process pipe and parent memory stays at one chunk.
 * :class:`LazySource` — :func:`parallel_generate_detect` ships each
   shard its *scanners* and the worker generates their capture locally.
+
+The per-chunk gauges (packets, window end, watermark) travel back in
+each :class:`WorkerReport`; the parent sums them per chunk, so every
+worker count reports the same chunk count, peak chunk and watermark
+lag.
 
 Every entry point executes through the fault-tolerant layer
 (:mod:`repro.core.faults`): failed shards are retried with backoff, a
@@ -50,14 +55,15 @@ order, a faulted or resumed run is bit-identical to a fault-free one.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import pickle
 import time
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import (
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -83,12 +89,8 @@ from repro.core.engine import DetectionEngine
 from repro.core.schedule import SchedulePlan, plan_contiguous
 from repro.core.streaming import StreamingDetector
 from repro.core.telemetry import PipelineTelemetry, RunHealth
-from repro.io.shm import (
-    resolve_batches,
-    share_shard_batches,
-    want_shared_memory,
-)
 from repro.packet import PacketBatch
+from repro.telescope.chunks import CaptureChunk
 
 #: Fibonacci-hash multiplier: decorrelates the shard index from address
 #: structure (plain ``src % n`` would map whole prefixes to one shard).
@@ -120,22 +122,6 @@ def shard_batch(batch: PacketBatch, n_shards: int) -> List[PacketBatch]:
     return [batch.select(shard == i) for i in range(n_shards)]
 
 
-def merge_detectors(
-    detectors: Sequence[StreamingDetector],
-) -> StreamingDetector:
-    """Fold shard detectors into one (in shard order, for determinism).
-
-    Returns the first detector, now holding the union state; the rest
-    are consumed and must be discarded.
-    """
-    if not detectors:
-        raise ValueError("need at least one detector to merge")
-    merged = detectors[0]
-    for other in detectors[1:]:
-        merged.merge(other)
-    return merged
-
-
 @dataclass(frozen=True)
 class WorkerReport:
     """What one shard worker processed (telemetry, not results)."""
@@ -145,11 +131,12 @@ class WorkerReport:
     events_finalized: int
     open_flows: int
     peak_open_flows: int
-    #: wall-clock seconds spent inside the worker's detector loop.
+    #: wall-clock seconds spent inside the worker's loop (producing the
+    #: chunks plus detecting).
     seconds: float
     watermark: Optional[float]
-    #: wall-clock seconds spent generating this shard's capture (lazy
-    #: shard-local generation only; stays 0 when packets were shipped).
+    #: wall-clock seconds of ``seconds`` spent producing this shard's
+    #: chunks: generating them, or reading and verifying archives.
     generate_seconds: float = 0.0
     #: RNG span streams derived during lazy generation (pre-dedup
     #: derivation units; 0 when packets were shipped).
@@ -160,6 +147,11 @@ class WorkerReport:
     #: directory reads only; every worker sees the same archives, so
     #: the parent deduplicates when folding into ``RunHealth``).
     quarantined: Tuple[str, ...] = ()
+    #: one ``(index, window_end, packets, watermark)`` row per chunk the
+    #: source yielded: ``index`` names the chunk in the whole capture
+    #: (the same in every shard), ``packets`` counts this shard's share
+    #: and ``watermark`` is the shard detector's after folding it.
+    chunk_gauges: Tuple[tuple, ...] = ()
 
 
 @dataclass
@@ -179,28 +171,16 @@ class PacketSource(Protocol):
     """Where one shard's packets come from.
 
     Implementations are picklable (they cross into pool workers) and
-    yield time-ordered :class:`~repro.packet.PacketBatch`\\ es.  Once
-    exhausted, a source may add its own :class:`WorkerReport` fields to
-    ``report`` (quarantined archives, generation seconds...).
+    yield time-ordered :class:`~repro.telescope.chunks.CaptureChunk`\\ es
+    whose ``index`` is the chunk's position in the whole capture — the
+    same in every shard, so the parent can sum per-chunk gauges across
+    shards.  Once exhausted, a source may add its own
+    :class:`WorkerReport` fields to ``report`` (quarantined archives,
+    span counters...).
     """
 
-    def batches(self, report: dict) -> Iterator[PacketBatch]:
+    def chunks(self, report: dict) -> Iterator[CaptureChunk]:
         ...
-
-
-@dataclass(frozen=True)
-class MemorySource:
-    """Sub-batches the parent already routed to this shard.
-
-    ``payload`` is either the batch list (the pickled hand-off) or a
-    :class:`~repro.io.shm.ShmBatchList` handle, resolved in the worker
-    into read-only views of the parent's segment.
-    """
-
-    payload: object
-
-    def batches(self, report: dict) -> Iterator[PacketBatch]:
-        return iter(resolve_batches(self.payload))
 
 
 @dataclass(frozen=True)
@@ -211,23 +191,32 @@ class DirectorySource:
     damaged one raises (strict) or is skipped and reported back
     (``on_corrupt="quarantine"``) — every task skips the *same*
     archives, so degraded-mode results stay deterministic across shard
-    counts.
+    counts.  A chunk's index is its archive number; its window is the
+    epoch-aligned ``chunk_seconds`` window the manifest records, or its
+    own first and last timestamps when the manifest records none.
     """
 
     directory: str
     on_corrupt: str = "raise"
 
-    def batches(self, report: dict) -> Iterator[PacketBatch]:
-        from repro.io.packetlog import iter_packets_verified
+    def chunks(self, report: dict) -> Iterator[CaptureChunk]:
+        from repro.io.packetlog import iter_packets_verified, load_manifest
 
+        chunk_seconds = load_manifest(self.directory).get("chunk_seconds")
         quarantined: List[str] = []
-        for path, batch in iter_packets_verified(
-            self.directory, self.on_corrupt
+        for index, (path, batch) in enumerate(
+            iter_packets_verified(self.directory, self.on_corrupt)
         ):
             if batch is None:
                 quarantined.append(str(path))
                 continue
-            yield batch
+            if not len(batch):
+                continue
+            start, end = float(batch.ts.min()), float(batch.ts.max())
+            if chunk_seconds:
+                start = math.floor(start / chunk_seconds) * chunk_seconds
+                end = start + chunk_seconds
+            yield CaptureChunk(index, start, end, batch)
         report["quarantined"] = tuple(quarantined)
 
 
@@ -240,7 +229,8 @@ class LazySource:
     their capture with a
     :class:`~repro.telescope.chunks.LazyCaptureSource` — raw packets
     never cross a process boundary, and no process ever materializes a
-    full capture.
+    full capture.  A chunk's index is its window's position on the
+    epoch-aligned ``chunk_seconds`` grid; quiet windows are skipped.
     """
 
     scanners: list
@@ -248,20 +238,17 @@ class LazySource:
     chunk_seconds: float
     window: Optional[tuple] = None
 
-    def batches(self, report: dict) -> Iterator[PacketBatch]:
+    def chunks(self, report: dict) -> Iterator[CaptureChunk]:
         from repro.telescope.chunks import LazyCaptureSource
 
         source = LazyCaptureSource.from_population(
             self.scanners, self.view, self.chunk_seconds, window=self.window
         )
-        generate_seconds = 0.0
-        t_prev = time.perf_counter()
         for chunk in source:
-            generate_seconds += time.perf_counter() - t_prev
-            yield chunk.packets
-            t_prev = time.perf_counter()
+            yield dataclasses.replace(
+                chunk, index=round(chunk.start / self.chunk_seconds)
+            )
         report.update(
-            generate_seconds=generate_seconds,
             spans_derived=source.spans_derived,
             spans_emitted=source.spans_emitted,
         )
@@ -281,19 +268,26 @@ def fold(
     Top-level (not a closure) so it pickles under any multiprocessing
     start method.  ``shard_filter`` is ``None`` when the source holds
     only this shard's sources, else ``(n_shards, shard)``: keep the
-    packets with ``shard_of(src, n_shards) == shard``.  Returns the
-    *unfinished* detector — thresholds must only be derived after the
-    merge.
+    packets with ``shard_of(src, n_shards) == shard``.  Records one
+    gauge row per chunk (:attr:`WorkerReport.chunk_gauges`) and the
+    seconds spent waiting on the source.  Returns the *unfinished*
+    detector — thresholds must only be derived after the merge.
     """
-    t0 = time.perf_counter()
+    t0 = t_prev = time.perf_counter()
     detector = StreamingDetector(timeout, dark_size, config, day_seconds)
     extra: dict = {}
-    for batch in source.batches(extra):
+    gauges = []
+    source_seconds = 0.0
+    for chunk in source.chunks(extra):
+        source_seconds += time.perf_counter() - t_prev
+        batch = chunk.packets
         if shard_filter is not None:
             n_shards, keep = shard_filter
             batch = batch.select(shard_of(batch.src, n_shards) == keep)
         if len(batch):
             detector.add_batch(batch)
+        gauges.append((chunk.index, chunk.end, len(batch), detector.watermark))
+        t_prev = time.perf_counter()
     report = WorkerReport(
         shard=shard,
         packets=detector.packets_seen,
@@ -302,6 +296,8 @@ def fold(
         peak_open_flows=detector.peak_open_flows,
         seconds=time.perf_counter() - t0,
         watermark=detector.watermark,
+        generate_seconds=source_seconds,
+        chunk_gauges=tuple(gauges),
         **extra,
     )
     return detector, report
@@ -351,25 +347,6 @@ def _checkpoint_store(
     return store
 
 
-def _ship_payloads(payloads: List[List[PacketBatch]], shm, processes: bool):
-    """Choose the pool hand-off for per-shard batch lists.
-
-    Returns ``(worker_payloads, lease)``: either the lists themselves
-    (pickled hand-off, ``lease=None``) or one
-    :class:`~repro.io.shm.ShmBatchList` handle per shard backed by a
-    single named segment the caller must close after the pool joins.
-    The segment outlives any worker crash — retried and respawned
-    shards re-attach by name — because only the parent unlinks it.
-    """
-    if not want_shared_memory(
-        shm,
-        processes,
-        sum(batch.nbytes for batches in payloads for batch in batches),
-    ):
-        return payloads, None
-    return share_shard_batches(payloads, "detect")
-
-
 def _dump_detect_state(result: tuple) -> bytes:
     detector, report = result
     return pickle.dumps((detector.to_bytes(), report), protocol=4)
@@ -394,6 +371,67 @@ def _load_flow_state(payload: bytes) -> tuple:
     return flow_state_from_bytes(blob), report
 
 
+def _record_run(
+    telemetry: PipelineTelemetry,
+    reports: Sequence[WorkerReport],
+    engine: DetectionEngine,
+    events: int,
+    merge_seconds: float,
+) -> None:
+    """Fold the worker reports of a finished run into ``telemetry``.
+
+    Per-chunk gauges are summed across shards chunk by chunk, so the
+    chunk count, peak chunk and watermark lag do not depend on the
+    worker count; the run watermark after chunk ``i`` is the newest
+    shard watermark so far.  Stages: ``generate`` (producing chunks),
+    ``detect`` (folding them) and ``merge`` (merge plus finish).
+    """
+    rows = sorted(
+        (row for report in reports for row in report.chunk_gauges),
+        key=lambda row: row[0],
+    )
+    watermark = None
+    for _, group in groupby(rows, key=lambda row: row[0]):
+        group = list(group)
+        marks = [mark for *_, mark in group if mark is not None]
+        if watermark is not None:
+            marks.append(watermark)
+        watermark = max(marks) if marks else None
+        telemetry.record_chunk(
+            packets=sum(row[2] for row in group),
+            events_finalized=0,
+            open_flows=0,
+            window_end=group[0][1],
+            watermark=watermark,
+        )
+    for report in reports:
+        telemetry.record_worker(
+            shard=report.shard,
+            packets=report.packets,
+            events=report.events_finalized,
+            peak_open_flows=report.peak_open_flows,
+            seconds=report.seconds,
+            generate_seconds=report.generate_seconds,
+            spans_derived=report.spans_derived,
+            spans_emitted=report.spans_emitted,
+        )
+    packets = sum(r.packets for r in reports)
+    finalized = sum(r.events_finalized for r in reports)
+    telemetry.stage("generate").add(
+        packets, packets, sum(r.generate_seconds for r in reports)
+    )
+    telemetry.stage("detect").add(
+        packets,
+        finalized,
+        sum(r.seconds - r.generate_seconds for r in reports),
+    )
+    telemetry.stage("merge").add(finalized, events, merge_seconds)
+    telemetry.total_events = events
+    telemetry.final_open_flows = engine.open_flows
+    if engine.watermark is not None:
+        telemetry.watermark = engine.watermark
+
+
 def _detect(
     inputs: Sequence[Tuple[PacketSource, Optional[Tuple[int, int]]]],
     detector_args: tuple,
@@ -404,158 +442,66 @@ def _detect(
     retry: Optional[RetryPolicy],
     fault_plan: Optional[FaultPlan],
     checkpoint_dir: Union[str, Path, None],
-    lease=None,
 ) -> ParallelResult:
     """Run a sharded detection: fold every shard, merge, finish once.
 
-    The one execution path behind every detect entry point.
+    The one offline streaming detection driver, behind every entry
+    point and every worker count; a single shard folds in-process.
     ``inputs`` holds one ``(source, shard_filter)`` pair per shard;
     ``detector_args`` is ``(timeout, dark_size, config, day_seconds)``;
     ``meta`` names the entry point and its inputs for ``run.json``.
     The engine merges the shard states in shard order before deriving
-    thresholds once.  A shared-memory ``lease`` is closed as soon as the
-    pool has joined.
+    thresholds once; the worker reports are folded into ``telemetry``
+    here (:func:`_record_run`).
     """
     timeout, dark_size, config, day_seconds = detector_args
     workers = len(inputs)
     health = _resolve_health(telemetry)
-    try:
-        store = _checkpoint_store(
-            checkpoint_dir,
-            health,
-            {
-                **meta,
-                "workers": workers,
-                "timeout": float(timeout),
-                "dark_size": int(dark_size),
-                "day_seconds": float(day_seconds),
-                "config": _config_meta(config),
-            },
-        )
-        shard_results = run_sharded(
-            fold,
-            [
-                (shard, source, shard_filter, *detector_args)
-                for shard, (source, shard_filter) in enumerate(inputs)
-            ],
-            policy=retry,
-            plan=fault_plan,
-            use_processes=use_processes and workers > 1,
-            max_workers=workers,
-            health=health,
-            store=store,
-            kind="detect",
-            dumps=_dump_detect_state,
-            loads=_load_detect_state,
-        )
-    finally:
-        if lease is not None:
-            lease.close()
+    store = _checkpoint_store(
+        checkpoint_dir,
+        health,
+        {
+            **meta,
+            "workers": workers,
+            "timeout": float(timeout),
+            "dark_size": int(dark_size),
+            "day_seconds": float(day_seconds),
+            "config": _config_meta(config),
+        },
+    )
+    shard_results = run_sharded(
+        fold,
+        [
+            (shard, source, shard_filter, *detector_args)
+            for shard, (source, shard_filter) in enumerate(inputs)
+        ],
+        policy=retry,
+        plan=fault_plan,
+        use_processes=use_processes and workers > 1,
+        max_workers=workers,
+        health=health,
+        store=store,
+        kind="detect",
+        dumps=_dump_detect_state,
+        loads=_load_detect_state,
+    )
+    reports = [report for _, report in shard_results]
     # every shard reads the same archives: dedup, in order
     for path in dict.fromkeys(
-        path for _, report in shard_results for path in report.quarantined
+        path for report in reports for path in report.quarantined
     ):
         health.record_quarantine(path)
-    engine = DetectionEngine.from_shards(shard_results, telemetry=telemetry)
+    t0 = time.perf_counter()
+    engine = DetectionEngine.from_shards(
+        [detector for detector, _ in shard_results]
+    )
     events, detections = engine.finish()
+    if telemetry is not None:
+        _record_run(
+            telemetry, reports, engine, len(events), time.perf_counter() - t0
+        )
     return ParallelResult(
-        events=events,
-        detections=detections,
-        worker_reports=[report for _, report in shard_results],
-    )
-
-
-def parallel_detect(
-    chunks: Iterable,
-    timeout: float,
-    dark_size: int,
-    config: Optional[DetectionConfig] = None,
-    day_seconds: float = 86_400.0,
-    *,
-    workers: int,
-    shm: Optional[bool] = None,
-    use_processes: bool = True,
-    telemetry: Optional[PipelineTelemetry] = None,
-    retry: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    checkpoint_dir: Union[str, Path, None] = None,
-) -> ParallelResult:
-    """Shard-parallel equivalent of :func:`repro.core.streaming.stream_detect`.
-
-    Args:
-        chunks: time-ordered capture chunks — ``PacketBatch`` objects or
-            anything with a ``.packets`` batch attribute (e.g.
-            :class:`~repro.telescope.chunks.CaptureChunk`).  Each chunk
-            is split by :func:`shard_batch` as it arrives, so every
-            shard's sub-batches stay in time order.
-        workers: number of source shards, one detector (and, with
-            ``use_processes``, one worker process) per shard.
-        shm: hand shard payloads to the pool through a named
-            shared-memory segment (:mod:`repro.io.shm`) instead of
-            pickling them — workers map the segment read-only, so no
-            packet byte crosses a process pipe.  ``None`` (default)
-            decides automatically: shared memory when the pool uses
-            processes, the platform supports it, and the payload is at
-            least :data:`~repro.io.shm.SHM_MIN_BYTES`; ``True`` forces
-            it whenever possible; ``False`` always pickles.  Results
-            are bit-identical either way — the hand-off is pure
-            transport.
-        use_processes: run shards in a process pool; ``False`` runs them
-            serially in-process (same shard/merge code path — useful for
-            tests and as the degenerate ``workers=1`` case).
-        telemetry: optional gauge sink; chunk-level counters are
-            recorded while sharding, worker throughput after the join,
-            and fault accounting on ``telemetry.health``.
-        retry: per-shard retry/backoff/watchdog policy (defaults to
-            :class:`~repro.core.faults.RetryPolicy`).
-        fault_plan: deterministic fault injection (tests/CI only).
-        checkpoint_dir: persist each finished shard's detector state
-            here (atomic, digest-verified); re-running with the same
-            directory and parameters resumes, re-executing only the
-            missing shards.  The caller owns input identity for this
-            in-memory entry point — feed the same chunk stream when
-            resuming.
-
-    Returns the merged :class:`ParallelResult` whose events and
-    detections are identical to the serial streaming (and batch) path —
-    also under any injected faults, retries, or resume.
-    """
-    _check_workers(workers)
-    shard_batches: List[List[PacketBatch]] = [[] for _ in range(workers)]
-    t_prev = time.perf_counter()
-    shard_stage = telemetry.stage("shard") if telemetry is not None else None
-    for chunk in chunks:
-        batch = getattr(chunk, "packets", chunk)
-        if len(batch) == 0:
-            continue
-        for batches, sub in zip(shard_batches, shard_batch(batch, workers)):
-            if len(sub):
-                batches.append(sub)
-        if telemetry is not None:
-            now = time.perf_counter()
-            shard_stage.add(len(batch), len(batch), now - t_prev)
-            watermark = float(batch.ts.max())
-            telemetry.record_chunk(
-                packets=len(batch),
-                events_finalized=0,
-                open_flows=0,
-                window_end=getattr(chunk, "end", watermark),
-                watermark=watermark,
-            )
-            t_prev = time.perf_counter()
-    payloads, lease = _ship_payloads(
-        shard_batches, shm, use_processes and workers > 1
-    )
-    return _detect(
-        [(MemorySource(payload), None) for payload in payloads],
-        (timeout, dark_size, config, day_seconds),
-        {"kind": "detect"},
-        use_processes=use_processes,
-        telemetry=telemetry,
-        retry=retry,
-        fault_plan=fault_plan,
-        checkpoint_dir=checkpoint_dir,
-        lease=lease,
+        events=events, detections=detections, worker_reports=reports
     )
 
 
@@ -580,9 +526,9 @@ def parallel_detect_directory(
     packets of its own ``shard_of(src, workers)`` shard, so raw packets
     never cross a process boundary; only the (much smaller) merged
     detector states travel back.  The directory is validated up front —
-    a missing directory, no ``chunk-*.npz`` archives, or a gap in the
-    chunk sequence raise immediately with a clear message rather than
-    failing mid-run.
+    a missing directory, no ``chunk-*.npz`` archives, a gap in the
+    chunk sequence, or a missing or damaged manifest raise immediately
+    with a clear message rather than failing mid-run.
 
     Chunk archives are digest-verified against the directory manifest.
     ``on_corrupt="raise"`` (default) surfaces the first damaged archive
@@ -596,14 +542,16 @@ def parallel_detect_directory(
     ``run.json`` and a mismatched resume raises instead of merging
     incompatible states.
     """
-    from repro.io.packetlog import CORRUPT_MODES, chunk_paths
+    from repro.io.packetlog import CORRUPT_MODES, chunk_paths, load_manifest
 
     _check_workers(workers)
     if on_corrupt not in CORRUPT_MODES:
         raise ValueError(
             f"on_corrupt must be one of {CORRUPT_MODES}, got {on_corrupt!r}"
         )
-    chunk_paths(directory)  # validate eagerly, before any process spawns
+    # validate eagerly, before any process spawns
+    chunk_paths(directory)
+    load_manifest(directory)
     # Absolute, so a resume from another working directory reads the
     # same archives (run.json records it).
     directory = str(Path(directory).resolve())
@@ -637,7 +585,7 @@ def resume_run(
     reloads every shard state whose checkpoint verifies, and re-executes
     only the shards that are missing or damaged — the merged result is
     bit-identical to a fault-free run.  Runs whose inputs are not
-    file-addressable (in-memory chunks, lazy generation, flow slices)
+    file-addressable (lazy generation, flow slices)
     resume by re-invoking their entry point with the same
     ``checkpoint_dir`` instead.
     """
@@ -722,7 +670,7 @@ def parallel_generate_detect(
     parent or worker — ever materializes a capture, so peak memory per
     worker is one chunk plus open generation spans and open flows.
 
-    Results are identical to the serial and batch paths for any worker
+    Results are identical to the batch path for any worker
     count: sharding scanners by source is equivalent to sharding their
     packets (every packet carries its scanner's source), and thresholds
     are derived once, after the merge.

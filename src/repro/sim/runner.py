@@ -8,7 +8,6 @@ so the analyses can be re-run cheaply.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -17,7 +16,6 @@ import numpy as np
 from repro.config import DEFAULT_CHUNK_SECONDS
 from repro.core.detection import DetectionResult, detect_all
 from repro.core.events import EventTable, build_events
-from repro.core.engine import DetectionEngine
 from repro.core.telemetry import PipelineTelemetry
 from repro.flows.isp import ISPNetwork, build_campus_like, build_merit_like
 from repro.flows.netflow import NetflowExporter
@@ -227,52 +225,6 @@ def build_world(scenario: Scenario) -> tuple:
     return internet, telescope, population, capture, merit, campus, timeout
 
 
-def _stream_events_and_detections(
-    telescope: Telescope,
-    population: ScannerPopulation,
-    timeout: float,
-    scenario: Scenario,
-    chunk_seconds: float,
-) -> tuple:
-    """Run the lazy-generation -> incremental-detection pipeline.
-
-    Returns ``(events, detections, telemetry)``.  The detections are
-    identical to the batch path's (``detect_all`` over ``build_events``)
-    — the streaming layer only changes *when* work happens, never what
-    is computed — while peak memory is bounded by one chunk plus open
-    generation spans and the open-flow state: the capture is generated
-    window by window (:meth:`Telescope.stream`), never materialized.
-
-    A thin driver over :class:`~repro.core.engine.DetectionEngine`: the
-    runner only times the generation side of the loop; chunk routing,
-    detect-stage accounting and the finish-time flush live in the
-    engine (shared with the pool paths and the :mod:`repro.serve`
-    service).
-    """
-    source = telescope.stream(
-        population.scanners, chunk_seconds, window=scenario.window()
-    )
-    telemetry = PipelineTelemetry(chunk_seconds=chunk_seconds)
-    engine = DetectionEngine(
-        timeout,
-        telescope.size,
-        scenario.detection,
-        scenario.clock.seconds_per_day,
-        telemetry=telemetry,
-    )
-    generate_stage = telemetry.stage("generate")
-
-    t_prev = time.perf_counter()
-    for chunk in source:
-        t_chunked = time.perf_counter()
-        generate_stage.add(len(chunk), len(chunk), t_chunked - t_prev)
-        engine.ingest(chunk)
-        t_prev = time.perf_counter()
-
-    events, detections = engine.finish()
-    return events, detections, telemetry
-
-
 def run_scenario(
     scenario: Scenario,
     *,
@@ -294,9 +246,10 @@ def run_scenario(
     Args:
         scenario: what to simulate.
         mode: ``"batch"`` builds events and detects over the full
-            capture at once; ``"streaming"`` drives the chunked
-            capture -> incremental detection pipeline instead (same
-            detections, bounded memory, telemetry attached).
+            capture at once; ``"streaming"`` runs the shard driver
+            (:mod:`repro.parallel`) over the chunked capture instead —
+            same detections, bounded memory, telemetry attached — with
+            one worker as with many.
         chunk_seconds: streaming window size; defaults to the
             scenario's ``chunk_seconds``, then to
             :data:`repro.config.DEFAULT_CHUNK_SECONDS`.
@@ -307,15 +260,14 @@ def run_scenario(
             in *any* mode the columnar ISP flow synthesis behind
             ``collect_flows`` spreads cost-capped population slices
             across the same pool.  Defaults to the scenario's
-            ``workers``; ``None`` or 1 runs the serial pipelines.
+            ``workers``; ``None`` or 1 runs one shard in-process.
         capture_dir: detect over a ``save_packets_chunked`` directory
             instead of generating the capture (streaming mode only);
             archives are digest-verified against the chunk manifest.
         checkpoint_dir: persist finished shard states here; re-running
             (or :func:`repro.parallel.resume_run`) re-executes only the
-            missing shards.  Forces the sharded detection path even with
-            one worker, and routes flow collection's checkpoints to
-            ``<dir>/flows``.
+            missing shards.  Also routes flow collection's checkpoints
+            to ``<dir>/flows``.
         shard_retries: per-shard retry budget for transient worker
             failures (default policy when ``None``).
         on_corrupt: ``"raise"`` (default) fails on the first damaged
@@ -354,48 +306,43 @@ def run_scenario(
                 if scenario.chunk_seconds is not None
                 else DEFAULT_CHUNK_SECONDS
             )
-        if (workers or 1) == 1 and capture_dir is None and checkpoint_dir is None:
-            events, detections, telemetry = _stream_events_and_detections(
-                telescope, population, timeout, scenario, chunk_seconds
+        # Looked up at call time so instrumentation that wraps the
+        # module attributes sees these calls.
+        from repro import parallel
+
+        telemetry = PipelineTelemetry(chunk_seconds=chunk_seconds)
+        detect_args = (
+            timeout,
+            telescope.size,
+            scenario.detection,
+            scenario.clock.seconds_per_day,
+        )
+        sharded = dict(
+            workers=workers or 1,
+            telemetry=telemetry,
+            retry=retry,
+            checkpoint_dir=checkpoint_dir,
+        )
+        if capture_dir is not None:
+            # Replay: packets come from digest-verified chunk archives;
+            # ``on_corrupt`` selects strict or quarantine handling of
+            # damaged ones.
+            result = parallel.parallel_detect_directory(
+                capture_dir, *detect_args, on_corrupt=on_corrupt, **sharded
             )
         else:
-            # Looked up at call time so instrumentation that wraps the
-            # module attributes sees these calls.
-            from repro import parallel
-
-            telemetry = PipelineTelemetry(chunk_seconds=chunk_seconds)
-            detect_args = (
-                timeout,
-                telescope.size,
-                scenario.detection,
-                scenario.clock.seconds_per_day,
+            # Each worker generates its own shard's capture locally, so
+            # raw packets never cross a process pipe and nothing ever
+            # holds the full capture.
+            result = parallel.parallel_generate_detect(
+                population.scanners,
+                telescope.view(),
+                chunk_seconds,
+                *detect_args,
+                window=scenario.window(),
+                **sharded,
             )
-            sharded = dict(
-                workers=workers or 1,
-                telemetry=telemetry,
-                retry=retry,
-                checkpoint_dir=checkpoint_dir,
-            )
-            if capture_dir is not None:
-                # Replay: packets come from digest-verified chunk
-                # archives; ``on_corrupt`` selects strict or quarantine
-                # handling of damaged ones.
-                result = parallel.parallel_detect_directory(
-                    capture_dir, *detect_args, on_corrupt=on_corrupt, **sharded
-                )
-            else:
-                # Each worker generates its own shard's capture locally,
-                # so raw packets never cross a process pipe and nothing
-                # ever holds the full capture.
-                result = parallel.parallel_generate_detect(
-                    population.scanners,
-                    telescope.view(),
-                    chunk_seconds,
-                    *detect_args,
-                    window=scenario.window(),
-                    **sharded,
-                )
-            events, detections = result.events, result.detections
+        events, detections = result.events, result.detections
     else:
         capture = telescope.capture(population.scanners, scenario.window())
         events = build_events(capture.packets, timeout)

@@ -30,7 +30,6 @@ from repro.core.schedule import plan_contiguous
 from repro.core.telemetry import PipelineTelemetry, RunHealth
 from repro.io.packetlog import save_packets_chunked
 from repro.parallel import (
-    parallel_detect,
     parallel_detect_directory,
     parallel_flow_columns,
     resume_run,
@@ -359,19 +358,24 @@ _BATCH = _random_capture(97, n=6_000)
 _REF_EVENTS, _REF_DETECTIONS = _reference(_BATCH)
 
 
-def _chunks():
-    return (c for _, _, c in _BATCH.iter_time_chunks(3_600.0))
+@pytest.fixture(scope="module")
+def capture_dir_hourly(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("faults") / "cap"
+    save_packets_chunked(_BATCH, directory, 3_600.0)
+    return directory
 
 
 class TestFaultedDetectionIdentity:
     @settings(deadline=None, max_examples=16)
     @given(workers=st.integers(1, 8), victim=st.integers(0, 7))
-    def test_kill_any_shard_retry_identical(self, workers, victim):
+    def test_kill_any_shard_retry_identical(
+        self, capture_dir_hourly, workers, victim
+    ):
         """Crashing any single shard, any worker count: retry converges
         to the fault-free serial result, bit-identical."""
         plan = FaultPlan(kill={victim % workers: 1})
-        result = parallel_detect(
-            _chunks(),
+        result = parallel_detect_directory(
+            capture_dir_hourly,
             600.0,
             _DARK_SIZE,
             _CONFIG,
@@ -385,7 +389,9 @@ class TestFaultedDetectionIdentity:
 
     @settings(deadline=None, max_examples=12)
     @given(workers=st.integers(1, 8), victim=st.integers(0, 7))
-    def test_interrupt_then_resume_identical(self, workers, victim):
+    def test_interrupt_then_resume_identical(
+        self, capture_dir_hourly, workers, victim
+    ):
         """Kill with a zero retry budget (the run dies mid-flight), then
         resume into the same checkpoint directory: only missing shards
         re-run and the merged result is bit-identical to serial."""
@@ -393,8 +399,8 @@ class TestFaultedDetectionIdentity:
         telemetry = PipelineTelemetry(chunk_seconds=3_600.0)
         with tempfile.TemporaryDirectory() as run_dir:
             with pytest.raises(ShardFailedError):
-                parallel_detect(
-                    _chunks(),
+                parallel_detect_directory(
+                    capture_dir_hourly,
                     600.0,
                     _DARK_SIZE,
                     _CONFIG,
@@ -404,15 +410,8 @@ class TestFaultedDetectionIdentity:
                     fault_plan=FaultPlan(kill={victim: 1}),
                     checkpoint_dir=run_dir,
                 )
-            result = parallel_detect(
-                _chunks(),
-                600.0,
-                _DARK_SIZE,
-                _CONFIG,
-                workers=workers,
-                use_processes=False,
-                telemetry=telemetry,
-                checkpoint_dir=run_dir,
+            result = resume_run(
+                run_dir, use_processes=False, telemetry=telemetry
             )
         # The serial in-process pass runs shards in index order, so the
         # interrupted run checkpointed exactly the shards before the
@@ -421,49 +420,62 @@ class TestFaultedDetectionIdentity:
         _assert_tables_identical(result.events, _REF_EVENTS)
         _assert_detections_identical(result.detections, _REF_DETECTIONS)
 
-    def test_checkpoint_meta_mismatch_refuses_resume(self, tmp_path):
-        parallel_detect(
-            _chunks(), 600.0, _DARK_SIZE, _CONFIG,
+    def test_checkpoint_meta_mismatch_refuses_resume(
+        self, capture_dir_hourly, tmp_path
+    ):
+        parallel_detect_directory(
+            capture_dir_hourly, 600.0, _DARK_SIZE, _CONFIG,
             workers=2, use_processes=False,
             checkpoint_dir=tmp_path / "run",
         )
         with pytest.raises(ValueError, match="workers"):
-            parallel_detect(
-                _chunks(), 600.0, _DARK_SIZE, _CONFIG,
+            parallel_detect_directory(
+                capture_dir_hourly, 600.0, _DARK_SIZE, _CONFIG,
                 workers=4, use_processes=False,
                 checkpoint_dir=tmp_path / "run",
             )
 
     def test_shm_segment_unlinked_when_run_fails(self):
-        """Even a run that dies with retries exhausted unlinks its
-        shared-memory segment — the try/finally owns the lease."""
+        """A fold that fails still unlinks its shared-memory segment —
+        the engine's try/finally owns the lease.  Here the fold pool's
+        respawned worker refuses a shard whose state died with its
+        predecessor."""
+        import os
+        import signal
+        from multiprocessing import shared_memory
+
+        import repro.core.engine as engine_module
         import repro.io.shm as shm_module
-        import repro.parallel as parallel_module
+        from repro.core.engine import DetectionEngine
+        from repro.serve.foldpool import FoldPool, FoldPoolError
 
         if not shm_module.shared_memory_available():
             pytest.skip("platform has no usable shared memory")
         created = []
-        original = shm_module.share_shard_batches
+        original = engine_module.share_batches
 
-        def recording(shards, label="detect"):
-            handles, lease = original(shards, label)
+        def recording(batches, label="fold"):
+            handles, lease = original(batches, label)
             created.append(lease.name)
             return handles, lease
 
-        parallel_module.share_shard_batches = recording
+        chunks = [c for _, _, c in _BATCH.iter_time_chunks(3_600.0)]
+        engine_module.share_batches = recording
         try:
-            with pytest.raises(ShardFailedError):
-                parallel_detect(
-                    _chunks(), 600.0, _DARK_SIZE, _CONFIG,
-                    workers=2, use_processes=False, shm=True,
-                    fault_plan=FaultPlan(kill={0: 5}),
-                    retry=RetryPolicy(max_retries=1, backoff_seconds=0.0),
+            with FoldPool(1, shm=True) as pool:
+                engine = DetectionEngine(
+                    600.0, _DARK_SIZE, _CONFIG, workers=2
                 )
+                engine.attach_pool(pool, "fails")
+                engine.ingest(chunks[0])
+                os.kill(pool._workers[0].process.pid, signal.SIGKILL)
+                with pytest.raises(FoldPoolError):
+                    engine.ingest(chunks[1])
+                with pytest.raises(FoldPoolError, match="no state|out of sync"):
+                    engine.ingest(chunks[2])
         finally:
-            parallel_module.share_shard_batches = original
-        from multiprocessing import shared_memory
-
-        assert created
+            engine_module.share_batches = original
+        assert len(created) == 3
         for name in created:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
@@ -575,12 +587,11 @@ class TestDirectoryFaults:
             resume_run(tmp_path)
 
     def test_resume_run_rejects_non_directory_kind(self, tmp_path):
-        parallel_detect(
-            _chunks(), 600.0, _DARK_SIZE, _CONFIG,
-            workers=2, use_processes=False,
-            checkpoint_dir=tmp_path / "run",
+        # A lazy generate+detect run records its population, not files.
+        CheckpointStore(tmp_path / "run").require_meta(
+            {"kind": "generate", "workers": 2}
         )
-        with pytest.raises(ValueError, match="detect"):
+        with pytest.raises(ValueError, match="generate"):
             resume_run(tmp_path / "run")
 
 

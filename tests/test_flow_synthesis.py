@@ -20,7 +20,11 @@ from hypothesis import strategies as st
 
 from repro.fingerprint import Tool
 from repro.flows.isp import build_merit_like
-from repro.flows.netflow import FlowColumns, NetflowExporter
+from repro.flows.netflow import (
+    SAMPLE_STREAM_SALT,
+    FlowColumns,
+    NetflowExporter,
+)
 from repro.flows.synthesis import (
     collect_scanner_flows_loop,
     flow_base_seed,
@@ -33,6 +37,7 @@ from repro.packet import Protocol
 from repro.parallel import parallel_flow_columns
 from repro.scanners.base import ScanMode, Scanner, ScanSession, View
 from repro.sim.clock import SimClock
+from tests.test_netflow import flow_columns
 
 DAY = 86_400.0
 
@@ -275,9 +280,9 @@ class TestVectorizedExporter:
         exporter = NetflowExporter(
             sampling_rate=sampling_rate, keep_zero=keep_zero
         )
-        table = exporter.export(rows, np.random.default_rng(seed + 1))
+        table = exporter.export_columns(flow_columns(rows), seed)
 
-        scalar_rng = np.random.default_rng(seed + 1)
+        scalar_rng = np.random.default_rng((seed, SAMPLE_STREAM_SALT))
         expected = []
         for router, day, src, dport, proto, true_count in rows:
             sampled = exporter.sample_count(true_count, scalar_rng)
@@ -292,7 +297,7 @@ class TestVectorizedExporter:
         _assert_tables_identical(table, FlowTable.from_rows(expected))
 
     def test_export_columns_deterministic_by_seed(self):
-        columns = FlowColumns.from_rows(
+        columns = flow_columns(
             [(0, 0, 100, 80, 6, 50_000), (1, 1, 200, 23, 6, 9_000)]
         )
         exporter = NetflowExporter(sampling_rate=1_000)
@@ -365,7 +370,7 @@ class TestRunnerIntegration:
         assert len(merged) == 0
 
     def test_true_totals_grouping(self):
-        columns = FlowColumns.from_rows(
+        columns = flow_columns(
             [
                 (0, 0, 1, 80, 6, 10),
                 (0, 0, 2, 443, 6, 5),

@@ -1,5 +1,7 @@
 """Unit tests for event/flow serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -184,7 +186,7 @@ class TestPacketNpzBytes:
         if not shm.shared_memory_available():
             pytest.skip("platform has no usable shared memory")
         batch = _one_packet()
-        handle, lease = shm.share_batch(batch)
+        (handle,), lease = shm.share_batches([batch])
         with lease:
             self._roundtrip(handle.load())
 
@@ -306,13 +308,25 @@ class TestCrashSafeChunkIO:
         with pytest.raises(ChunkCorruptionError, match=MANIFEST_NAME):
             list(iter_packets_chunked(tmp_path / "cap"))
 
-    def test_directory_without_manifest_still_reads(self, batch, tmp_path):
+    def test_directory_without_manifest_is_refused(self, batch, tmp_path):
+        # Without its manifest no archive can be digest-checked, so the
+        # directory is refused in either mode rather than parse-only read.
         save_packets_chunked(batch, tmp_path / "cap", 3_600.0)
-        (tmp_path / "cap" / MANIFEST_NAME).unlink()
-        restored = PacketBatch.concat(
-            list(iter_packets_chunked(tmp_path / "cap"))
-        )
-        assert len(restored) == len(batch)
+        manifest = tmp_path / "cap" / MANIFEST_NAME
+        manifest.unlink()
+        for mode in ("raise", "quarantine"):
+            with pytest.raises(
+                ChunkCorruptionError, match=re.escape(str(manifest))
+            ):
+                list(iter_packets_chunked(tmp_path / "cap", on_corrupt=mode))
+        with pytest.raises(ChunkCorruptionError, match=MANIFEST_NAME):
+            verify_chunks(tmp_path / "cap")
+
+    def test_writer_writes_manifest_before_first_chunk(self, tmp_path):
+        ChunkWriter(tmp_path / "cap", 3_600.0)
+        manifest = load_manifest(tmp_path / "cap")
+        assert manifest["complete"] is False
+        assert manifest["chunks"] == {}
 
 
 class TestFlowLog:

@@ -1,5 +1,7 @@
 """Tests for the shard-parallel detection layer (repro.parallel)."""
 
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,13 @@ from hypothesis import strategies as st
 
 from repro.config import DetectionConfig
 from repro.core.detection import detect_all
+from repro.core.engine import DetectionEngine
 from repro.core.events import build_events
 from repro.core.telemetry import PipelineTelemetry
 from repro.io.packetlog import save_packets_chunked
 from repro.packet import PacketBatch, Protocol
 from repro.core.streaming import StreamingDetector
 from repro.parallel import (
-    merge_detectors,
-    parallel_detect,
     parallel_detect_directory,
     parallel_generate_detect,
     shard_batch,
@@ -109,39 +110,55 @@ class TestSharding:
         with pytest.raises(ValueError):
             shard_scanners(scanners, 0)
 
-    def test_merge_detectors_empty(self):
-        with pytest.raises(ValueError):
-            merge_detectors([])
+    def test_from_shards_empty(self):
+        with pytest.raises(ValueError, match="at least one"):
+            DetectionEngine.from_shards([])
+
+
+def _saved(batch, directory, chunk_seconds=3_600.0):
+    save_packets_chunked(batch, directory, chunk_seconds)
+    return directory
 
 
 class TestParallelDetect:
-    def test_matches_serial_with_processes(self):
+    """The shard driver: fold each shard's chunks, merge, finish once."""
+
+    def test_matches_serial_with_processes(self, tmp_path):
         batch = _random_capture(21)
         ref_events, ref_detections = _reference(batch)
-        chunks = (c for _, _, c in batch.iter_time_chunks(3_600.0))
-        result = parallel_detect(
-            chunks, 600.0, _DARK_SIZE, _CONFIG, workers=2
+        result = parallel_detect_directory(
+            _saved(batch, tmp_path / "cap"),
+            600.0,
+            _DARK_SIZE,
+            _CONFIG,
+            workers=3,
         )
         _assert_tables_identical(result.events, ref_events)
         _assert_detections_identical(result.detections, ref_detections)
-        assert result.workers == 2
+        assert result.workers == 3
 
-    def test_worker_reports_cover_capture(self):
+    def test_worker_reports_cover_capture(self, tmp_path):
         batch = _random_capture(22, n=8_000)
-        chunks = (c for _, _, c in batch.iter_time_chunks(3_600.0))
-        result = parallel_detect(
-            chunks, 600.0, _DARK_SIZE, _CONFIG, workers=3, use_processes=False
+        result = parallel_detect_directory(
+            _saved(batch, tmp_path / "cap"),
+            600.0,
+            _DARK_SIZE,
+            _CONFIG,
+            workers=3,
+            use_processes=False,
         )
         assert sum(r.packets for r in result.worker_reports) == len(batch)
         assert all(r.seconds >= 0 for r in result.worker_reports)
         assert [r.shard for r in result.worker_reports] == [0, 1, 2]
 
-    def test_telemetry_aggregation(self):
+    def test_telemetry_aggregation(self, tmp_path):
         batch = _random_capture(23, n=8_000)
+        chunks = [
+            c for _, _, c in batch.iter_time_chunks(3_600.0) if len(c)
+        ]
         telemetry = PipelineTelemetry(chunk_seconds=3_600.0)
-        chunks = (c for _, _, c in batch.iter_time_chunks(3_600.0))
-        result = parallel_detect(
-            chunks,
+        result = parallel_detect_directory(
+            _saved(batch, tmp_path / "cap"),
             600.0,
             _DARK_SIZE,
             _CONFIG,
@@ -156,15 +173,25 @@ class TestParallelDetect:
             w.peak_open_flows for w in telemetry.worker_stats
         )
         assert telemetry.final_open_flows == 0
-        assert "merge" in telemetry.stages
+        # per-chunk gauges are summed across shards, chunk by chunk
+        assert telemetry.chunks == len(chunks)
+        assert telemetry.peak_chunk_packets == max(len(c) for c in chunks)
+        assert set(telemetry.stages) == {"generate", "detect", "merge"}
         assert any(
             label == "workers" for label, _ in telemetry.summary_rows()
         )
         assert len(telemetry.as_dict()["workers"]) == 2
 
-    def test_invalid_workers(self):
+    def test_invalid_workers(self, tmp_path):
+        directory = _saved(_random_capture(24, n=100), tmp_path / "cap")
         with pytest.raises(ValueError):
-            parallel_detect([], 600.0, _DARK_SIZE, workers=0)
+            parallel_detect_directory(
+                directory, 600.0, _DARK_SIZE, workers=0
+            )
+        with pytest.raises(ValueError):
+            parallel_generate_detect(
+                [], None, 3_600.0, 600.0, _DARK_SIZE, workers=0
+            )
 
 
 class TestParallelDirectory:
@@ -277,10 +304,11 @@ class TestRunnerIntegration:
 
 
 # ----------------------------------------------------------------------
-# Property: for any shard count in 1..8, sharded streaming detection emits AH sets (and thresholds, and the
-# event table) identical to serial detect_all, for all three
-# definitions.  In-process execution — the shard/merge code path is
-# exactly the process-pool one.
+# Property: for any shard count in 1..8 and any chunking, sharded
+# streaming detection over a chunk directory emits AH sets (and
+# thresholds, and the event table) identical to serial detect_all, for
+# all three definitions.  In-process execution — the shard/merge code
+# path is exactly the process-pool one.
 # ----------------------------------------------------------------------
 
 packet_rows = st.lists(
@@ -306,15 +334,16 @@ def test_sharded_equals_serial(rows, workers, timeout, chunk_seconds):
     batch = _packets([(ts, s, d, p, TCP) for ts, s, d, p in rows])
     ref_events = build_events(batch, timeout)
     ref_detections = detect_all(ref_events, _DARK_SIZE, _CONFIG)
-    chunks = (c for _, _, c in batch.iter_time_chunks(chunk_seconds))
-    result = parallel_detect(
-        chunks,
-        timeout,
-        _DARK_SIZE,
-        _CONFIG,
-        workers=workers,
-        use_processes=False,
-    )
+    with tempfile.TemporaryDirectory() as directory:
+        save_packets_chunked(batch, directory, chunk_seconds)
+        result = parallel_detect_directory(
+            directory,
+            timeout,
+            _DARK_SIZE,
+            _CONFIG,
+            workers=workers,
+            use_processes=False,
+        )
     _assert_tables_identical(
         result.events, ref_events.sorted_canonical()
     )
@@ -322,10 +351,10 @@ def test_sharded_equals_serial(rows, workers, timeout, chunk_seconds):
 
 
 # ----------------------------------------------------------------------
-# Parity across packet sources: in-memory batches, a chunk directory and
-# lazy generation all run the same shard -> fold -> merge path, so every
-# source x worker count must reproduce the batch reference —
-# events, detections and the pool-run telemetry totals.
+# Parity across packet sources: a chunk directory and lazy generation
+# run the same shard -> fold -> merge path, so every source x worker
+# count must reproduce the batch reference — events, detections and the
+# pool-run telemetry totals.
 # ----------------------------------------------------------------------
 
 _PARITY_CHUNK_SECONDS = 6 * 3_600.0
@@ -348,6 +377,11 @@ def tiny_world(tmp_path_factory):
     events = build_events(capture, timeout)
     serial = StreamingDetector(*detect_args)
     serial.add_batch(capture)
+    windows = [
+        (end, chunk)
+        for _, end, chunk in capture.iter_time_chunks(_PARITY_CHUNK_SECONDS)
+        if len(chunk)
+    ]
     return {
         "scanners": population.scanners,
         "view": telescope.view(),
@@ -358,18 +392,13 @@ def tiny_world(tmp_path_factory):
         "events": events.sorted_canonical(),
         "detections": detect_all(events, *detect_args[1:]),
         "watermark": serial.watermark,
+        "chunks": len(windows),
+        "peak_chunk": max(len(chunk) for _, chunk in windows),
+        "max_lag": max(end - float(chunk.ts.max()) for end, chunk in windows),
     }
 
 
 def _run_source(world, source, **options):
-    if source == "memory":
-        chunks = (
-            c
-            for _, _, c in world["capture"].iter_time_chunks(
-                _PARITY_CHUNK_SECONDS
-            )
-        )
-        return parallel_detect(chunks, *world["detect_args"], **options)
     if source == "directory":
         return parallel_detect_directory(
             world["directory"], *world["detect_args"], **options
@@ -385,7 +414,7 @@ def _run_source(world, source, **options):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("source", ["memory", "directory", "lazy"])
+@pytest.mark.parametrize("source", ["directory", "lazy"])
 def test_sources_agree(tiny_world, source, workers):
     telemetry = PipelineTelemetry(chunk_seconds=_PARITY_CHUNK_SECONDS)
     result = _run_source(
@@ -400,10 +429,14 @@ def test_sources_agree(tiny_world, source, workers):
     assert telemetry.total_packets == len(tiny_world["capture"])
     assert telemetry.watermark == tiny_world["watermark"]
     assert len(telemetry.worker_stats) == workers
+    # one gauge row per capture window, whichever shards it touched
+    assert telemetry.chunks == tiny_world["chunks"]
+    assert telemetry.peak_chunk_packets == tiny_world["peak_chunk"]
+    assert telemetry.max_watermark_lag == tiny_world["max_lag"]
 
 
 @pytest.mark.parametrize("workers", range(1, 9))
-@pytest.mark.parametrize("source", ["memory", "directory", "lazy"])
+@pytest.mark.parametrize("source", ["directory", "lazy"])
 def test_one_shard_per_worker_by_source_hash(tiny_world, source, workers):
     # The detection layout: exactly one report per worker, shard i
     # holding every packet whose source hashes to i, and the batch

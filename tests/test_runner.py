@@ -102,7 +102,9 @@ class TestStreamingMode:
         )
         # Watermark lag is bounded by one chunk window.
         assert 0 <= telemetry.max_watermark_lag <= telemetry.chunk_seconds
-        assert set(telemetry.stages) == {"generate", "detect"}
+        # One worker runs the shard driver too: chunks are produced,
+        # folded, then merged and finished.
+        assert set(telemetry.stages) == {"generate", "detect", "merge"}
 
     def test_bounded_open_flow_state(self, tiny_streaming):
         telemetry = tiny_streaming.telemetry
