@@ -493,7 +493,11 @@ def main(argv: Optional[list] = None) -> int:
         raise SystemExit("--on-corrupt only applies with --capture-dir")
     if args.shard_retries is not None and args.shard_retries < 0:
         raise SystemExit("--shard-retries must be >= 0")
-    from repro.core.faults import ChunkCorruptionError, FaultError
+    from repro.core.faults import (
+        ChunkCorruptionError,
+        ChunkManifestError,
+        FaultError,
+    )
 
     try:
         report = run_study(
@@ -507,10 +511,15 @@ def main(argv: Optional[list] = None) -> int:
             on_corrupt=args.on_corrupt,
         )
     except ChunkCorruptionError as exc:
-        raise SystemExit(
-            f"{exc}\n(use --on-corrupt quarantine to skip damaged chunks "
-            "and continue)"
+        # Quarantine skips a damaged archive, never a bad manifest.
+        hint = (
+            "\n(use --on-corrupt quarantine to skip damaged chunks and "
+            "continue)"
+            if args.on_corrupt == "raise"
+            and not isinstance(exc, ChunkManifestError)
+            else ""
         )
+        raise SystemExit(f"{exc}{hint}")
     except FaultError as exc:
         hint = (
             ""

@@ -98,35 +98,22 @@ class StreamingECDF:
     def __len__(self) -> int:
         return self._n
 
-    def __setstate__(self, state: dict) -> None:
-        """Load a pickled histogram, or convert a sorted-run sample.
-
-        States pickled before the histogram carry ``_runs`` (sorted
-        sample arrays) and convert exactly.  A histogram whose values
-        are not strictly increasing and finite, or whose counts are not
-        positive or disagree with its total, raises ``ValueError``.
-        """
-        runs = state.pop("_runs", None)
-        if runs is not None:
-            state.pop("_cached", None)
-            sample = np.concatenate(runs) if runs else np.empty(0)
-            values, counts = np.unique(sample, return_counts=True)
-            state["_values"] = values.astype(np.float64)
-            state["_counts"] = counts.astype(np.int64)
-        values, counts = state["_values"], state["_counts"]
+    def _check(self) -> None:
+        """Raise ``ValueError`` unless the values are finite and strictly
+        increasing and the counts positive and summing to the total."""
+        values, counts = self._values, self._counts
         if (
             len(values) != len(counts)
             or not bool(np.all(np.isfinite(values)))
             or bool(np.any(np.diff(values) <= 0))
             or bool(np.any(counts < 1))
-            or int(counts.sum()) != state["_n"]
+            or int(counts.sum()) != self._n
         ):
             raise ValueError(
                 f"ECDF histogram disagrees: {len(values)} values for "
                 f"{len(counts)} counts summing to {int(counts.sum())}, "
-                f"total {state['_n']}"
+                f"total {self._n}"
             )
-        self.__dict__.update(state)
 
     def _absorb(self, values: np.ndarray, counts: np.ndarray) -> None:
         """Union sorted distinct ``values`` with their ``counts`` in."""

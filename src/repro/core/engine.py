@@ -35,13 +35,15 @@ ones:
 from __future__ import annotations
 
 import math
-import pickle
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.config import DetectionConfig
+from repro.core import statefile
 from repro.core.detection import DetectionResult
 from repro.core.events import EventTable
 from repro.core.faults import CheckpointStore
@@ -56,12 +58,10 @@ from repro.io.packetlog import packets_from_npz_bytes
 from repro.io.shm import resolve_batch, share_batches, want_shared_memory
 from repro.packet import PacketBatch
 
-#: Versioned header for engine snapshots.  Bump on any change to the
-#: payload layout; ``restore`` refuses a mismatched header so a stale
-#: snapshot is discarded (and the tenant re-fed), never half-loaded.
-ENGINE_STATE_MAGIC = b"repro-engine-state-v3\n"
-#: The previous header; its shard blobs convert on load.
-LEGACY_ENGINE_STATE_MAGIC = b"repro-engine-state-v2\n"
+#: Magic line of engine snapshots (:mod:`repro.core.statefile`);
+#: ``restore`` refuses any other, so a stale snapshot is discarded (and
+#: the tenant re-fed), never half-loaded.
+ENGINE_STATE_MAGIC = statefile.magic("engine")
 
 #: Checkpoint kind under which engine snapshots are stored.
 ENGINE_CKPT_KIND = "engine"
@@ -113,16 +113,6 @@ class EngineQuery:
     def ah_sources(self, definition: int = 1) -> set:
         """The current AH set for one definition."""
         return self.detections[definition].sources
-
-
-class DegradedSnapshotError(ValueError):
-    """A snapshot whose volume ECDF was compacted to a sample budget.
-
-    Engines once accepted a ``max_ecdf_samples`` budget that, once
-    exceeded, replaced the Definition-2 sample with order statistics.
-    Such a snapshot's thresholds are approximate, so it is refused
-    rather than continued as if it were exact.
-    """
 
 
 class ShardStateError(RuntimeError):
@@ -865,29 +855,29 @@ class DetectionEngine:
     def snapshot(self) -> bytes:
         """Serialize the whole live engine (config + all shard states).
 
-        The payload is a versioned header plus a pickle whose detector
-        states are themselves ``StreamingDetector.to_bytes`` blobs —
-        restoring re-validates each shard's own version header too.
+        v4 state (:mod:`repro.core.statefile`): the header holds the
+        configuration, chunk count, journal sequence and each shard
+        blob's length; one byte array holds the shards'
+        ``StreamingDetector.to_bytes`` blobs end to end, and restoring
+        re-validates each of those too.
         """
         if self._finished:
             raise RuntimeError("cannot snapshot a finished engine")
-        blobs = self._host.collect(self._shard_keys())
-        payload = {
+        blobs = [
+            blob if blob is not None else self._new_detector().to_bytes()
+            for blob in self._host.collect(self._shard_keys())
+        ]
+        header = {
             "timeout": self.timeout,
             "dark_size": self.dark_size,
-            "config": self.config,
+            "config": asdict(self.config),
             "day_seconds": self.day_seconds,
-            "workers": self.workers,
             "chunks": self._chunks_ingested,
-            # Read back with .get() so pre-journal v2 snapshots stay
-            # loadable (they replay the whole journal, which dedups).
             "last_seq": self._last_seq,
-            "detectors": [
-                blob if blob is not None else self._new_detector().to_bytes()
-                for blob in blobs
-            ],
+            "shard_bytes": [len(blob) for blob in blobs],
         }
-        return ENGINE_STATE_MAGIC + pickle.dumps(payload, protocol=4)
+        shards = np.frombuffer(b"".join(blobs), dtype=np.uint8)
+        return statefile.pack("engine", header, {"shards": shards})
 
     @classmethod
     def restore(
@@ -900,41 +890,38 @@ class DetectionEngine:
     ) -> "DetectionEngine":
         """Rebuild an engine serialized by :meth:`snapshot`.
 
-        A v2 snapshot (:data:`LEGACY_ENGINE_STATE_MAGIC`) loads too: its
-        shards convert to the current state exactly.  Raises
-        ``ValueError`` on a missing or unknown version header — such a
-        snapshot must be discarded, never half-loaded — and
-        :class:`DegradedSnapshotError` on a snapshot whose volume ECDF
-        was compacted to a sample budget.
+        Raises ``ValueError`` on anything else: a missing header,
+        another version (a v2 or v3 snapshot is refused by name), a
+        damaged array or shard.  Such a snapshot must be discarded,
+        never half-loaded.  Nothing is unpickled.
         """
-        header = ENGINE_STATE_MAGIC
-        if data.startswith(LEGACY_ENGINE_STATE_MAGIC):
-            header = LEGACY_ENGINE_STATE_MAGIC
-        if not data.startswith(header):
+        header, arrays = statefile.unpack(data, "engine", {"shards": "|u1"})
+        try:
+            lengths = [int(n) for n in header["shard_bytes"]]
+            engine = cls(
+                header["timeout"],
+                header["dark_size"],
+                DetectionConfig(**header["config"]),
+                header["day_seconds"],
+                workers=len(lengths),
+                telemetry=telemetry,
+                store=store,
+                snapshot_every_chunks=snapshot_every_chunks,
+            )
+            engine._chunks_ingested = int(header["chunks"])
+            engine._last_seq = int(header["last_seq"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"corrupt engine state: {exc!r}") from exc
+        shards = arrays["shards"]
+        if min(lengths) < 0 or sum(lengths) != len(shards):
             raise ValueError(
-                "not a serialized DetectionEngine snapshot (missing or "
-                f"mismatched header; expected {ENGINE_STATE_MAGIC!r})"
+                f"engine state shard lengths {lengths} do not cover its "
+                f"{len(shards)} shard bytes"
             )
-        payload = pickle.loads(data[len(header):])
-        if payload.get("degraded"):
-            raise DegradedSnapshotError(
-                "snapshot holds a volume ECDF compacted to a "
-                "max_ecdf_samples budget; its Definition-2 thresholds "
-                "are approximate, so it cannot resume as exact"
-            )
-        engine = cls(
-            payload["timeout"],
-            payload["dark_size"],
-            payload["config"],
-            payload["day_seconds"],
-            workers=payload["workers"],
-            telemetry=telemetry,
-            store=store,
-            snapshot_every_chunks=snapshot_every_chunks,
+        ends = np.cumsum(lengths).tolist()
+        engine._load_shards(
+            [shards[end - n:end].tobytes() for n, end in zip(lengths, ends)]
         )
-        engine._load_shards(payload["detectors"])
-        engine._chunks_ingested = int(payload["chunks"])
-        engine._last_seq = int(payload.get("last_seq", 0))
         engine._snapshot_seq = engine._last_seq
         return engine
 

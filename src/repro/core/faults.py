@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 import time
 from concurrent.futures import (
@@ -56,6 +55,14 @@ class ChunkCorruptionError(FaultError, ValueError):
     offending path in the message.  Not retryable: re-reading corrupt
     bytes cannot succeed, so :func:`run_sharded` surfaces it immediately
     instead of burning retries.
+    """
+
+
+class ChunkManifestError(ChunkCorruptionError):
+    """A chunk directory's digest manifest is missing or unreadable.
+
+    No chunk of such a directory can be verified, so quarantine mode
+    refuses it too.
     """
 
 
@@ -386,8 +393,8 @@ def run_sharded(
     health=None,
     store: Optional[CheckpointStore] = None,
     kind: str = "shard",
-    dumps: Callable = pickle.dumps,
-    loads: Callable = pickle.loads,
+    dumps: Callable = lambda result: json.dumps(result).encode(),
+    loads: Callable = json.loads,
     sleep: Callable = time.sleep,
 ) -> List:
     """Run ``worker(*shard_args[i])`` for every shard, resiliently.
@@ -412,8 +419,9 @@ def run_sharded(
       ``policy.watchdog_seconds``) is handled like a broken pool.
 
     With ``store`` set, each finished shard's result is serialized via
-    ``dumps`` and checkpointed; on entry, verified checkpoints are
-    loaded via ``loads`` and those shards are not re-run — this is the
+    ``dumps`` (JSON by default: checkpoint files are never unpickled)
+    and checkpointed; on entry, verified checkpoints are loaded via
+    ``loads`` and those shards are not re-run — this is the
     resume path, and it composes with every failure mode above.
 
     ``submit_order`` (a permutation of the shard indices) controls the

@@ -31,12 +31,13 @@ the watermark).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import DetectionConfig
+from repro.core import statefile
 from repro.core.detection import (
     DetectionResult,
     dispersion_result,
@@ -51,47 +52,40 @@ from repro.core.events import EventTable, _flow_keys, build_events
 from repro.packet import PacketBatch, SCANNING_PROTOCOLS
 
 
-# Open flows live in a columnar table sorted by composite flow key —
+# Open flows live in a columnar table sorted by composite flow key:
 # parallel numpy arrays for the numeric state (start, last, packets,
-# segment gauges) plus one dict of per-flow destination-segment lists.
-# Chunk folding is then a handful of vectorized passes (membership via
-# searchsorted on the sorted keys, batched in-place continuation
-# updates, batched closes straight into column chunks); Python-level
-# iteration is confined to destination-segment bookkeeping for the
-# flows a chunk actually touches.  Segments are numpy arrays, each
-# deduplicated *within* itself; the cross-segment union is deferred to
-# close time and computed for a whole close batch in one
-# lexsort/boundary pass (:func:`_union_counts`).  Long-lived flows are
-# compacted every :data:`_COMPACT_SEGMENTS` continuations so open-flow
-# memory is bounded by distinct destinations (<= dark size), never
-# flow length.
+# segment gauges).  Their destination sets live in one uint32 arena.
+# Each chunk a flow continues into appends one segment, a slice of the
+# arena deduplicated within itself, described by three segment columns
+# (flow key, arena offset, length) sorted by key, so a flow's segments
+# are one searchsorted range and survive the open table's splices
+# untouched.  Chunk folding is then a handful of vectorized passes with
+# no per-flow Python: membership via searchsorted on the sorted keys,
+# batched closes straight into column chunks, and the cross-segment
+# union deferred to close (or query) time and computed for a whole
+# batch of flows in one sort (:meth:`StreamingEventBuilder._union`).
+# A flow reaching :data:`_COMPACT_SEGMENTS` segments is compacted to one
+# in the same sort, so open-flow memory is bounded by distinct
+# destinations (<= dark size), never flow length.  Closed and compacted
+# segments leave dead arena values, gathered out in one fancy-index
+# pass once they outnumber the live ones.
 _COMPACT_SEGMENTS = 8
 
 _KEY_DPORT_MASK = np.uint64(0xFFFF)
 _KEY_PROTO_MASK = np.uint64(0xFF)
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+#: the open-flow table's columns, all parallel and sorted by ``_keys``.
+_OPEN = ("_keys", "_start", "_last", "_packets", "_nseg", "_dst_lo", "_dst_hi")
+#: the destination-segment columns, sorted by ``_seg_key``.
+_SEGMENTS = ("_seg_key", "_seg_off", "_seg_len")
 
 
-def _union_counts(seg_lists: List[list]) -> np.ndarray:
-    """Distinct-destination counts for many multi-segment flows at once.
-
-    One lexsort over all (flow, dst) pairs replaces a per-flow
-    ``set().union(*segments)``; segments are already deduplicated
-    internally, so the pair count is bounded by segments' total size.
-    """
-    lens = np.fromiter(
-        (sum(len(s) for s in segs) for segs in seg_lists),
-        dtype=np.int64,
-        count=len(seg_lists),
-    )
-    ids = np.repeat(np.arange(len(seg_lists)), lens)
-    vals = np.concatenate([s for segs in seg_lists for s in segs])
-    order = np.lexsort((vals, ids))
-    ids = ids[order]
-    vals = vals[order]
-    first = np.empty(len(vals), dtype=bool)
-    first[0] = True
-    first[1:] = (ids[1:] != ids[:-1]) | (vals[1:] != vals[:-1])
-    return np.bincount(ids[first], minlength=len(seg_lists)).astype(np.int64)
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices of the concatenated ranges ``[start, start + length)``."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(total)
 
 
 def _columns_to_table(chunks: List[tuple]) -> EventTable:
@@ -126,9 +120,8 @@ class StreamingEventBuilder:
     lexsort/segment-boundary construction the batch builder uses), and
     the open-flow state that survives chunk boundaries is itself
     columnar: a key-sorted struct-of-arrays table spliced with
-    searchsorted membership, batched in-place updates, and batched
-    closes.  Python-level iteration happens only for the
-    destination-segment lists of flows the chunk touches.
+    searchsorted membership and batched closes, plus a destination
+    arena addressed by key-sorted segment columns.
     """
 
     def __init__(self, timeout: float):
@@ -144,15 +137,19 @@ class StreamingEventBuilder:
         #: destinations: the largest segment (``_dst_lo``) and the sum of
         #: segment lengths (``_dst_hi``).  Segments are deduped
         #: internally, so both are exact while ``_nseg == 1`` and
-        #: single-segment closes never touch Python.
+        #: single-segment closes never read the arena.
         self._nseg = np.empty(0, dtype=np.int64)
         self._dst_lo = np.empty(0, dtype=np.int64)
         self._dst_hi = np.empty(0, dtype=np.int64)
-        #: flow key -> list of per-continuation destination arrays.  A
-        #: restored builder's segments are views into one array (see
-        #: :meth:`__setstate__`) until a close or a compaction replaces
-        #: them.
-        self._segs: Dict[int, list] = {}
+        #: destination segments sorted by flow key (one flow's in
+        #: continuation order): key, offset into the arena, length.
+        self._seg_key = np.empty(0, dtype=np.uint64)
+        self._seg_off = np.empty(0, dtype=np.int64)
+        self._seg_len = np.empty(0, dtype=np.int64)
+        #: destination arena; ``_arena[:_fill]`` is written, and values
+        #: no segment addresses are dead.
+        self._arena = np.empty(0, dtype=np.uint32)
+        self._fill = 0
         #: finalized column chunks awaiting drain/finish.
         self._closed_cols: List[tuple] = []
         self._pending_closed = 0
@@ -180,71 +177,6 @@ class StreamingEventBuilder:
     def watermark(self) -> Optional[float]:
         """Timestamp of the latest packet folded in."""
         return self._watermark
-
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle the segment map as four columns, not one array per flow.
-
-        Tens of thousands of open flows each hold a few small
-        destination arrays, and pickling them one by one dominated every
-        detector snapshot.  The map travels as its flow keys, segments
-        per key, segment lengths and one concatenated destination array.
-        """
-        state = self.__dict__.copy()
-        segs = state.pop("_segs")
-        flat = [seg for key_segs in segs.values() for seg in key_segs]
-        state["_seg_columns"] = (
-            np.fromiter(segs, dtype=np.uint64, count=len(segs)),
-            np.fromiter(map(len, segs.values()), np.int64, len(segs)),
-            np.fromiter(map(len, flat), dtype=np.int64, count=len(flat)),
-            np.concatenate(flat) if flat else np.empty(0, dtype=np.uint32),
-        )
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        """Rebuild the segment map from :meth:`__getstate__`'s columns.
-
-        A state pickled before the columnar form carries the plain
-        ``_segs`` dict and loads as it is; one pickled before the
-        destination bounds carries ``_seg0`` and gets its bounds from the
-        segments.  Columns that disagree with each other or with the open
-        table raise ``ValueError``: a short map would silently miscount
-        distinct destinations.
-        """
-        columns = state.pop("_seg_columns", None)
-        if columns is not None:
-            keys, per_key, lengths, values = columns
-            if (
-                len(per_key) != len(keys)
-                or int(per_key.sum()) != len(lengths)
-                or int(lengths.sum()) != len(values)
-                or bool((per_key < 0).any() or (lengths < 0).any())
-                or not np.array_equal(np.sort(keys), state["_keys"])
-            ):
-                raise ValueError(
-                    "packed open-flow segments disagree: "
-                    f"{len(keys)} keys for {len(state['_keys'])} open "
-                    f"flows, {int(per_key.sum())} segments per key "
-                    f"for {len(lengths)} lengths, {int(lengths.sum())} "
-                    f"destinations for {len(values)} values"
-                )
-            ends = np.cumsum(lengths).tolist()
-            segments = [
-                values[e - n:e] for n, e in zip(lengths.tolist(), ends)
-            ]
-            ends = np.cumsum(per_key).tolist()
-            state["_segs"] = {
-                key: segments[e - n:e]
-                for key, n, e in zip(keys.tolist(), per_key.tolist(), ends)
-            }
-        if state.pop("_seg0", None) is not None:
-            lengths = [
-                [len(seg) for seg in state["_segs"][key]]
-                for key in state["_keys"].tolist()
-            ]
-            state["_dst_lo"] = np.fromiter(map(max, lengths), np.int64)
-            state["_dst_hi"] = np.fromiter(map(sum, lengths), np.int64)
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     def add_batch(self, batch: PacketBatch) -> None:
@@ -336,79 +268,92 @@ class StreamingEventBuilder:
         mpos = pos[matched]
         cont[matched] = ev_start[kf[matched]] - self._last[mpos] <= timeout
         single = kf == kl
+        cs = cont & single
+        cm = cont & ~single
 
         closed_mask = np.ones(n_events, dtype=bool)
         closed_mask[kl] = False
         closed_mask[kf[cont]] = False
 
-        # Destination-segment bookkeeping: the only per-flow Python
-        # work, confined to keys whose flows the chunk continues.
-        new_nseg = np.ones(nk, dtype=np.int64)
-        new_lo = ev_unique[kl].copy()
-        new_hi = new_lo.copy()
-        segs_map = self._segs
-        for i in np.flatnonzero(cont).tolist():
-            e0 = kf[i]
-            segs = segs_map[int(chunk_keys[i])]
-            segs.append(ev_dst[ev_off[e0]:ev_off[e0 + 1]].copy())
-            if single[i]:
-                if len(segs) >= _COMPACT_SEGMENTS:
-                    # Compact long-lived flows: unmerged per-chunk
-                    # segments would grow O(flow packets), while the
-                    # union is bounded by the dark size.
-                    merged = np.unique(np.concatenate(segs))
-                    segs_map[int(chunk_keys[i])] = [merged]
-                    new_nseg[i] = 1
-                    new_lo[i] = new_hi[i] = len(merged)
-                else:
-                    new_nseg[i] = len(segs)
-        # A continued single-event key that grew a segment: its bounds
-        # take the new segment's length (``new_lo``/``new_hi`` so far).
-        grown = cont & single & (new_nseg > 1)
-        new_lo[grown] = np.maximum(self._dst_lo[pos[grown]], new_lo[grown])
-        new_hi[grown] += self._dst_hi[pos[grown]]
-
-        # Continued flows whose key has further in-chunk events: the
-        # merged first event is final.  Fold the merge into the table
-        # in place, then close those rows together with the flows that
-        # expired before their key's first packet.
-        cm = cont & ~single
-        cm_rows = pos[cm]
-        if len(cm_rows):
-            self._last[cm_rows] = ev_end[kf[cm]]
-            self._packets[cm_rows] += ev_packets[kf[cm]]
-            self._nseg[cm_rows] += 1
-        exp_rows = pos[matched & ~cont]
-        n_new_rows = self._close_rows(np.concatenate([exp_rows, cm_rows]))
+        # A continued key's first chunk event joins its open flow as a
+        # new segment.  Flows that close now (``cm``: the key has later
+        # events) and flows reaching the compaction point need their
+        # exact union: one sort over all of them.
+        compact = cs.copy()
+        compact[cs] = self._nseg[pos[cs]] + 1 >= _COMPACT_SEGMENTS
+        unite = np.flatnonzero(cm | compact)
+        first = kf[unite]
+        counts, flows, merged = self._union(
+            pos[unite],
+            np.repeat(np.arange(len(unite)), ev_unique[first]),
+            ev_dst[_ranges(ev_off[first], ev_unique[first])],
+        )
+        closing = cm[unite]
+        compacted = unite[~closing]
 
         # Every chunk key ends with an open flow built from its last
-        # event; a continued single-event key keeps the merged state.
-        cs = cont & single
+        # event; a continued single-event key keeps the merged state and
+        # grows a segment, or is compacted to one.
+        new_nseg = np.ones(nk, dtype=np.int64)
+        seg_len = ev_unique[kl]
+        new_lo = seg_len.copy()
+        new_hi = seg_len.copy()
+        grown = cs & ~compact
+        gpos = pos[grown]
+        new_nseg[grown] = self._nseg[gpos] + 1
+        new_lo[grown] = np.maximum(self._dst_lo[gpos], new_lo[grown])
+        new_hi[grown] += self._dst_hi[gpos]
+        new_lo[compacted] = new_hi[compacted] = counts[~closing]
+
+        # Close the continued flows whose key has further in-chunk
+        # events (the merged first event is final) together with the
+        # flows that expired before their key's first packet.
+        n_new_rows = self._close_rows(pos[matched & ~cont])
+        rows, ends = pos[cm], kf[cm]
+        if len(rows):
+            src, dport, proto, start, _, packets, _ = self._row_columns(
+                rows, counts[closing]
+            )
+            self._closed_cols.append(
+                (src, dport, proto, start, ev_end[ends],
+                 packets + ev_packets[ends], counts[closing])
+            )
+            n_new_rows += len(rows)
+
         cs_rows = pos[cs]
         new_start = ev_start[kl].copy()
         new_last = ev_end[kl]
         new_packets = ev_packets[kl].copy()
         new_start[cs] = self._start[cs_rows]
         new_packets[cs] += self._packets[cs_rows]
-        for i in np.flatnonzero(~cs).tolist():
-            e = kl[i]
-            segs_map[int(chunk_keys[i])] = [
-                ev_dst[ev_off[e]:ev_off[e + 1]].copy()
-            ]
 
         # Splice: drop every matched row (closed or about to be
         # re-inserted merged), insert all chunk keys sorted.
         keep = np.ones(n_open, dtype=bool)
         keep[mpos] = False
-        kept_keys = self._keys[keep]
-        ins = np.searchsorted(kept_keys, chunk_keys)
-        self._keys = np.insert(kept_keys, ins, chunk_keys)
-        self._start = np.insert(self._start[keep], ins, new_start)
-        self._last = np.insert(self._last[keep], ins, new_last)
-        self._packets = np.insert(self._packets[keep], ins, new_packets)
-        self._nseg = np.insert(self._nseg[keep], ins, new_nseg)
-        self._dst_lo = np.insert(self._dst_lo[keep], ins, new_lo)
-        self._dst_hi = np.insert(self._dst_hi[keep], ins, new_hi)
+        ins = np.searchsorted(self._keys[keep], chunk_keys)
+        for name, new in zip(
+            _OPEN,
+            (chunk_keys, new_start, new_last, new_packets, new_nseg,
+             new_lo, new_hi),
+        ):
+            setattr(self, name, np.insert(getattr(self, name)[keep], ins, new))
+
+        # One new segment per chunk key: its last event's destinations
+        # (for a grown key that is its only event), or a compacted
+        # flow's union.  Every other segment of a non-grown key dies.
+        seg_len[compacted] = counts[~closing]
+        seg_at = ev_off[kl]
+        seg_at[compacted] = len(ev_dst) + np.cumsum(
+            counts[~closing]
+        ) - counts[~closing]
+        pool = np.concatenate([ev_dst, merged[~closing[flows]]])
+        self._splice_segments(
+            chunk_keys[matched & ~grown],
+            chunk_keys,
+            pool[_ranges(seg_at, seg_len)],
+            seg_len,
+        )
 
         if bool(closed_mask.any()):
             self._closed_cols.append(
@@ -428,6 +373,76 @@ class StreamingEventBuilder:
         self._peak_open = max(self._peak_open, len(self._keys))
         self._watermark = last_ts
 
+    def _union(
+        self,
+        rows: np.ndarray,
+        flow: Optional[np.ndarray] = None,
+        dst: Optional[np.ndarray] = None,
+    ) -> tuple:
+        """Distinct destinations of open rows: ``(counts, flows, dsts)``.
+
+        Every segment of ``rows``, plus the extra ``(flow, dst)`` pairs
+        (``flow`` indexing ``rows``), goes through one sort of packed
+        ``flow << 32 | dst`` pairs.  ``counts[i]`` is row ``rows[i]``'s
+        distinct-destination count; the distinct pairs come back as
+        ``flows``/``dsts``, sorted by flow, then destination.
+        """
+        nseg = self._nseg[rows]
+        seg = _ranges(np.searchsorted(self._seg_key, self._keys[rows]), nseg)
+        lengths = self._seg_len[seg]
+        ids = np.repeat(np.repeat(np.arange(len(rows)), nseg), lengths)
+        pairs = [
+            (ids.astype(np.uint64) << np.uint64(32))
+            | self._arena[_ranges(self._seg_off[seg], lengths)]
+        ]
+        if flow is not None:
+            pairs.append((flow.astype(np.uint64) << np.uint64(32)) | dst)
+        pairs = np.unique(np.concatenate(pairs))
+        flows = (pairs >> np.uint64(32)).astype(np.intp)
+        return (
+            np.bincount(flows, minlength=len(rows)),
+            flows,
+            (pairs & _LOW32).astype(np.uint32),
+        )
+
+    def _splice_segments(
+        self,
+        drop: np.ndarray,
+        keys=(),
+        values: Optional[np.ndarray] = None,
+        lengths: Optional[np.ndarray] = None,
+    ) -> None:
+        """Drop every segment of the sorted flow keys ``drop``, then add
+        one segment per sorted key in ``keys``, after that key's others:
+        ``lengths`` of them, concatenated in ``values``.  Gathers the
+        arena once its dead values outnumber the live ones."""
+        if len(drop):
+            lo = np.searchsorted(self._seg_key, drop)
+            hi = np.searchsorted(self._seg_key, drop, side="right")
+            live = np.ones(len(self._seg_key), dtype=bool)
+            live[_ranges(lo, hi - lo)] = False
+            for name in _SEGMENTS:
+                setattr(self, name, getattr(self, name)[live])
+        if len(keys):
+            start, end = self._fill, self._fill + len(values)
+            if end > len(self._arena):
+                grown = np.empty(max(end, 2 * len(self._arena)), np.uint32)
+                grown[:start] = self._arena[:start]
+                self._arena = grown
+            self._arena[start:end] = values
+            self._fill = end
+            at = np.searchsorted(self._seg_key, keys, side="right")
+            self._seg_key = np.insert(self._seg_key, at, keys)
+            self._seg_off = np.insert(
+                self._seg_off, at, start + np.cumsum(lengths) - lengths
+            )
+            self._seg_len = np.insert(self._seg_len, at, lengths)
+        live = int(self._seg_len.sum())
+        if self._fill > 2 * live:
+            self._arena = self._arena[_ranges(self._seg_off, self._seg_len)]
+            self._seg_off = np.cumsum(self._seg_len) - self._seg_len
+            self._fill = live
+
     def _row_columns(
         self, rows: np.ndarray, n_dsts: Optional[np.ndarray] = None
     ) -> tuple:
@@ -443,9 +458,7 @@ class StreamingEventBuilder:
             n_dsts = self._dst_lo[rows].copy()
             multi = np.flatnonzero(self._nseg[rows] > 1)
             if len(multi):
-                n_dsts[multi] = _union_counts(
-                    [self._segs[int(k)] for k in keys[multi]]
-                )
+                n_dsts[multi] = self._union(rows[multi])[0]
         return (
             (keys >> np.uint64(24)).astype(np.uint32),
             ((keys >> np.uint64(8)) & _KEY_DPORT_MASK).astype(np.uint16),
@@ -468,23 +481,18 @@ class StreamingEventBuilder:
         reach = self._dst_lo >= threshold
         straddle = np.flatnonzero(~reach & (self._dst_hi >= threshold))
         if len(straddle):
-            reach[straddle] = _union_counts(
-                [self._segs[int(k)] for k in self._keys[straddle]]
-            ) >= threshold
+            reach[straddle] = self._union(straddle)[0] >= threshold
         return (self._keys[reach] >> np.uint64(24)).astype(np.uint32)
 
     def _close_rows(self, rows: np.ndarray) -> int:
         """Close open-table rows by index: one column chunk, batched.
 
-        Rows are *not* removed from the table here — callers compact or
-        rebuild the arrays.
+        Neither the rows nor their segments are removed here — callers
+        splice both.
         """
         if not len(rows):
             return 0
         self._closed_cols.append(self._row_columns(rows))
-        segs_map = self._segs
-        for k in self._keys[rows].tolist():
-            del segs_map[k]
         return len(rows)
 
     def _expire_before(self, now: float) -> None:
@@ -494,16 +502,45 @@ class StreamingEventBuilder:
         if not bool(expired.any()):
             return
         n = self._close_rows(np.flatnonzero(expired))
-        keep = ~expired
-        self._keys = self._keys[keep]
-        self._start = self._start[keep]
-        self._last = self._last[keep]
-        self._packets = self._packets[keep]
-        self._nseg = self._nseg[keep]
-        self._dst_lo = self._dst_lo[keep]
-        self._dst_hi = self._dst_hi[keep]
+        dropped = self._keys[expired]
+        for name in _OPEN:
+            setattr(self, name, getattr(self, name)[~expired])
+        self._splice_segments(dropped)
         self._n_closed += n
         self._pending_closed += n
+
+    def _derive_segments(self) -> None:
+        """Rebuild a loaded builder's derived columns: segment keys and
+        offsets into a gathered arena, and the destination bounds.
+
+        Serialized state holds only the open table's ``_nseg``, each
+        segment's length and the live arena values in segment order, so
+        everything else agrees with them by construction.  Raises
+        ``ValueError`` when those disagree: an unsorted open table, a
+        flow without segments, segment counts that miss the segment
+        lengths, or lengths that miss the arena.
+        """
+        n, nseg, lengths = len(self._keys), self._nseg, self._seg_len
+        if not (
+            all(len(getattr(self, name)) == n for name in _OPEN[:5])
+            and _increasing(self._keys)
+            and not bool(np.any(nseg < 1))
+            and int(nseg.sum()) == len(lengths)
+            and not bool(np.any(lengths < 1))
+            and int(lengths.sum()) == len(self._arena)
+        ):
+            raise ValueError(
+                f"open-flow segments disagree with the open table: {n} "
+                f"open flows with {int(nseg.sum())} segments, "
+                f"{len(lengths)} segment lengths summing to "
+                f"{int(lengths.sum())}, arena {len(self._arena)}"
+            )
+        first = np.cumsum(nseg) - nseg
+        self._seg_key = np.repeat(self._keys, nseg)
+        self._seg_off = np.cumsum(lengths) - lengths
+        self._fill = len(self._arena)
+        self._dst_lo = np.maximum.reduceat(lengths, first) if n else nseg
+        self._dst_hi = np.add.reduceat(lengths, first) if n else nseg
 
     # ------------------------------------------------------------------
     def _pending_table(self) -> EventTable:
@@ -541,7 +578,9 @@ class StreamingEventBuilder:
         the two builders must have been fed *disjoint* flow-key
         populations — hash-sharding packets by source address guarantees
         this, since a flow key starts with the source — so open flows
-        never collide.  ``other`` should be discarded afterwards.
+        never collide.  The open tables and segment columns concatenate
+        and re-sort by key; ``other``'s arena is appended to this one's.
+        ``other`` should be discarded afterwards.
 
         The merged peak-open gauge is the *sum* of both peaks: shards
         run concurrently in separate processes, so the aggregate state
@@ -564,18 +603,26 @@ class StreamingEventBuilder:
                 f"open-flow keys overlap across builders (e.g. "
                 f"{example}); shards must partition sources"
             )
-        merged_keys = np.concatenate([self._keys, other._keys])
-        order = np.argsort(merged_keys, kind="stable")
-        self._keys = merged_keys[order]
-        self._start = np.concatenate([self._start, other._start])[order]
-        self._last = np.concatenate([self._last, other._last])[order]
-        self._packets = np.concatenate(
-            [self._packets, other._packets]
-        )[order]
-        self._nseg = np.concatenate([self._nseg, other._nseg])[order]
-        self._dst_lo = np.concatenate([self._dst_lo, other._dst_lo])[order]
-        self._dst_hi = np.concatenate([self._dst_hi, other._dst_hi])[order]
-        self._segs.update(other._segs)
+        order = np.argsort(np.concatenate([self._keys, other._keys]))
+        for name in _OPEN:
+            setattr(
+                self,
+                name,
+                np.concatenate([getattr(self, name), getattr(other, name)])[
+                    order
+                ],
+            )
+        other_off = other._seg_off + self._fill
+        order = np.argsort(
+            np.concatenate([self._seg_key, other._seg_key]), kind="stable"
+        )
+        self._seg_key = np.concatenate([self._seg_key, other._seg_key])[order]
+        self._seg_off = np.concatenate([self._seg_off, other_off])[order]
+        self._seg_len = np.concatenate([self._seg_len, other._seg_len])[order]
+        self._arena = np.concatenate(
+            [self._arena[:self._fill], other._arena[:other._fill]]
+        )
+        self._fill = len(self._arena)
         self._closed_cols.extend(other._closed_cols)
         self._pending_closed += other._pending_closed
         self._n_closed += other._n_closed
@@ -595,13 +642,9 @@ class StreamingEventBuilder:
         the complete event table, ordered like the batch builder's.
         """
         self._close_rows(np.arange(len(self._keys)))
-        self._keys = np.empty(0, dtype=np.uint64)
-        self._start = np.empty(0, dtype=np.float64)
-        self._last = np.empty(0, dtype=np.float64)
-        self._packets = np.empty(0, dtype=np.int64)
-        self._nseg = np.empty(0, dtype=np.int64)
-        self._dst_lo = np.empty(0, dtype=np.int64)
-        self._dst_hi = np.empty(0, dtype=np.int64)
+        for name in _OPEN + _SEGMENTS + ("_arena",):
+            setattr(self, name, getattr(self, name)[:0])
+        self._fill = 0
         table = _columns_to_table(self._closed_cols)
         self._closed_cols = []
         self._pending_closed = 0
@@ -745,23 +788,10 @@ class PortDayState:
         self._keys = np.empty(0, dtype=np.int64)
         self._counts = np.empty(0, dtype=np.int64)
 
-    def __setstate__(self, state: dict) -> None:
-        """Load a pickled set, or convert a pickled list of triple runs.
-
-        States pickled before the set carry ``_runs`` and convert
-        exactly (duplicates across runs count once).  A set whose pairs
-        or triples are not sorted and unique, or whose counts disagree
-        with its triples, raises ``ValueError``.
-        """
-        runs = state.pop("_runs", None)
-        if runs is not None:
-            # Each run is sorted and unique, as daily_port_triples and
-            # the old compaction both wrote them.
-            self.__init__(state["day_seconds"])
-            for src, day, port_proto in runs:
-                self._add(_pack_pairs(src, day), port_proto)
-            state = self.__dict__
-        pairs, keys, counts = state["_pairs"], state["_keys"], state["_counts"]
+    def _check(self) -> None:
+        """Raise ``ValueError`` unless pairs and triples are sorted and
+        unique and the counts agree with the triples."""
+        pairs, keys, counts = self._pairs, self._keys, self._counts
         index = keys >> _PORT_BITS
         if not (
             _increasing(pairs)
@@ -776,7 +806,6 @@ class PortDayState:
                 f"{len(keys)} triples, {int(counts.sum())} counted; "
                 "pairs and triples must be sorted and unique"
             )
-        self.__dict__.update(state)
 
     def update(self, events: EventTable) -> None:
         """Fold a batch of finalized events in."""
@@ -869,14 +898,40 @@ def _increasing(values: np.ndarray) -> bool:
     return not bool(np.any(values[1:] <= values[:-1]))
 
 
-#: Versioned header guarding detector-state checkpoints; bump when the
-#: pickled layout changes incompatibly so stale checkpoints are
-#: rejected (and their shards re-run) instead of merged.
-STATE_MAGIC = b"repro-detector-state-v3\n"
-#: The previous header: its sorted-run ECDF, port-day runs and
-#: single-segment counts convert exactly on load (``__setstate__``), so
-#: checkpoints and the journals truncated behind them stay usable.
-LEGACY_STATE_MAGIC = b"repro-detector-state-v2\n"
+#: Magic line of serialized detector state (:mod:`repro.core.statefile`).
+STATE_MAGIC = statefile.magic("detector")
+
+_EVENT_FIELDS = tuple(field.name for field in fields(EventTable))
+
+#: The builder arrays a detector serializes: the open table but for its
+#: derived bounds, each segment's length and the live arena values in
+#: segment order (:meth:`StreamingEventBuilder._derive_segments`).
+_BUILDER_ARRAYS = {
+    **dict(zip(_OPEN[:5], ("<u8", "<f8", "<f8", "<i8", "<i8"))),
+    "_seg_len": "<i8",
+    "_arena": "<u4",
+}
+
+#: Every array of a serialized detector, with its dtype: the builder's;
+#: the finalized events; the volume histogram; the per-source peaks; the
+#: port-day set; the dispersion sources.
+_STATE_ARRAYS = {
+    **_BUILDER_ARRAYS,
+    **{
+        f"events.{name}": dtype
+        for name, dtype in zip(
+            _EVENT_FIELDS, ("<u4", "<u2", "|u1", "<f8", "<f8", "<i8", "<i8")
+        )
+    },
+    "volume.values": "<f8",
+    "volume.counts": "<i8",
+    "peaks.src": "<u4",
+    "peaks.packets": "<i8",
+    "ports.pairs": "<u8",
+    "ports.keys": "<i8",
+    "ports.counts": "<i8",
+    "dispersion": "<u4",
+}
 
 
 def _source_peaks(src: np.ndarray, values: np.ndarray) -> tuple:
@@ -1176,59 +1231,120 @@ class StreamingDetector:
             port_counts=port_counts,
         )
 
-    def __setstate__(self, state: dict) -> None:
-        """Load a pickled detector; one pickled before per-source peaks
-        derives them from its finalized events."""
-        if "_peak_src" not in state:
-            events = EventTable.concat(state["_chunks"])
-            state["_peak_src"], state["_peak_packets"] = _source_peaks(
-                events.src, events.packets
-            )
-        self.__dict__.update(state)
-
     # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Serialize the full (unfinished) detector state.
+    def to_bytes(self, **extra) -> bytes:
+        """Serialize the full detector state (:mod:`repro.core.statefile`).
 
-        The format is a versioned header plus a pickle of the detector
-        — everything in the state (open flows, finalized columns, ECDF
-        runs, port-day runs, gauges) is plain Python/numpy data, the
-        same property that lets shard detectors cross process pipes.
-        Used by the checkpoint layer (:mod:`repro.core.faults`): a
-        round-tripped detector merges and finishes bit-identically to
+        Snapshots, the fold pool and the checkpoint layer all use this:
+        a round-tripped detector merges and finishes bit-identically to
         the original, so a resumed run reproduces a fault-free run
-        exactly.
+        exactly.  ``extra`` JSON fields ride along in the header (the
+        checkpoint layer stores its worker report there).  The
+        finalized history is collapsed into one table first; the
+        builder holds no undrained events, since ``add_batch`` drains
+        it.
         """
-        import pickle
-
-        return STATE_MAGIC + pickle.dumps(self, protocol=4)
+        live = self.builder
+        events = EventTable.concat(self._chunks)
+        self._chunks = [events] if len(events) else []
+        arrays = {name: getattr(live, name) for name in _BUILDER_ARRAYS}
+        arrays["_arena"] = live._arena[_ranges(live._seg_off, live._seg_len)]
+        arrays.update(
+            {f"events.{name}": getattr(events, name) for name in _EVENT_FIELDS}
+        )
+        arrays.update(
+            {
+                "volume.values": self._volume._values,
+                "volume.counts": self._volume._counts,
+                "peaks.src": self._peak_src,
+                "peaks.packets": self._peak_packets,
+                "ports.pairs": self._ports._pairs,
+                "ports.keys": self._ports._keys,
+                "ports.counts": self._ports._counts,
+                "dispersion": sorted(self._dispersion.sources),
+            }
+        )
+        header = {
+            "timeout": live.timeout,
+            "dark_size": self.dark_size,
+            "config": asdict(self.config),
+            "day_seconds": self.day_seconds,
+            "packets_seen": self._packets_seen,
+            "events_finalized": self._events_finalized,
+            "finished": self._finished,
+            "closed_events": live._n_closed,
+            "peak_open_flows": live._peak_open,
+            "watermark": live._watermark,
+            "volume_n": self._volume._n,
+            **extra,
+        }
+        return statefile.pack(
+            "detector",
+            header,
+            {
+                name: np.asarray(arrays[name], dtype)
+                for name, dtype in _STATE_ARRAYS.items()
+            },
+        )
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "StreamingDetector":
+    def from_bytes(cls, data) -> "StreamingDetector":
         """Rebuild a detector serialized by :meth:`to_bytes`.
 
-        A v2 state (:data:`LEGACY_STATE_MAGIC`) converts on load.
-        Raises ``ValueError`` on an unrecognized or incompatible
-        header — a checkpoint written by a different state version must
-        be discarded (and the shard re-run), never merged.
+        Raises ``ValueError`` on anything else — another kind or version
+        of state (a v2 or v3 one is refused by name), a damaged array,
+        or state that breaks the detector's invariants — so a stale or
+        doctored checkpoint is discarded, never merged.  Nothing is
+        unpickled.
         """
-        import pickle
+        return cls._read(data)[0]
 
-        header = STATE_MAGIC
-        if data.startswith(LEGACY_STATE_MAGIC):
-            header = LEGACY_STATE_MAGIC
-        if not data.startswith(header):
-            raise ValueError(
-                "not a serialized StreamingDetector state (missing or "
-                f"mismatched header; expected {STATE_MAGIC!r})"
+    @classmethod
+    def _read(cls, data) -> Tuple["StreamingDetector", dict]:
+        """:meth:`from_bytes`, plus the state's JSON header."""
+        header, arrays = statefile.unpack(data, "detector", _STATE_ARRAYS)
+        try:
+            detector = cls(
+                header["timeout"],
+                header["dark_size"],
+                DetectionConfig(**header["config"]),
+                header["day_seconds"],
             )
-        detector = pickle.loads(data[len(header):])
-        if not isinstance(detector, cls):
-            raise ValueError(
-                f"serialized state holds {type(detector).__name__}, "
-                "not a StreamingDetector"
+            live = detector.builder
+            live._n_closed = int(header["closed_events"])
+            live._peak_open = int(header["peak_open_flows"])
+            if header["watermark"] is not None:
+                live._watermark = float(header["watermark"])
+            detector._packets_seen = int(header["packets_seen"])
+            detector._events_finalized = int(header["events_finalized"])
+            detector._finished = bool(header["finished"])
+            detector._volume._n = int(header["volume_n"])
+            events = EventTable(
+                **{name: arrays[f"events.{name}"] for name in _EVENT_FIELDS}
             )
-        return detector
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"corrupt detector state: {exc!r}") from exc
+        for name in _BUILDER_ARRAYS:
+            setattr(live, name, arrays[name])
+        live._derive_segments()
+        detector._chunks = [events] if len(events) else []
+        volume, ports = detector._volume, detector._ports
+        volume._values = arrays["volume.values"]
+        volume._counts = arrays["volume.counts"]
+        detector._peak_src = arrays["peaks.src"]
+        detector._peak_packets = arrays["peaks.packets"]
+        ports._pairs = arrays["ports.pairs"]
+        ports._keys = arrays["ports.keys"]
+        ports._counts = arrays["ports.counts"]
+        detector._dispersion.sources = set(arrays["dispersion"].tolist())
+        if len(detector._peak_src) != len(
+            detector._peak_packets
+        ) or not _increasing(detector._peak_src):
+            raise ValueError("per-source peaks disagree: sources must be "
+                             "sorted, unique and one per peak")
+        volume._check()
+        ports._check()
+        return detector, header
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:

@@ -32,10 +32,12 @@ bit-identical to serial for any worker count.
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import fields
+from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro.core import statefile
 from repro.flows.netflow import (
     SAMPLE_STREAM_SALT,
     FlowColumns,
@@ -130,38 +132,42 @@ def synthesize_flow_columns(
 # a crash and are reloaded instead of re-synthesized on resume.
 # ----------------------------------------------------------------------
 
-#: Versioned header guarding flow-shard checkpoints; bump on
-#: incompatible column-layout changes so stale checkpoints are
-#: discarded (shard re-synthesized) rather than concatenated.
-FLOW_STATE_MAGIC = b"repro-flow-state-v1\n"
+#: Magic line of flow-shard state (:mod:`repro.core.statefile`); any
+#: other is refused, so a stale checkpoint is discarded (the shard
+#: re-synthesized) rather than concatenated.
+FLOW_STATE_MAGIC = statefile.magic("flow")
+
+_FLOW_ARRAYS = {
+    field.name: getattr(FlowColumns(), field.name).dtype.str
+    for field in fields(FlowColumns)
+}
 
 
-def flow_state_to_bytes(columns: FlowColumns) -> bytes:
-    """Serialize one shard's :class:`FlowColumns` (versioned header)."""
-    import pickle
+def flow_state_to_bytes(columns: FlowColumns, **extra) -> bytes:
+    """Serialize one shard's :class:`FlowColumns` as v4 state;
+    ``extra`` JSON fields ride along in the header."""
+    return statefile.pack(
+        "flow",
+        extra,
+        {
+            name: np.asarray(getattr(columns, name), dtype)
+            for name, dtype in _FLOW_ARRAYS.items()
+        },
+    )
 
-    return FLOW_STATE_MAGIC + pickle.dumps(columns, protocol=4)
+
+def read_flow_state(data) -> Tuple[FlowColumns, dict]:
+    """Columns serialized by :func:`flow_state_to_bytes`, and the
+    header's extra fields; ``ValueError`` on anything else."""
+    header, arrays = statefile.unpack(data, "flow", _FLOW_ARRAYS)
+    if len({len(column) for column in arrays.values()}) > 1:
+        raise ValueError("flow state columns differ in length")
+    return FlowColumns(**arrays), header
 
 
-def flow_state_from_bytes(data: bytes) -> FlowColumns:
-    """Rebuild columns serialized by :func:`flow_state_to_bytes`.
-
-    Raises ``ValueError`` on a missing or mismatched header.
-    """
-    import pickle
-
-    if not data.startswith(FLOW_STATE_MAGIC):
-        raise ValueError(
-            "not a serialized flow-shard state (missing or mismatched "
-            f"header; expected {FLOW_STATE_MAGIC!r})"
-        )
-    columns = pickle.loads(data[len(FLOW_STATE_MAGIC):])
-    if not isinstance(columns, FlowColumns):
-        raise ValueError(
-            f"serialized state holds {type(columns).__name__}, "
-            "not FlowColumns"
-        )
-    return columns
+def flow_state_from_bytes(data) -> FlowColumns:
+    """Rebuild columns serialized by :func:`flow_state_to_bytes`."""
+    return read_flow_state(data)[0]
 
 
 # ----------------------------------------------------------------------

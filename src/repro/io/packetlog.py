@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core.faults import (
     ChunkCorruptionError,
+    ChunkManifestError,
     atomic_write_bytes,
     sha256_hex,
 )
@@ -221,23 +222,23 @@ def load_manifest(directory: Union[str, Path]) -> dict:
     """The chunk directory's digest manifest.
 
     A missing manifest, or one that cannot be parsed, raises
-    :class:`~repro.core.faults.ChunkCorruptionError` naming its path —
+    :class:`~repro.core.faults.ChunkManifestError` naming its path —
     without it the directory's integrity cannot be certified.
     """
     path = Path(directory) / MANIFEST_NAME
     try:
         manifest = json.loads(path.read_text())
     except FileNotFoundError as exc:
-        raise ChunkCorruptionError(
+        raise ChunkManifestError(
             f"missing chunk manifest {path}: the chunk archives cannot be "
             "verified"
         ) from exc
     except (ValueError, OSError) as exc:
-        raise ChunkCorruptionError(
+        raise ChunkManifestError(
             f"corrupt chunk manifest {path}: {exc}"
         ) from exc
     if manifest.get("magic") != _MANIFEST_MAGIC:
-        raise ChunkCorruptionError(
+        raise ChunkManifestError(
             f"corrupt chunk manifest {path}: unrecognized format marker "
             f"{manifest.get('magic')!r}"
         )

@@ -57,7 +57,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-import pickle
 import time
 from dataclasses import dataclass
 from itertools import groupby
@@ -349,26 +348,42 @@ def _checkpoint_store(
 
 def _dump_detect_state(result: tuple) -> bytes:
     detector, report = result
-    return pickle.dumps((detector.to_bytes(), report), protocol=4)
+    return detector.to_bytes(report=dataclasses.asdict(report))
 
 
 def _load_detect_state(payload: bytes) -> tuple:
-    blob, report = pickle.loads(payload)
-    return StreamingDetector.from_bytes(blob), report
+    detector, header = StreamingDetector._read(payload)
+    return detector, _report(WorkerReport, header)
 
 
 def _dump_flow_state(result: tuple) -> bytes:
     from repro.flows.synthesis import flow_state_to_bytes
 
     columns, report = result
-    return pickle.dumps((flow_state_to_bytes(columns), report), protocol=4)
+    return flow_state_to_bytes(columns, report=dataclasses.asdict(report))
 
 
 def _load_flow_state(payload: bytes) -> tuple:
-    from repro.flows.synthesis import flow_state_from_bytes
+    from repro.flows.synthesis import read_flow_state
 
-    blob, report = pickle.loads(payload)
-    return flow_state_from_bytes(blob), report
+    columns, header = read_flow_state(payload)
+    return columns, _report(FlowWorkerReport, header)
+
+
+def _report(cls, header: dict):
+    """A checkpoint's worker report, rebuilt from its JSON header:
+    ``ValueError`` when it is missing or malformed."""
+    try:
+        report = dict(header["report"])
+        if "quarantined" in report:
+            report["quarantined"] = tuple(report["quarantined"])
+        if "chunk_gauges" in report:
+            report["chunk_gauges"] = tuple(map(tuple, report["chunk_gauges"]))
+        return cls(**report)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"checkpoint worker report unreadable: {exc!r}"
+        ) from exc
 
 
 def _record_run(

@@ -56,6 +56,7 @@ import os
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core import statefile
 from repro.core.engine import FoldReply, ShardHost
 from repro.core.streaming import DetectorSummary
 
@@ -270,7 +271,7 @@ class FoldPool:
         """Shard states serialized, one per key (None if never used).
 
         One fan-out, like :meth:`summary`: every shard on a distinct
-        worker pickles its state concurrently.
+        worker serializes its state concurrently.
         """
         replies = self._fan_out(
             [(self.worker_index(key), ("collect", [key])) for key in keys]
@@ -278,7 +279,13 @@ class FoldPool:
         return [blobs[0] for blobs in replies]
 
     def load(self, key, blob: Optional[bytes]) -> FoldReply:
-        """Install (or, with ``None``, drop) one shard's state."""
+        """Install (or, with ``None``, drop) one shard's state.
+
+        A blob that is not current detector state raises ``ValueError``
+        here, before it reaches a worker.
+        """
+        if blob is not None:
+            statefile.check_magic(blob, "detector")
         worker = self._workers[self.worker_index(key)]
         return self._call(worker, ("load", key, blob))
 

@@ -80,10 +80,7 @@ class TenantConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TenantConfig":
         d = dict(d)
-        # Registries written while engines took an ECDF sample budget
-        # carry it as null; a real budget would ask for approximate
-        # Definition-2 thresholds, which are no longer offered.
-        if d.pop("max_ecdf_samples", None) is not None:
+        if "max_ecdf_samples" in d:
             raise ValueError(
                 "max_ecdf_samples is no longer supported: Definition 2 "
                 "always uses the exact volume ECDF"

@@ -104,21 +104,32 @@ class ChunkedCaptureSource:
     ) -> "ChunkedCaptureSource":
         """Stream a chunk directory written by ``save_packets_chunked``.
 
-        Loads one archive at a time; window edges are derived from each
-        chunk's own timestamps on the epoch-aligned grid.  The directory
-        is validated up front — a missing directory, an empty one, or a
-        gap in the ``chunk-*.npz`` sequence raise immediately with a
-        clear message instead of surfacing mid-stream.
+        Loads one archive at a time, digest-checked against the
+        directory's manifest (:func:`~repro.io.packetlog.iter_packets_verified`):
+        a damaged archive raises
+        :class:`~repro.core.faults.ChunkCorruptionError` when the stream
+        reaches it.  Window edges are derived from each chunk's own
+        timestamps on the epoch-aligned grid.  The directory is
+        validated up front — a missing directory, an empty one, a gap in
+        the ``chunk-*.npz`` sequence, or a missing or damaged manifest
+        raise immediately with a clear message instead of surfacing
+        mid-stream.
         """
-        from repro.io.packetlog import chunk_paths, load_packets_npz
+        from repro.io.packetlog import (
+            chunk_paths,
+            iter_packets_verified,
+            load_manifest,
+        )
 
         if chunk_seconds <= 0:
             raise ValueError("chunk_seconds must be positive")
-        paths = chunk_paths(directory)
+        chunk_paths(directory)
+        load_manifest(directory)
 
         def generate() -> Iterator[CaptureChunk]:
-            for index, path in enumerate(paths):
-                batch = load_packets_npz(path)
+            for index, (_, batch) in enumerate(
+                iter_packets_verified(directory)
+            ):
                 first = float(batch.ts.min())
                 start = math.floor(first / chunk_seconds) * chunk_seconds
                 yield CaptureChunk(

@@ -136,3 +136,56 @@ class TestCommands:
         assert "blocked pkts" in out
         assert "AH coverage" in out
         assert "Overall:" in out
+
+
+class TestCaptureDirErrors:
+    """The quarantine hint follows a damaged archive under strict
+    reads only: quarantine mode already skips those, and it refuses a
+    bad manifest too."""
+
+    @pytest.fixture()
+    def capture_dir(self, tmp_path):
+        import numpy as np
+
+        from repro.io.packetlog import save_packets_chunked
+        from repro.packet import PacketBatch, Protocol
+
+        rng = np.random.default_rng(7)
+        n = 2_000
+        batch = PacketBatch(
+            ts=np.sort(rng.random(n) * 200_000.0),
+            src=rng.integers(1, 50, n).astype(np.uint32),
+            dst=rng.integers(0, 64, n).astype(np.uint32),
+            dport=np.full(n, 22, dtype=np.uint16),
+            proto=np.full(n, Protocol.TCP_SYN.value, dtype=np.uint8),
+            ipid=np.zeros(n, dtype=np.uint16),
+        )
+        save_packets_chunked(batch, tmp_path / "cap", 50_000.0)
+        return tmp_path / "cap"
+
+    @staticmethod
+    def _error(capture_dir, on_corrupt):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["--scenario", "tiny", "--mode", "streaming",
+                 "--capture-dir", str(capture_dir),
+                 "--on-corrupt", on_corrupt, "summary"]
+            )
+        return str(exc.value.code)
+
+    def test_damaged_chunk_under_strict_reads_suggests_quarantine(
+        self, capture_dir
+    ):
+        (capture_dir / "chunk-00000.npz").write_bytes(
+            (capture_dir / "chunk-00001.npz").read_bytes()
+        )
+        message = self._error(capture_dir, "raise")
+        assert "chunk-00000.npz" in message
+        assert "use --on-corrupt quarantine" in message
+
+    @pytest.mark.parametrize("on_corrupt", ["raise", "quarantine"])
+    def test_missing_manifest_gets_no_hint(self, capture_dir, on_corrupt):
+        (capture_dir / "MANIFEST.json").unlink()
+        message = self._error(capture_dir, on_corrupt)
+        assert "missing chunk manifest" in message
+        assert "--on-corrupt" not in message

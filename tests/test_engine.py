@@ -7,7 +7,6 @@ hex literals for batch, serial streaming, and pooled runs alike.
 """
 
 import hashlib
-import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,23 +16,14 @@ from hypothesis import strategies as st
 
 from repro.config import DetectionConfig
 from repro.core.detection import detect_all
-from repro.core.ecdf import StreamingECDF
 from repro.core.engine import (
     ENGINE_STATE_MAGIC,
-    LEGACY_ENGINE_STATE_MAGIC,
-    DegradedSnapshotError,
     DetectionEngine,
     EngineQuery,
 )
 from repro.core.events import EventTable, build_events
 from repro.core.faults import CheckpointStore
-from repro.core.streaming import (
-    LEGACY_STATE_MAGIC,
-    STATE_MAGIC,
-    PortDayState,
-    StreamingDetector,
-    StreamingEventBuilder,
-)
+from repro.core.streaming import StreamingDetector
 from repro.core.telemetry import PipelineTelemetry
 from repro.packet import PacketBatch, Protocol
 from repro.sim.runner import run_scenario
@@ -42,6 +32,7 @@ from tests.test_events import _packets
 from tests.test_serialization import (
     _assert_segments_identical,
     _dense_capture,
+    _edited,
 )
 from tests.test_streaming import (
     _assert_detections_identical,
@@ -305,103 +296,6 @@ class TestSnapshotRestore:
         assert telemetry.health.checkpoint_corrupt == 1
 
 
-class TestLegacySnapshots:
-    """Snapshots written while engines took a ``max_ecdf_samples``
-    budget carry ``degraded``/``max_ecdf_samples`` keys under the same
-    v2 header."""
-
-    @staticmethod
-    def _legacy(engine, degraded):
-        payload = pickle.loads(engine.snapshot()[len(ENGINE_STATE_MAGIC):])
-        payload.update(degraded=degraded, max_ecdf_samples=None)
-        return ENGINE_STATE_MAGIC + pickle.dumps(payload, protocol=4)
-
-    def test_exact_legacy_snapshot_restores(self):
-        batch = _random_capture(21)
-        chunks = [c for _, _, c in batch.iter_time_chunks(3_600.0)]
-        half = len(chunks) // 2
-        engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG, workers=2)
-        for chunk in chunks[:half]:
-            engine.ingest(chunk)
-        resumed = DetectionEngine.restore(self._legacy(engine, False))
-        for chunk in chunks[half:]:
-            engine.ingest(chunk)
-            resumed.ingest(chunk)
-        assert resumed.packets_seen == engine.packets_seen == len(batch)
-        _assert_detections_identical(
-            resumed.query().detections, engine.query().detections
-        )
-
-    def test_degraded_legacy_snapshot_refused(self):
-        engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG)
-        engine.ingest(_random_capture(22, n=500))
-        with pytest.raises(DegradedSnapshotError, match="approximate"):
-            DetectionEngine.restore(self._legacy(engine, True))
-        assert issubclass(DegradedSnapshotError, ValueError)
-
-
-class TestLegacySegmentLayout:
-    """Snapshots written before open-flow segments were packed into
-    columns pickle each builder's plain ``__dict__``, ``_segs`` dict
-    included, under the same v2 headers."""
-
-    @staticmethod
-    def _chunks():
-        return [c for _, _, c in _dense_capture(23).iter_time_chunks(600.0)]
-
-    @staticmethod
-    def _legacy(monkeypatch, write):
-        monkeypatch.delattr(StreamingEventBuilder, "__getstate__")
-        try:
-            blob = write()
-        finally:
-            monkeypatch.undo()
-        assert b"_seg_columns" not in blob and b"_segs" in blob
-        return blob
-
-    def test_detector_restores_and_continues(self, monkeypatch):
-        chunks = self._chunks()
-        half = len(chunks) // 2
-        detector = StreamingDetector(600.0, _DARK_SIZE, _CONFIG)
-        for chunk in chunks[:half]:
-            detector.add_batch(chunk)
-        assert any(len(v) > 1 for v in detector.builder._segs.values())
-        blob = self._legacy(monkeypatch, detector.to_bytes)
-        assert blob.startswith(STATE_MAGIC)
-        resumed = StreamingDetector.from_bytes(blob)
-        _assert_segments_identical(
-            resumed.builder._segs, detector.builder._segs
-        )
-        for chunk in chunks[half:]:
-            detector.add_batch(chunk)
-            resumed.add_batch(chunk)
-        events, detections = resumed.finish()
-        ref_events, ref_detections = detector.finish()
-        _assert_tables_identical(events, ref_events)
-        _assert_detections_identical(detections, ref_detections)
-
-    def test_engine_restores_and_continues(self, monkeypatch):
-        chunks = self._chunks()
-        half = len(chunks) // 2
-        engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG, workers=2)
-        for chunk in chunks[:half]:
-            engine.ingest(chunk)
-        blob = self._legacy(monkeypatch, engine.snapshot)
-        assert blob.startswith(ENGINE_STATE_MAGIC)
-        resumed = DetectionEngine.restore(blob)
-        for chunk in chunks[half:]:
-            engine.ingest(chunk)
-            resumed.ingest(chunk)
-        assert resumed.packets_seen == engine.packets_seen
-        _assert_detections_identical(
-            resumed.query().detections, engine.query().detections
-        )
-        events, detections = resumed.finish()
-        ref_events, ref_detections = engine.finish()
-        _assert_tables_identical(events, ref_events)
-        _assert_detections_identical(detections, ref_detections)
-
-
 def _prefix_answers(chunks, workers=1, timeout=600.0):
     """Ingest ``chunks`` one by one into an inline engine, asserting
     after each that the query equals the offline prefix oracle."""
@@ -505,61 +399,6 @@ class TestSummaryQuery:
         )
 
 
-def _v2_blob(monkeypatch, write):
-    """What ``write()`` produced before the summary state: sorted ECDF
-    runs, port-day triple runs (one repeated), ``_seg0`` instead of
-    destination bounds, no per-source peaks, v2 headers."""
-
-    def ecdf_state(self):
-        sample = np.repeat(self._values, self._counts)
-        half = len(sample) // 2
-        return {"_runs": [sample[:half], sample[half:]], "_n": self._n,
-                "_cached": None}
-
-    def ports_state(self):
-        index = self._keys >> 24
-        src = (self._pairs[index] >> np.uint64(32)).astype(np.int64)
-        day = (self._pairs[index] & np.uint64(0xFFFFFFFF)).astype(
-            np.int64
-        ) - 2**31
-        run = (src, day, self._keys & 0xFFFFFF)
-        return {"day_seconds": self.day_seconds, "_runs": [run, run]}
-
-    builder_state = StreamingEventBuilder.__getstate__
-
-    def segments_state(self):
-        state = builder_state(self)
-        state["_seg0"] = state.pop("_dst_lo")
-        del state["_dst_hi"]
-        return state
-
-    def detector_state(self):
-        state = self.__dict__.copy()
-        del state["_peak_src"], state["_peak_packets"]
-        return state
-
-    monkeypatch.setattr(StreamingECDF, "__getstate__", ecdf_state, raising=False)
-    monkeypatch.setattr(PortDayState, "__getstate__", ports_state, raising=False)
-    monkeypatch.setattr(StreamingEventBuilder, "__getstate__", segments_state)
-    monkeypatch.setattr(
-        StreamingDetector, "__getstate__", detector_state, raising=False
-    )
-    try:
-        blob = write()
-    finally:
-        monkeypatch.undo()
-
-    def detector(blob):
-        assert blob.startswith(STATE_MAGIC)
-        return LEGACY_STATE_MAGIC + blob[len(STATE_MAGIC):]
-
-    if blob.startswith(STATE_MAGIC):
-        return detector(blob)
-    payload = pickle.loads(blob[len(ENGINE_STATE_MAGIC):])
-    payload["detectors"] = [detector(b) for b in payload["detectors"]]
-    return LEGACY_ENGINE_STATE_MAGIC + pickle.dumps(payload, protocol=4)
-
-
 def _assert_state_identical(a, b):
     """Two detectors hold the same state, array for array."""
     pairs = [
@@ -575,30 +414,28 @@ def _assert_state_identical(a, b):
             assert getattr(x, name).dtype == getattr(y, name).dtype, name
     assert len(a._volume) == len(b._volume)
     assert a._dispersion.sources == b._dispersion.sources
-    _assert_segments_identical(a.builder._segs, b.builder._segs)
+    _assert_segments_identical(a.builder, b.builder)
     _assert_tables_identical(
         EventTable.concat(a._chunks), EventTable.concat(b._chunks)
     )
 
 
-class TestV2Snapshots:
-    """v2 detector and engine snapshots restore as v3 state and then
-    continue exactly like the live run."""
+class TestV4Snapshots:
+    """v4 detector and engine snapshots restore array for array and
+    then continue exactly like the live run."""
 
     @staticmethod
     def _chunks():
         return [c for _, _, c in _dense_capture(24).iter_time_chunks(600.0)]
 
-    def test_detector_restores_as_v3_and_continues(self, monkeypatch):
+    def test_detector_restores_and_continues(self):
         chunks = self._chunks()
         half = len(chunks) // 2
         detector = StreamingDetector(600.0, _DARK_SIZE, _CONFIG)
         for chunk in chunks[:half]:
             detector.add_batch(chunk)
-        assert any(len(v) > 1 for v in detector.builder._segs.values())
-        blob = _v2_blob(monkeypatch, detector.to_bytes)
-        assert b"_seg0" in blob and b"_runs" in blob
-        resumed = StreamingDetector.from_bytes(blob)
+        assert (detector.builder._nseg > 1).any()
+        resumed = StreamingDetector.from_bytes(detector.to_bytes())
         _assert_state_identical(resumed, detector)
         for chunk in chunks[half:]:
             detector.add_batch(chunk)
@@ -608,15 +445,13 @@ class TestV2Snapshots:
         _assert_tables_identical(events, ref_events)
         _assert_detections_identical(detections, ref_detections)
 
-    def test_engine_restores_as_v3_and_continues(self, monkeypatch):
+    def test_engine_restores_and_continues(self):
         chunks = self._chunks()
         half = len(chunks) // 2
         engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG, workers=2)
         for chunk in chunks[:half]:
             engine.ingest(chunk)
-        blob = _v2_blob(monkeypatch, engine.snapshot)
-        assert blob.startswith(LEGACY_ENGINE_STATE_MAGIC)
-        resumed = DetectionEngine.restore(blob)
+        resumed = DetectionEngine.restore(engine.snapshot())
         for key, detector in engine._host._detectors.items():
             _assert_state_identical(resumed._host._detectors[key], detector)
         for chunk in chunks[half:]:
@@ -627,6 +462,17 @@ class TestV2Snapshots:
         ref_events, ref_detections = engine.finish()
         _assert_tables_identical(events, ref_events)
         _assert_detections_identical(detections, ref_detections)
+
+    def test_engine_shard_lengths_must_cover_the_shards(self):
+        engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG, workers=2)
+        engine.ingest(_random_capture(26, n=500))
+
+        def tear(arrays, header):
+            header["shard_bytes"][0] += 8
+
+        blob = _edited(engine.snapshot(), tear, "engine", {"shards": "|u1"})
+        with pytest.raises(ValueError, match="shard lengths"):
+            DetectionEngine.restore(blob)
 
 
 class TestTornSummaryState:
@@ -641,40 +487,35 @@ class TestTornSummaryState:
         return detector
 
     @pytest.mark.parametrize("field", ["_counts", "_n"])
-    def test_histogram_counts_disagreeing_with_total(self, monkeypatch, field):
-        def torn(self):
-            state = self.__dict__.copy()
-            state[field] = state[field] + 1
-            return state
+    def test_histogram_counts_disagreeing_with_total(self, field):
+        def tear(arrays, header):
+            if field == "_counts":
+                arrays["volume.counts"] += 1
+            else:
+                header["volume_n"] += 1
 
-        detector = self._detector()
-        monkeypatch.setattr(StreamingECDF, "__getstate__", torn, raising=False)
-        blob = detector.to_bytes()
-        monkeypatch.undo()
+        blob = _edited(self._detector().to_bytes(), tear)
         with pytest.raises(ValueError, match="histogram"):
             StreamingDetector.from_bytes(blob)
 
     @pytest.mark.parametrize("tear", ["unsorted", "repeated", "miscounted"])
-    def test_triple_set_not_sorted_and_unique(self, monkeypatch, tear):
-        def torn(self):
-            state = self.__dict__.copy()
-            keys = state["_keys"]
+    def test_triple_set_not_sorted_and_unique(self, tear):
+        def edit(arrays, header):
+            keys = arrays["ports.keys"]
             if tear == "unsorted":
-                state["_keys"] = keys[::-1].copy()
+                arrays["ports.keys"] = keys[::-1].copy()
             elif tear == "repeated":
-                state["_keys"] = np.insert(keys, 1, keys[0])
-                state["_counts"] = np.bincount(
-                    state["_keys"] >> 24, minlength=len(self._pairs)
+                arrays["ports.keys"] = np.insert(keys, 1, keys[0])
+                arrays["ports.counts"] = np.bincount(
+                    arrays["ports.keys"] >> 24,
+                    minlength=len(arrays["ports.pairs"]),
                 )
             else:
-                state["_counts"] = state["_counts"] + 1
-            return state
+                arrays["ports.counts"] += 1
 
         detector = self._detector()
         assert len(detector._ports._keys) > 2
-        monkeypatch.setattr(PortDayState, "__getstate__", torn, raising=False)
-        blob = detector.to_bytes()
-        monkeypatch.undo()
+        blob = _edited(detector.to_bytes(), edit)
         with pytest.raises(ValueError, match="port-day"):
             StreamingDetector.from_bytes(blob)
 

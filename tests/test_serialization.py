@@ -8,7 +8,7 @@ versions must be rejected loudly rather than deserialized into
 garbage.
 """
 
-import io
+import json
 import pickle
 
 import numpy as np
@@ -17,13 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import DetectionConfig
+from repro.core import statefile
 from repro.core.detection import detect_all
 from repro.core.events import build_events
 from repro.core.streaming import (
     _COMPACT_SEGMENTS,
+    _STATE_ARRAYS,
     STATE_MAGIC,
     StreamingDetector,
-    StreamingEventBuilder,
 )
 from repro.flows.netflow import FlowColumns
 from repro.flows.synthesis import (
@@ -127,7 +128,7 @@ class TestDetectorRoundTrip:
     def test_magic_is_versioned(self):
         blob = _detector().to_bytes()
         assert blob.startswith(STATE_MAGIC)
-        assert b"v3" in STATE_MAGIC
+        assert b"v4" in STATE_MAGIC
 
 
 def _dense_capture(seed, n=20_000, duration=20_000.0):
@@ -144,8 +145,26 @@ def _dense_capture(seed, n=20_000, duration=20_000.0):
     )
 
 
+def _segments(builder):
+    """Flow key -> that flow's destination segments, in order."""
+    return {
+        key: [
+            builder._arena[off:off + n]
+            for k, off, n in zip(
+                builder._seg_key.tolist(),
+                builder._seg_off.tolist(),
+                builder._seg_len.tolist(),
+            )
+            if k == key
+        ]
+        for key in builder._keys.tolist()
+    }
+
+
 def _assert_segments_identical(a, b):
-    """Key by key: the same segment count, order, dtype and values."""
+    """Builder by builder: for every flow, the same segment count,
+    order, dtype and values."""
+    a, b = _segments(a), _segments(b)
     assert list(a) == list(b)
     for key, segs in a.items():
         other = b[key]
@@ -153,6 +172,16 @@ def _assert_segments_identical(a, b):
         for seg, seg_b in zip(segs, other):
             assert seg.dtype == seg_b.dtype, key
             assert np.array_equal(seg, seg_b), key
+
+
+def _edited(blob, edit, kind="detector", dtypes=_STATE_ARRAYS):
+    """``blob`` re-packed after ``edit(arrays, header)``, with fresh
+    digests: state that passes the container checks but not, if
+    ``edit`` breaks one, the loader's invariants."""
+    header, arrays = statefile.unpack(blob, kind, dtypes)
+    arrays = {name: array.copy() for name, array in arrays.items()}
+    edit(arrays, header)
+    return statefile.pack(kind, header, arrays)
 
 
 #: flow key of the first long-lived flow :func:`_chunked_streams` draws.
@@ -213,8 +242,8 @@ def _chunked_streams(draw):
 
 
 class TestColumnarSegments:
-    """The open-flow segment map pickles as columns and restores
-    exactly, including maps pickled before the columnar form."""
+    """The open-flow arena and its segment columns serialize as v4
+    arrays and restore exactly."""
 
     @given(_chunked_streams())
     @settings(max_examples=40, deadline=None)
@@ -225,9 +254,7 @@ class TestColumnarSegments:
 
         def restore():
             restored = StreamingDetector.from_bytes(original.to_bytes())
-            _assert_segments_identical(
-                restored.builder._segs, original.builder._segs
-            )
+            _assert_segments_identical(restored.builder, original.builder)
             live.append(restored)
 
         seen = []
@@ -236,7 +263,7 @@ class TestColumnarSegments:
                 restore()
             for detector in live:
                 detector.add_batch(chunk)
-            seen.append(len(twin.builder._segs[_LONG_FLOW]))
+            seen.append(len(_segments(twin.builder)[_LONG_FLOW]))
         if at == len(chunks):
             restore()
         # The long flow gains a segment per chunk and is compacted
@@ -251,32 +278,25 @@ class TestColumnarSegments:
             _assert_detections_identical(got, detections)
 
     @staticmethod
-    def _torn(monkeypatch, column, delta):
-        """A detector blob whose packed column ``column`` is off."""
+    def _torn(column, delta):
+        """A detector blob whose array ``column`` is off by ``delta``
+        in its first entry."""
         detector = _detector()
         for _, _, chunk in list(
             _dense_capture(8).iter_time_chunks(600.0)
         )[:5]:
             detector.add_batch(chunk)
-        assert any(len(v) > 1 for v in detector.builder._segs.values())
-        pack = StreamingEventBuilder.__getstate__
+        assert (detector.builder._nseg > 1).any()
 
-        def torn(builder):
-            state = pack(builder)
-            columns = list(state["_seg_columns"])
-            columns[column] = columns[column].copy()
-            columns[column][0] += delta
-            state["_seg_columns"] = tuple(columns)
-            return state
+        def tear(arrays, header):
+            arrays[column][0] += delta
 
-        monkeypatch.setattr(StreamingEventBuilder, "__getstate__", torn)
-        blob = detector.to_bytes()
-        monkeypatch.undo()
-        return blob
+        return _edited(detector.to_bytes(), tear)
 
     @pytest.mark.parametrize(
         "column,delta",
-        [(2, 1), (2, -1), (1, 1), (1, -1), (0, 1)],
+        [("_seg_len", 1), ("_seg_len", -1), ("_nseg", 1), ("_nseg", -1),
+         ("_keys", 1 << 62)],
         ids=[
             "lengths-over-values",
             "lengths-under-values",
@@ -285,28 +305,20 @@ class TestColumnarSegments:
             "key-not-open",
         ],
     )
-    def test_disagreeing_columns_refused(self, monkeypatch, column, delta):
-        blob = self._torn(monkeypatch, column, delta)
+    def test_disagreeing_columns_refused(self, column, delta):
+        blob = self._torn(column, delta)
         with pytest.raises(ValueError, match="disagree"):
             StreamingDetector.from_bytes(blob)
 
     def test_array_count_independent_of_open_flows(self):
-        """Pickling a builder reduces a fixed number of arrays, however
-        many multi-segment flows are open."""
+        """A detector serializes a fixed list of arrays, however many
+        multi-segment flows are open."""
 
-        class ArrayCounter(pickle.Pickler):
-            arrays = 0
-
-            def reducer_override(self, obj):
-                if isinstance(obj, np.ndarray):
-                    self.arrays += 1
-                return NotImplemented
-
-        def arrays_pickled(flows):
-            builder = StreamingEventBuilder(_TIMEOUT)
+        def arrays_written(flows):
+            detector = _detector()
             src = np.arange(1, flows + 1, dtype=np.uint32)
             for step in range(3):
-                builder.add_batch(
+                detector.add_batch(
                     PacketBatch(
                         ts=np.full(flows, 100.0 * step),
                         src=src,
@@ -316,13 +328,14 @@ class TestColumnarSegments:
                         ipid=np.zeros(flows, dtype=np.uint16),
                     )
                 )
-            assert builder.open_flows == flows
-            assert {len(v) for v in builder._segs.values()} == {3}
-            pickler = ArrayCounter(io.BytesIO(), protocol=4)
-            pickler.dump(builder)
-            return pickler.arrays
+            assert detector.open_flows == flows
+            assert set(detector.builder._nseg.tolist()) == {3}
+            _, arrays = statefile.unpack(
+                detector.to_bytes(), "detector", _STATE_ARRAYS
+            )
+            return sorted(arrays)
 
-        assert arrays_pickled(10) == arrays_pickled(2_000)
+        assert arrays_written(10) == arrays_written(2_000)
 
 
 def _columns(seed, n=500):
@@ -388,3 +401,151 @@ class TestFlowStateRoundTrip:
         bogus = FLOW_STATE_MAGIC + pickle.dumps({"not": "columns"})
         with pytest.raises(ValueError):
             flow_state_from_bytes(bogus)
+
+
+class _Tripwire:
+    """Unpickling this creates ``path``: a stand-in for code execution."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+class TestNoPickleOnRestore:
+    """v2 and v3 state was a magic line and a pickle.  Every restore
+    path refuses it by version without unpickling a byte of it."""
+
+    @staticmethod
+    def _blob(tmp_path, kind, version):
+        sentinel = tmp_path / "sentinel"
+        payload = pickle.dumps(_Tripwire(sentinel), protocol=4)
+        return sentinel, b"repro-%s-state-v%d\n" % (kind, version) + payload
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_detector_from_bytes(self, tmp_path, version):
+        sentinel, blob = self._blob(tmp_path, b"detector", version)
+        with pytest.raises(ValueError, match=f"v{version}"):
+            StreamingDetector.from_bytes(blob)
+        assert not sentinel.exists()
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_engine_restore(self, tmp_path, version):
+        from repro.core.engine import DetectionEngine
+
+        sentinel, blob = self._blob(tmp_path, b"engine", version)
+        with pytest.raises(ValueError, match=f"v{version}"):
+            DetectionEngine.restore(blob)
+        assert not sentinel.exists()
+
+    def test_resume_run_checkpoint(self, tmp_path):
+        from repro.core.faults import CheckpointStore
+        from repro.core.telemetry import PipelineTelemetry
+        from repro.io.packetlog import save_packets_chunked
+        from repro.parallel import (
+            _load_detect_state,
+            parallel_detect_directory,
+            resume_run,
+        )
+
+        sentinel, blob = self._blob(tmp_path, b"detector", 3)
+        with pytest.raises(ValueError, match="v3"):
+            _load_detect_state(blob)
+        batch = _capture(103, n=2_000)
+        save_packets_chunked(batch, tmp_path / "cap", 20_000.0)
+        run = tmp_path / "run"
+        parallel_detect_directory(
+            tmp_path / "cap", _TIMEOUT, _DARK_SIZE, _CONFIG,
+            workers=2, use_processes=False, checkpoint_dir=run,
+        )
+        CheckpointStore(run).save("detect", 0, blob)
+        telemetry = PipelineTelemetry()
+        result = resume_run(run, use_processes=False, telemetry=telemetry)
+        assert not sentinel.exists()
+        # The refused checkpoint is discarded and its shard re-run.
+        assert telemetry.health.checkpoint_corrupt == 1
+        assert telemetry.health.checkpoint_hits == 1
+        ref_events = build_events(batch, _TIMEOUT)
+        _assert_tables_identical(result.events, ref_events)
+        _assert_detections_identical(
+            result.detections, detect_all(ref_events, _DARK_SIZE, _CONFIG)
+        )
+
+    def test_fold_pool_load(self, tmp_path):
+        from repro.serve.foldpool import FoldPool
+
+        sentinel, blob = self._blob(tmp_path, b"detector", 3)
+        with FoldPool(1) as pool:
+            with pytest.raises(ValueError, match="v3"):
+                pool.load(("t", 0), blob)
+            assert pool.ping()
+        assert not sentinel.exists()
+
+    def test_flow_state(self, tmp_path):
+        sentinel, blob = self._blob(tmp_path, b"flow", 1)
+        with pytest.raises(ValueError, match="v1"):
+            flow_state_from_bytes(blob)
+        assert not sentinel.exists()
+
+
+class TestV4Container:
+    """The container refuses damage with a typed ``ValueError``."""
+
+    @staticmethod
+    def _blob():
+        detector = _detector()
+        for _, _, chunk in list(_capture(104).iter_time_chunks(3_600.0))[:8]:
+            detector.add_batch(chunk)
+        return detector.to_bytes()
+
+    def test_flipped_array_byte(self):
+        blob = bytearray(self._blob())
+        blob[-9] ^= 0x01
+        with pytest.raises(ValueError, match="digest"):
+            StreamingDetector.from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("dtype", "<f8"), ("dtype", "<i4"), ("shape", [3]), ("shape", 5)],
+        ids=["same-size-dtype", "other-dtype", "short-shape", "bad-shape"],
+    )
+    def test_wrong_dtype_or_shape(self, field, value):
+        blob = self._blob()
+        magic_len = statefile.check_magic(blob, "detector")
+        (length,) = statefile._LENGTH.unpack_from(blob, magic_len)
+        start = magic_len + statefile._LENGTH.size
+        header = json.loads(blob[start:start + length])
+        entry = next(e for e in header["arrays"] if e["name"] == "_keys")
+        entry[field] = value
+        head = json.dumps(header).encode()
+        head += b" " * (length - len(head))
+        assert len(head) == length
+        with pytest.raises(ValueError, match="_keys"):
+            StreamingDetector.from_bytes(
+                blob[:start] + head + blob[start + length:]
+            )
+
+    @pytest.mark.parametrize("cut", [3, 30, 40, 200])
+    def test_truncated_header(self, cut):
+        with pytest.raises(ValueError, match="header"):
+            StreamingDetector.from_bytes(self._blob()[:cut])
+
+    def test_truncated_arrays(self):
+        with pytest.raises(ValueError, match="truncated"):
+            StreamingDetector.from_bytes(self._blob()[:-100])
+
+    def test_restored_detector_merges_and_finishes_bit_identically(self):
+        batch = _capture(105)
+        live = [_detector(), _detector()]
+        for shard, detector in zip(shard_batch(batch, 2), live):
+            for _, _, chunk in shard.iter_time_chunks(3_600.0):
+                detector.add_batch(chunk)
+        revived = [StreamingDetector.from_bytes(d.to_bytes()) for d in live]
+        for detectors in (live, revived):
+            detectors[0].merge(detectors[1])
+        assert revived[0].to_bytes() == live[0].to_bytes()
+        events, detections = revived[0].finish()
+        ref_events, ref_detections = live[0].finish()
+        _assert_tables_identical(events, ref_events)
+        _assert_detections_identical(detections, ref_detections)

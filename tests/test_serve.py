@@ -106,8 +106,11 @@ class TestEndpoints:
         body = json.dumps(dict(config, max_ecdf_samples=64)).encode()
         status, payload = client.request("PUT", "/tenants/t0", body)
         assert status == 400 and "max_ecdf_samples" in payload["error"]
-        # The null budget every older tenants.json carries still loads.
+        # The null budget older tenants.json files carry is refused too.
         body = json.dumps(dict(config, max_ecdf_samples=None)).encode()
+        status, payload = client.request("PUT", "/tenants/t0", body)
+        assert status == 400 and "max_ecdf_samples" in payload["error"]
+        body = json.dumps(config).encode()
         assert client.request("PUT", "/tenants/t0", body)[0] == 201
         assert "degraded" not in client.health()["tenants"]["t0"]
 

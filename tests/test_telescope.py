@@ -150,6 +150,35 @@ class TestChunkedCaptureSource:
         assert len(restored) == len(capture)
         assert all(c.start % 600.0 == 0.0 for c in chunks)
 
+    def test_from_directory_verifies_digests(self, telescope, tmp_path):
+        from repro.core.faults import ChunkCorruptionError
+        from repro.io.packetlog import save_packets_chunked
+        from repro.telescope.chunks import ChunkedCaptureSource
+
+        directory = tmp_path / "cap"
+        packets = self._capture(telescope).packets
+        chunk_seconds = float(np.ptp(packets.ts)) / 4
+        save_packets_chunked(packets, directory, chunk_seconds)
+        # A whole, parseable archive under the wrong name: only the
+        # manifest digest tells it apart.
+        (directory / "chunk-00000.npz").write_bytes(
+            (directory / "chunk-00001.npz").read_bytes()
+        )
+        source = ChunkedCaptureSource.from_directory(directory, chunk_seconds)
+        with pytest.raises(ChunkCorruptionError, match="chunk-00000"):
+            list(source)
+
+    def test_from_directory_needs_a_manifest(self, telescope, tmp_path):
+        from repro.core.faults import ChunkCorruptionError
+        from repro.io.packetlog import save_packets_chunked
+        from repro.telescope.chunks import ChunkedCaptureSource
+
+        directory = tmp_path / "cap"
+        save_packets_chunked(self._capture(telescope).packets, directory, 600.0)
+        (directory / "MANIFEST.json").unlink()
+        with pytest.raises(ChunkCorruptionError, match="manifest"):
+            ChunkedCaptureSource.from_directory(directory, 600.0)
+
     def test_invalid_chunk_seconds(self, telescope):
         from repro.telescope.chunks import ChunkedCaptureSource
 

@@ -54,11 +54,13 @@ class TestConfigRoundTrip:
         config = _config(workers=3, queue_depth=4)
         assert TenantConfig.from_dict(config.as_dict()) == config
 
-    def test_registry_written_with_null_sample_budget_loads(self):
+    def test_registry_with_null_sample_budget_refused(self):
         # Registries persisted while engines took an ECDF sample budget
-        # carry ``"max_ecdf_samples": null``.
+        # carry ``"max_ecdf_samples": null``; their snapshots are v2 or
+        # v3 state, which no longer loads either.
         payload = dict(_config(workers=2).as_dict(), max_ecdf_samples=None)
-        assert TenantConfig.from_dict(payload) == _config(workers=2)
+        with pytest.raises(ValueError, match="max_ecdf_samples"):
+            TenantConfig.from_dict(payload)
 
     def test_non_null_sample_budget_refused(self):
         payload = dict(_config().as_dict(), max_ecdf_samples=128)
