@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve layerbench-smoke perf-gate ci-local src-delta snapshot-split query-split shard-split ledger
+.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve layerbench-smoke perf-gate ci-local src-delta snapshot-split query-split shard-split sort-split ledger
 
 lint:
 	ruff check .
@@ -99,6 +99,13 @@ query-split:
 shard-split:
 	$(PYTHON) benchmarks/shard_split.py --workers $(WORKERS)
 
+# Each packed-key sort kernel (repro.sortkeys) against the numpy call it
+# replaced, on the repository benchmark's study capture (seed SEED,
+# scenario SCENARIO): rows, best-of-3 ms for both, their ratio; exits 1
+# if any kernel's output differs from its oracle's.
+sort-split:
+	$(PYTHON) benchmarks/sort_split.py --seed $(SEED) --scenario $(SCENARIO)
+
 # One traced repository-benchmark run (workload WORKLOAD, seed SEED,
 # scenario SCENARIO) and its per-layer ledger sorted by self seconds,
 # with calls: the before/after line an optimisation change shows for
@@ -130,7 +137,7 @@ perf-gate:
 # The whole CI job sequence, in order, on the local machine: lint,
 # byte-compile, tier-1 tests (with the same JUnit/durations artifacts),
 # benchmark smoke, ingestion-service smoke + bench + chaos, both fault
-# matrices, the layerbench smoke with the three split probes and the traced
+# matrices, the layerbench smoke with the four split probes and the traced
 # study ledger on the tiny scenario, then the perf gate against the
 # committed (HEAD) baselines.
 ci-local:
@@ -148,5 +155,6 @@ ci-local:
 	$(PYTHON) benchmarks/query_split.py --scenario tiny
 	$(PYTHON) benchmarks/snapshot_split.py --scenario tiny
 	$(PYTHON) benchmarks/shard_split.py --scenario tiny --workers 2
+	$(MAKE) sort-split SEED=1 SCENARIO=tiny
 	$(MAKE) ledger WORKLOAD=study-batch SEED=1 SCENARIO=tiny
 	$(MAKE) perf-gate BASELINE_GIT=HEAD

@@ -18,10 +18,11 @@ from typing import Dict, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.core.detection import DetectionResult
-from repro.fingerprint import Tool, classify
+from repro.fingerprint import Tool, classify_columns
 from repro.net.addr import distinct_slash24s
 from repro.net.asn import ASRegistry
 from repro.packet import Protocol
+from repro.sortkeys import distinct_counts, run_starts
 from repro.telescope.capture import DarknetCapture
 
 
@@ -212,33 +213,36 @@ def top_ports(
     top_n: int = 25,
 ) -> list:
     """Figure 4: top services targeted by AH with tool fingerprints."""
-    batch = capture.select_sources(set(ah_sources))
-    if len(batch) == 0:
+    rows = capture.rows_from(set(ah_sources))
+    packets = capture.packets
+    dport = packets.dport[rows]
+    if len(dport) == 0:
         return []
-    tools = classify(batch)
-    keys = (
-        batch.dport.astype(np.uint32) << np.uint32(8)
-    ) | batch.proto.astype(np.uint32)
-    unique, inverse, counts = np.unique(
-        keys, return_inverse=True, return_counts=True
+    # One sort of packed (port·proto, tool) words: tool codes take the
+    # low two bits, so runs of one service are adjacent.
+    words = (dport.astype(np.uint32) << np.uint32(10)) | (
+        packets.proto[rows].astype(np.uint32) << np.uint32(2)
     )
-    zmap, masscan, other = (
-        np.bincount(inverse, weights=tools == tool.value, minlength=len(unique))
-        for tool in (Tool.ZMAP, Tool.MASSCAN, Tool.OTHER)
-    )
-    rows = [
+    words |= classify_columns(packets.ipid[rows], packets.dst[rows], dport)
+    words, counts = distinct_counts(words)
+    service = words >> np.uint32(2)
+    first = run_starts(service)
+    per_tool = np.zeros((int(first.sum()), len(Tool)), dtype=np.int64)
+    per_tool[np.cumsum(first) - 1, words & np.uint32(3)] = counts
+    service = service[first]
+    totals = per_tool.sum(axis=1)
+    ranked = np.argsort(-totals, kind="stable")[:top_n]
+    return [
         PortRow(
-            port=int(key) >> 8,
-            proto=int(key) & 0xFF,
-            packets=int(counts[i]),
-            zmap_packets=int(zmap[i]),
-            masscan_packets=int(masscan[i]),
-            other_packets=int(other[i]),
+            port=int(service[i]) >> 8,
+            proto=int(service[i]) & 0xFF,
+            packets=int(totals[i]),
+            zmap_packets=int(per_tool[i, Tool.ZMAP]),
+            masscan_packets=int(per_tool[i, Tool.MASSCAN]),
+            other_packets=int(per_tool[i, Tool.OTHER]),
         )
-        for i, key in enumerate(unique)
+        for i in ranked
     ]
-    rows.sort(key=lambda r: r.packets, reverse=True)
-    return rows[:top_n]
 
 
 def port_overlap(rows_a: Sequence[PortRow], rows_b: Sequence[PortRow]) -> int:

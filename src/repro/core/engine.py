@@ -697,7 +697,7 @@ class DetectionEngine:
         are dropped individually — each contributes an error string and
         is excluded from the ``chunks`` count, exactly as per-chunk
         ingestion would have rejected it — while the rest concatenate
-        into one fold, amortizing decode and the builder's lexsort.
+        into one fold, amortizing decode and the builder's sort.
         A single-shard engine ships the raw bytes to its host, which
         decodes them (off-process, with a fold pool attached); sharded
         engines decode here, split by source, and hand sub-batches

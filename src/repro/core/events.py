@@ -9,10 +9,12 @@ record start/end timestamps, total packets and the number of unique
 dark destinations contacted — the raw material for all three
 aggressive-hitter definitions.
 
-The builder is fully vectorized: packets are lexicographically sorted
-by (flow key, timestamp), event boundaries are gap/key transitions, and
-per-event unique-destination counts come from a second sort — so
-multi-million-packet captures build in seconds.
+The builder is fully vectorized: packets are put in (flow key,
+timestamp) order by the packed-key kernels of :mod:`repro.sortkeys`,
+event boundaries are gap/key transitions, and per-event
+unique-destination counts come from one sort of packed
+``event << 32 | dst`` words — so multi-million-packet captures build in
+seconds.
 """
 
 from __future__ import annotations
@@ -22,16 +24,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.packet import PacketBatch
+from repro.packet import PacketBatch, SCANNING_PROTOCOLS
+from repro.sortkeys import order_by_flow, order_by_time, run_starts
 
-
-def _flow_keys(batch: PacketBatch) -> np.ndarray:
-    """Composite (src, dport, proto) key per packet."""
-    return (
-        (batch.src.astype(np.uint64) << np.uint64(24))
-        | (batch.dport.astype(np.uint64) << np.uint64(8))
-        | batch.proto.astype(np.uint64)
-    )
+#: per protocol code: whether the paper counts it as a scanning packet.
+_SCANNING = np.zeros(256, dtype=bool)
+_SCANNING[[p.value for p in SCANNING_PROTOCOLS]] = True
 
 
 @dataclass
@@ -246,6 +244,81 @@ def port_counts_from_triples(
     }
 
 
+def segment_events(batch: PacketBatch, timeout: float) -> tuple:
+    """Cut a batch's scanning packets into events.
+
+    Returns ``(events, keys, dsts)``: the :class:`EventTable` ordered by
+    (flow key, start time), each event's composite
+    ``src << 24 | dport << 8 | proto`` flow key (uint64), and every
+    event's distinct destinations, event after event, ascending within
+    one (uint32; ``events.unique_dsts`` are the run lengths).
+
+    Only the paper's three scanning packet types form events; DDoS
+    backscatter (SYN-ACK / RST toward spoofed victims) also reaches the
+    telescope but must never contribute to scanner detection, so its
+    rows are dropped from the sort permutation — the first of the
+    paper's false-positive guards.  Rows need not be time-sorted; NaN or
+    infinite timestamps raise ``ValueError``.
+    """
+    ts = batch.ts
+    if not bool(np.isfinite(ts).all()):
+        raise ValueError("packet timestamps must be finite")
+    port_proto = (batch.dport.astype(np.uint32) << np.uint32(8)) | batch.proto
+    if bool((ts[1:] >= ts[:-1]).all()):
+        # Time-sorted rows: the row index is the timestamp tie-break.
+        order = order_by_flow(batch.src, port_proto)
+    else:
+        by_time = order_by_time(ts)
+        order = by_time[order_by_flow(batch.src[by_time], port_proto[by_time])]
+        del by_time
+    keep = _SCANNING[batch.proto]
+    if not bool(keep.all()):
+        order = order[keep[order]]
+    n = len(order)
+    if n == 0:
+        return (
+            EventTable.empty(),
+            np.empty(0, dtype=np.uint64),
+            np.empty(0, dtype=np.uint32),
+        )
+
+    keys = batch.src[order].astype(np.uint64)
+    keys <<= np.uint64(24)
+    keys |= port_proto[order]
+    ts = ts[order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    starts[1:] |= (ts[1:] - ts[:-1]) > timeout
+    start_idx = np.flatnonzero(starts)
+    end_idx = np.append(start_idx[1:], n) - 1
+    n_events = len(start_idx)
+    keys = keys[start_idx]
+
+    # Distinct (event, dst) pairs: one sort of ``event << 32 | dst``.
+    pairs = np.cumsum(starts, dtype=np.int64).view(np.uint64)
+    del starts
+    pairs -= np.uint64(1)
+    pairs <<= np.uint64(32)
+    pairs |= batch.dst[order]
+    del order
+    pairs.sort()
+    pairs = pairs[run_starts(pairs)]
+    unique_dsts = np.bincount(
+        (pairs >> np.uint64(32)).view(np.int64), minlength=n_events
+    )
+    events = EventTable(
+        src=(keys >> np.uint64(24)).astype(np.uint32),
+        dport=(keys >> np.uint64(8)).astype(np.uint16),
+        proto=keys.astype(np.uint8),
+        start=ts[start_idx],
+        end=ts[end_idx],
+        packets=np.diff(start_idx, append=n),
+        unique_dsts=unique_dsts,
+    )
+    return events, keys, pairs.astype(np.uint32)
+
+
 def build_events(batch: PacketBatch, timeout: float) -> EventTable:
     """Aggregate a packet capture into darknet events.
 
@@ -258,66 +331,4 @@ def build_events(batch: PacketBatch, timeout: float) -> EventTable:
     """
     if timeout <= 0:
         raise ValueError("timeout must be positive")
-    # Only the paper's three scanning packet types form events; DDoS
-    # backscatter (SYN-ACK / RST toward spoofed victims) also reaches
-    # the telescope but must never contribute to scanner detection —
-    # this filter is the first of the paper's false-positive guards.
-    from repro.packet import SCANNING_PROTOCOLS
-
-    scanning_codes = np.array(
-        [p.value for p in SCANNING_PROTOCOLS], dtype=np.uint8
-    )
-    if len(batch) and not bool(np.all(np.isin(batch.proto, scanning_codes))):
-        batch = batch.select(np.isin(batch.proto, scanning_codes))
-
-    n = len(batch)
-    if n == 0:
-        return EventTable.empty()
-
-    keys = _flow_keys(batch)
-    order = np.lexsort((batch.ts, keys))
-    keys = keys[order]
-    ts = batch.ts[order]
-    src = batch.src[order]
-    dport = batch.dport[order]
-    proto = batch.proto[order]
-    dst = batch.dst[order]
-
-    new_key = np.empty(n, dtype=bool)
-    new_key[0] = True
-    new_key[1:] = keys[1:] != keys[:-1]
-    gap = np.empty(n, dtype=bool)
-    gap[0] = False
-    gap[1:] = (ts[1:] - ts[:-1]) > timeout
-    starts = new_key | gap
-
-    event_id = np.cumsum(starts) - 1
-    n_events = int(event_id[-1]) + 1
-    start_idx = np.flatnonzero(starts)
-    end_idx = np.concatenate([start_idx[1:], [n]]) - 1
-
-    packets = np.bincount(event_id, minlength=n_events).astype(np.int64)
-
-    # Unique destinations per event: sort (event_id, dst) pairs and
-    # count first-occurrences per event.
-    pair_order = np.lexsort((dst, event_id))
-    eid_sorted = event_id[pair_order]
-    dst_sorted = dst[pair_order]
-    first_pair = np.empty(n, dtype=bool)
-    first_pair[0] = True
-    first_pair[1:] = (eid_sorted[1:] != eid_sorted[:-1]) | (
-        dst_sorted[1:] != dst_sorted[:-1]
-    )
-    unique_dsts = np.bincount(
-        eid_sorted[first_pair], minlength=n_events
-    ).astype(np.int64)
-
-    return EventTable(
-        src=src[start_idx],
-        dport=dport[start_idx],
-        proto=proto[start_idx],
-        start=ts[start_idx],
-        end=ts[end_idx],
-        packets=packets,
-        unique_dsts=unique_dsts,
-    )
+    return segment_events(batch, timeout)[0]

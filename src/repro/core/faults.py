@@ -66,6 +66,14 @@ class ChunkManifestError(ChunkCorruptionError):
     """
 
 
+class NonFiniteTimestampError(ChunkCorruptionError):
+    """A packet chunk decodes but carries a NaN or infinite timestamp.
+
+    No event or time order is defined for such a packet, so the chunk
+    is refused whole, like any other undecodable chunk.
+    """
+
+
 class InjectedFault(FaultError):
     """A :class:`FaultPlan` killed this shard attempt (tests only)."""
 

@@ -48,8 +48,9 @@ from repro.core.detection import (
     volume_threshold,
 )
 from repro.core.ecdf import StreamingECDF
-from repro.core.events import EventTable, _flow_keys, build_events
-from repro.packet import PacketBatch, SCANNING_PROTOCOLS
+from repro.core.events import EventTable, build_events, segment_events
+from repro.packet import PacketBatch
+from repro.sortkeys import distinct, run_starts
 
 
 # Open flows live in a columnar table sorted by composite flow key:
@@ -116,8 +117,8 @@ class StreamingEventBuilder:
     earliest packet predates the previous chunk's watermark raises —
     that data could belong to already-expired flows.
 
-    Each chunk is folded in with a vectorized group-by (the same
-    lexsort/segment-boundary construction the batch builder uses), and
+    Each chunk is cut into events by the batch builder's own
+    :func:`~repro.core.events.segment_events`, and
     the open-flow state that survives chunk boundaries is itself
     columnar: a key-sorted struct-of-arrays table spliced with
     searchsorted membership and batched closes, plus a destination
@@ -181,18 +182,12 @@ class StreamingEventBuilder:
     # ------------------------------------------------------------------
     def add_batch(self, batch: PacketBatch) -> None:
         """Fold one capture chunk into the event state."""
-        if len(batch) == 0:
+        events, keys, ev_dst = segment_events(batch, self.timeout)
+        n_events = len(events)
+        if n_events == 0:
             return
-        scanning_codes = np.array(
-            [p.value for p in SCANNING_PROTOCOLS], dtype=np.uint8
-        )
-        keep = np.isin(batch.proto, scanning_codes)
-        if not bool(np.all(keep)):
-            batch = batch.select(keep)
-        if len(batch) == 0:
-            return
-        first_ts = float(batch.ts.min())
-        last_ts = float(batch.ts.max())
+        first_ts = float(events.start.min())
+        last_ts = float(events.end.max())
         if self._watermark is not None and first_ts < self._watermark:
             raise ValueError(
                 f"out-of-order chunk: starts at {first_ts:.3f}, watermark "
@@ -202,56 +197,22 @@ class StreamingEventBuilder:
         # chunk even begins — keeps the open-state bounded.
         self._expire_before(first_ts)
 
-        # Chunk-local segmentation, identical to the batch builder:
-        # sort by (flow key, ts), events start at key or gap boundaries.
-        n = len(batch)
-        keys = _flow_keys(batch)
-        order = np.lexsort((batch.ts, keys))
-        keys = keys[order]
-        ts = batch.ts[order]
-        dst = batch.dst[order]
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = keys[1:] != keys[:-1]
-        gap = np.empty(n, dtype=bool)
-        gap[0] = False
-        gap[1:] = (ts[1:] - ts[:-1]) > self.timeout
-        starts = new_key | gap
-        event_id = np.cumsum(starts) - 1
-        n_events = int(event_id[-1]) + 1
-        start_idx = np.flatnonzero(starts)
-        end_idx = np.concatenate([start_idx[1:], [n]]) - 1
-        ev_packets = np.bincount(event_id, minlength=n_events).astype(np.int64)
-
-        # Per-event deduplicated destination values in CSR form: the
+        # Chunk-local events, identical to the batch builder's, with
+        # each event's deduplicated destinations in CSR form: the
         # counts close pure in-chunk events, the values seed or extend
         # the open-flow destination sets.
-        pair_order = np.lexsort((dst, event_id))
-        eid_sorted = event_id[pair_order]
-        dst_sorted = dst[pair_order]
-        first_pair = np.empty(n, dtype=bool)
-        first_pair[0] = True
-        first_pair[1:] = (eid_sorted[1:] != eid_sorted[:-1]) | (
-            dst_sorted[1:] != dst_sorted[:-1]
-        )
-        ev_unique = np.bincount(
-            eid_sorted[first_pair], minlength=n_events
-        ).astype(np.int64)
-        ev_dst = dst_sorted[first_pair]
+        ev_packets = events.packets
+        ev_unique = events.unique_dsts
         ev_off = np.concatenate([[0], np.cumsum(ev_unique)])
-
-        ev_src = batch.src[order][start_idx]
-        ev_dport = batch.dport[order][start_idx]
-        ev_proto = batch.proto[order][start_idx]
-        ev_start = ts[start_idx]
-        ev_end = ts[end_idx]
+        ev_start = events.start
+        ev_end = events.end
 
         # Per-key event groups: events are sorted by (key, ts), so the
         # chunk's distinct keys come out ascending — ready for a single
         # searchsorted membership probe against the sorted open table.
-        kf = np.flatnonzero(new_key[start_idx])
+        kf = np.flatnonzero(run_starts(keys))
         kl = np.concatenate([kf[1:], [n_events]]) - 1
-        chunk_keys = keys[start_idx][kf]
+        chunk_keys = keys[kf]
         nk = len(chunk_keys)
         n_open = len(self._keys)
         timeout = self.timeout
@@ -356,16 +317,10 @@ class StreamingEventBuilder:
         )
 
         if bool(closed_mask.any()):
+            closed = events.select(closed_mask)
             self._closed_cols.append(
-                (
-                    ev_src[closed_mask],
-                    ev_dport[closed_mask],
-                    ev_proto[closed_mask],
-                    ev_start[closed_mask],
-                    ev_end[closed_mask],
-                    ev_packets[closed_mask],
-                    ev_unique[closed_mask],
-                )
+                (closed.src, closed.dport, closed.proto, closed.start,
+                 closed.end, closed.packets, closed.unique_dsts)
             )
             n_new_rows += int(closed_mask.sum())
         self._n_closed += n_new_rows
@@ -397,7 +352,7 @@ class StreamingEventBuilder:
         ]
         if flow is not None:
             pairs.append((flow.astype(np.uint64) << np.uint64(32)) | dst)
-        pairs = np.unique(np.concatenate(pairs))
+        pairs = distinct(np.concatenate(pairs))
         flows = (pairs >> np.uint64(32)).astype(np.intp)
         return (
             np.bincount(flows, minlength=len(rows)),

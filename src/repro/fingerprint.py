@@ -64,10 +64,16 @@ def classify(batch: PacketBatch) -> np.ndarray:
     the original methodology and give ZMap's constant precedence since
     it is the stronger (exact) signature.
     """
-    tools = np.full(len(batch), Tool.OTHER.value, dtype=np.uint8)
-    is_masscan = batch.ipid == masscan_ipid(batch.dst, batch.dport)
-    tools[is_masscan] = Tool.MASSCAN.value
-    tools[batch.ipid == ZMAP_IPID] = Tool.ZMAP.value
+    return classify_columns(batch.ipid, batch.dst, batch.dport)
+
+
+def classify_columns(
+    ipid: np.ndarray, dst: np.ndarray, dport: np.ndarray
+) -> np.ndarray:
+    """:func:`classify` over the only three columns it reads."""
+    tools = np.full(len(ipid), Tool.OTHER.value, dtype=np.uint8)
+    tools[ipid == masscan_ipid(dst, dport)] = Tool.MASSCAN.value
+    tools[ipid == ZMAP_IPID] = Tool.ZMAP.value
     return tools
 
 

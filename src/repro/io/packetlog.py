@@ -34,6 +34,7 @@ import numpy as np
 from repro.core.faults import (
     ChunkCorruptionError,
     ChunkManifestError,
+    NonFiniteTimestampError,
     atomic_write_bytes,
     sha256_hex,
 )
@@ -79,8 +80,10 @@ def packets_from_npz_bytes(
 
     Raises :class:`~repro.core.faults.ChunkCorruptionError` (with
     ``label`` in the message) on a truncated, altered, or mis-tagged
-    payload — the server rejects such chunks without touching detector
-    state.
+    payload, and its subclass
+    :class:`~repro.core.faults.NonFiniteTimestampError` on a NaN or
+    infinite timestamp — the server rejects such chunks without
+    touching detector state.
     """
     return _parse_packets_npz(data, Path(label))
 
@@ -104,13 +107,18 @@ def _parse_packets_npz(data: bytes, path: Path) -> PacketBatch:
                 raise ChunkCorruptionError(
                     f"not a repro packet log: {path} (magic={magic!r})"
                 )
-            return PacketBatch(**{name: archive[name] for name in COLUMNS})
+            batch = PacketBatch(**{name: archive[name] for name in COLUMNS})
     except ChunkCorruptionError:
         raise
     except Exception as exc:
         raise ChunkCorruptionError(
             f"corrupt packet chunk {path}: {type(exc).__name__}: {exc}"
         ) from exc
+    if not bool(np.isfinite(batch.ts).all()):
+        raise NonFiniteTimestampError(
+            f"packet chunk {path} has non-finite timestamps"
+        )
+    return batch
 
 
 def load_packets_npz(

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.net.addr import format_ip, parse_ip, prefix_size
+from repro.sortkeys import distinct
 
 
 @dataclass(frozen=True, order=True)
@@ -218,8 +219,8 @@ def sample_distinct_offsets(
         return np.empty(0, dtype=np.int64)
     if count * 3 >= size:
         return rng.permutation(size)[:count].astype(np.int64)
-    chosen = np.unique(rng.integers(0, size, size=int(count * 1.2), dtype=np.int64))
+    chosen = distinct(rng.integers(0, size, size=int(count * 1.2), dtype=np.int64))
     while len(chosen) < count:
         extra = rng.integers(0, size, size=count, dtype=np.int64)
-        chosen = np.unique(np.concatenate([chosen, extra]))
+        chosen = distinct(np.concatenate([chosen, extra]))
     return rng.permutation(chosen)[:count]

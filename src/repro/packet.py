@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.sortkeys import distinct, order_by_time
+
 
 class Protocol(enum.IntEnum):
     """Traffic types observed at the telescope.
@@ -151,9 +153,9 @@ class PacketBatch:
         )
 
     def sorted_by_time(self) -> "PacketBatch":
-        """Return a copy ordered by timestamp (stable)."""
-        order = np.argsort(self.ts, kind="stable")
-        return self.select(order)
+        """Return a copy ordered by timestamp (stable; NaN or infinite
+        timestamps raise ``ValueError``)."""
+        return self.select(order_by_time(self.ts))
 
     def time_slice(self, start: float, end: float) -> "PacketBatch":
         """Packets with ``start <= ts < end`` (no sort assumed)."""
@@ -204,11 +206,11 @@ class PacketBatch:
     # ------------------------------------------------------------------
     def unique_sources(self) -> np.ndarray:
         """Sorted unique source addresses."""
-        return np.unique(self.src)
+        return distinct(self.src)
 
     def unique_destinations(self) -> np.ndarray:
         """Sorted unique destination addresses."""
-        return np.unique(self.dst)
+        return distinct(self.dst)
 
     def protocol_counts(self) -> dict:
         """Packet counts per :class:`Protocol`."""

@@ -48,6 +48,7 @@ import numpy as np
 from repro.packet import PacketBatch
 from repro.scanners.base import View, view_rng_key
 from repro.scanners.streams import derive_span_words, generator_from_words
+from repro.sortkeys import order_by_time
 
 
 class _ScannerCursor:
@@ -164,7 +165,7 @@ class _ScannerCursor:
             self.spans_emitted += 1
         if not cut_by_window:
             return gen.ts, gen.src, gen.dst, gen.dport, gen.proto, gen.ipid
-        order = np.argsort(gen.ts, kind="stable")
+        order = order_by_time(gen.ts)
         return (
             gen.ts[order], gen.src[order], gen.dst[order],
             gen.dport[order], gen.proto[order], gen.ipid[order],

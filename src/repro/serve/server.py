@@ -25,7 +25,7 @@ Concurrency model — one bounded queue and one worker task per tenant:
   micro-batches*: on wake-up it dequeues every already-queued chunk up
   to the tenant's ``coalesce_chunks``/``coalesce_bytes`` budgets and
   folds them as one coalesced pass, amortizing npz decode and the
-  streaming builder's lexsort across the burst.  Queries, snapshots,
+  streaming builder's sort across the burst.  Queries, snapshots,
   recycles, and sync barriers travel *through the same queue* and cut
   a coalescing run short, so they observe exactly the chunks accepted
   before them and never race an ingest on the same engine.

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.packet import PacketBatch
+from repro.sortkeys import distinct_inverse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.telescope.darknet import Telescope
@@ -53,15 +54,14 @@ class DarknetCapture:
         """``(sources, counts, inverse)`` of the capture's source column.
 
         Sorted distinct sources, packets per source, and each packet's
-        position in ``sources`` (int32) — one sort, built on first use.
+        position in ``sources`` (int32) — one packed-key sort
+        (:func:`repro.sortkeys.distinct_inverse`), built on first use.
         Capture packets are immutable after :meth:`Telescope.capture`;
         the index is cached against the batch it was built from, so
         assigning a new ``packets`` batch rebuilds it.
         """
         if self._index is None or self._index[0] is not self.packets:
-            uniq, inverse, counts = np.unique(
-                self.packets.src, return_inverse=True, return_counts=True
-            )
+            uniq, inverse, counts = distinct_inverse(self.packets.src)
             self._index = (self.packets, (uniq, counts, inverse.astype(np.int32)))
         return self._index[1]
 
@@ -95,9 +95,13 @@ class DarknetCapture:
         """Total packets originating from the given source set."""
         return int(self.source_packets(sources)[1].sum())
 
+    def rows_from(self, sources) -> np.ndarray:
+        """Mask over the capture's packets: those from the source set."""
+        return self._hits(sources)[self.source_index()[2]]
+
     def select_sources(self, sources) -> PacketBatch:
         """Packets originating from the given source set, in time order."""
-        return self.packets.select(self._hits(sources)[self.source_index()[2]])
+        return self.packets.select(self.rows_from(sources))
 
     def summary(self) -> dict:
         """Table-1-style dataset description."""

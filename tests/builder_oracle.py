@@ -14,11 +14,20 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.events import EventTable, _flow_keys
+from repro.core.events import EventTable
 from repro.core.streaming import _COMPACT_SEGMENTS, _columns_to_table
 from repro.packet import PacketBatch, SCANNING_PROTOCOLS
 
 _KEY_DPORT_MASK = np.uint64(0xFFFF)
+
+
+def _flow_keys(batch: PacketBatch) -> np.ndarray:
+    """Composite (src, dport, proto) key per packet."""
+    return (
+        (batch.src.astype(np.uint64) << np.uint64(24))
+        | (batch.dport.astype(np.uint64) << np.uint64(8))
+        | batch.proto.astype(np.uint64)
+    )
 _KEY_PROTO_MASK = np.uint64(0xFF)
 
 

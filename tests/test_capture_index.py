@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import characterize
+from repro.fingerprint import ZMAP_IPID, Tool, classify, masscan_ipid
 from repro.net.asn import ASType, build_registry
 from repro.net.prefix import Prefix
 from repro.packet import PacketBatch, Protocol
@@ -181,3 +182,55 @@ class TestIndexCache:
         assert counts.tolist() == [1, 2, 1]
         assert inverse.dtype == np.int32
         assert np.array_equal(sources[inverse], capture.packets.src)
+
+
+def unique_top_ports(capture, ah_sources, top_n):
+    """Figure 4 as it was built before the packed (service, tool) sort:
+    a six-column ``select_sources`` copy, ``np.unique`` with an inverse
+    and one ``bincount`` per tool."""
+    batch = capture.select_sources(set(ah_sources))
+    if len(batch) == 0:
+        return []
+    tools = classify(batch)
+    keys = (batch.dport.astype(np.uint32) << np.uint32(8)) | batch.proto
+    unique, inverse, counts = np.unique(
+        keys, return_inverse=True, return_counts=True
+    )
+    zmap, masscan, other = (
+        np.bincount(inverse, weights=tools == tool.value, minlength=len(unique))
+        for tool in (Tool.ZMAP, Tool.MASSCAN, Tool.OTHER)
+    )
+    rows = [
+        characterize.PortRow(
+            port=int(key) >> 8,
+            proto=int(key) & 0xFF,
+            packets=int(counts[i]),
+            zmap_packets=int(zmap[i]),
+            masscan_packets=int(masscan[i]),
+            other_packets=int(other[i]),
+        )
+        for i, key in enumerate(unique)
+    ]
+    rows.sort(key=lambda r: r.packets, reverse=True)
+    return rows[:top_n]
+
+
+class TestTopPortsMatchesUnique:
+    @settings(max_examples=150, deadline=None)
+    @given(captures, queries, st.integers(0, 3), st.integers(1, 30))
+    def test_ranking_and_tool_split(self, src, query, seed, top_n):
+        capture = make_capture(src, seed)
+        rng = np.random.default_rng(seed)
+        n = len(src)
+        packets = capture.packets
+        # Few services (ties in the ranking), every protocol code, and
+        # IP-IDs that hit both fingerprints.
+        packets.dport = np.array([0, 22, 80, 65535], np.uint16)[rng.integers(0, 4, n)]
+        packets.proto = np.array([1, 6, 17, 201, 255], np.uint8)[rng.integers(0, 5, n)]
+        masscan = masscan_ipid(packets.dst, packets.dport)
+        packets.ipid = np.where(
+            rng.random(n) < 0.3, ZMAP_IPID,
+            np.where(rng.random(n) < 0.5, masscan, rng.integers(0, 65_536, n)),
+        ).astype(np.uint16)
+        expected = unique_top_ports(capture, query, top_n)
+        assert characterize.top_ports(capture, query, top_n) == expected
