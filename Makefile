@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve layerbench-smoke perf-gate ci-local src-delta snapshot-split query-split shard-split sort-split ledger
+.PHONY: lint test bench bench-smoke bench-emit fault-matrix serve-smoke serve-bench chaos-serve layerbench-smoke perf-gate ci-local src-delta snapshot-split query-split shard-split sort-split emit-split ledger
 
 lint:
 	ruff check .
@@ -106,6 +106,14 @@ shard-split:
 sort-split:
 	$(PYTHON) benchmarks/sort_split.py --seed $(SEED) --scenario $(SCENARIO)
 
+# Where capture emission time goes, on the repository benchmark's study
+# world (seed SEED, scenario SCENARIO): best-of-3 ms of the span plan's
+# stages (plan, derive, generate, assemble + sort) for Telescope.capture
+# and the lazy sweep; exits 1 if either path's packets differ from the
+# scanner-by-scanner oracle (tests/emit_oracle.py).
+emit-split:
+	$(PYTHON) benchmarks/emit_split.py --seed $(SEED) --scenario $(SCENARIO)
+
 # One traced repository-benchmark run (workload WORKLOAD, seed SEED,
 # scenario SCENARIO) and its per-layer ledger sorted by self seconds,
 # with calls: the before/after line an optimisation change shows for
@@ -137,7 +145,7 @@ perf-gate:
 # The whole CI job sequence, in order, on the local machine: lint,
 # byte-compile, tier-1 tests (with the same JUnit/durations artifacts),
 # benchmark smoke, ingestion-service smoke + bench + chaos, both fault
-# matrices, the layerbench smoke with the four split probes and the traced
+# matrices, the layerbench smoke with the five split probes and the traced
 # study ledger on the tiny scenario, then the perf gate against the
 # committed (HEAD) baselines.
 ci-local:
@@ -156,5 +164,6 @@ ci-local:
 	$(PYTHON) benchmarks/snapshot_split.py --scenario tiny
 	$(PYTHON) benchmarks/shard_split.py --scenario tiny --workers 2
 	$(MAKE) sort-split SEED=1 SCENARIO=tiny
+	$(MAKE) emit-split SEED=1 SCENARIO=tiny
 	$(MAKE) ledger WORKLOAD=study-batch SEED=1 SCENARIO=tiny
 	$(MAKE) perf-gate BASELINE_GIT=HEAD

@@ -5,8 +5,8 @@ Builds the repository benchmark's study capture (scenario and seed as
 :mod:`repro.sortkeys` next to its numpy oracle:
 
 * ``order_by_time`` vs ``np.argsort(kind="stable")`` on the unsorted
-  emission (every scanner's packets, concatenated in population order:
-  what ``sorted_by_time`` orders);
+  emission (every scanner's packets, concatenated in population order
+  by the span plan: what ``sorted_by_time`` orders);
 * ``order_by_flow`` vs ``np.lexsort((ts, key))`` on the time-sorted
   capture (the event builder's flow order);
 * ``distinct`` of packed ``event << 32 | dst`` words vs
@@ -44,6 +44,7 @@ from inputs import SCENARIOS, make_scenario  # noqa: E402
 
 from repro.core.events import build_events  # noqa: E402
 from repro.packet import PacketBatch  # noqa: E402
+from repro.scanners.plan import SpanPlan  # noqa: E402
 from repro.sim.runner import _build_world_base  # noqa: E402
 from repro.sortkeys import (  # noqa: E402
     distinct,
@@ -72,14 +73,11 @@ def same(a, b) -> bool:
 
 def emission(scenario) -> tuple:
     """``(packets, timeout)``: the study's packets in emission order
-    (before the time sort) and its event timeout."""
+    (the span plan's generation order, before the time sort) and its
+    event timeout."""
     _, telescope, population, _, _, timeout = _build_world_base(scenario)
-    view = telescope.view()
-    window = scenario.window()
-    batch = PacketBatch.concat(
-        [scanner.emit(view, window) for scanner in population.scanners]
-    )
-    return batch, timeout
+    plan = SpanPlan(population.scanners, telescope.view(), scenario.window())
+    return PacketBatch.concat(plan.scanner_batches()), timeout
 
 
 def lexsort_pairs(event: np.ndarray, dst: np.ndarray) -> np.ndarray:

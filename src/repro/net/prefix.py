@@ -185,7 +185,7 @@ def ranges_size(ranges: np.ndarray) -> int:
     """Total address count covered by a ``[start, end)`` range array."""
     if len(ranges) == 0:
         return 0
-    return int(np.sum(ranges[:, 1] - ranges[:, 0]))
+    return int((ranges[:, 1] - ranges[:, 0]).sum())
 
 
 def sample_ranges(

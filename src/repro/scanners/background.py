@@ -214,8 +214,13 @@ class SpoofedScan:
 
     def emit(self, view, window=None):
         """Probes into ``view`` with per-packet spoofed sources."""
-        import zlib
+        from repro.scanners.base import view_rng_key
 
+        return self.emit_ranges(view.ranges(), view_rng_key(view), window)
+
+    def emit_ranges(self, view_ranges, view_key, window=None):
+        """:meth:`emit` given the view's ranges and RNG key (the span
+        plan computes both once per population)."""
         from repro.net.prefix import (
             ranges_size,
             sample_distinct_offsets,
@@ -224,16 +229,13 @@ class SpoofedScan:
         from repro.packet import PacketBatch, Protocol
         from repro.scanners.base import _offsets_to_addrs
 
-        rng = np.random.default_rng(
-            (self.seed, zlib.crc32(view.name.encode("utf-8")))
-        )
+        rng = np.random.default_rng((self.seed, view_key))
         w0, w1 = self.start, self.start + self.duration
         if window is not None:
             w0, w1 = max(w0, window[0]), min(w1, window[1])
             if w0 >= w1:
                 return PacketBatch.empty()
         fraction = (w1 - w0) / self.duration
-        view_ranges = view.ranges()
         size = ranges_size(view_ranges)
         k = int(rng.binomial(size, min(self.coverage * fraction, 1.0)))
         if k == 0:

@@ -43,7 +43,6 @@ from repro.net.prefix import (
     sample_distinct_offsets,
 )
 from repro.packet import PacketBatch, Protocol
-from repro.scanners.streams import span_generators
 
 IPV4_SPACE = 2**32
 
@@ -188,6 +187,9 @@ class ScanSession:
 
 def _offsets_to_addrs(ranges: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Map linear offsets in [0, size(ranges)) to addresses."""
+    if len(ranges) == 1:
+        # The common shape (a darknet is one prefix): no range search.
+        return (ranges[0, 0] + offsets).astype(np.uint32)
     sizes = ranges[:, 1] - ranges[:, 0]
     bounds = np.cumsum(sizes)
     which = np.searchsorted(bounds, offsets, side="right")
@@ -195,12 +197,34 @@ def _offsets_to_addrs(ranges: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return (ranges[which, 0] + (offsets - starts[which])).astype(np.uint32)
 
 
-def _sample_addrs_with_replacement(
-    rng: np.random.Generator, ranges: np.ndarray, count: int
-) -> np.ndarray:
-    total = ranges_size(ranges)
-    offsets = rng.integers(0, total, size=count, dtype=np.int64)
-    return _offsets_to_addrs(ranges, offsets)
+def span_grid(
+    session: ScanSession, hit_space: int, target_space: int
+) -> list:
+    """A session's deterministic [start, end) generation spans.
+
+    Non-RATE sessions are one span (COVERAGE/VERTICAL draw *distinct*
+    targets, which cannot be split without breaking the enumerate-once
+    semantics — but their in-view packet count is bounded by the view
+    size, so one span is already small).  RATE sessions are a Poisson
+    process, exactly decomposable, and are split so each span expects
+    roughly :data:`RATE_SPAN_TARGET_PACKETS` in-view packets
+    (``hit_space`` of the ``target_space`` targets lie in the view).
+    """
+    if session.mode is not ScanMode.RATE:
+        return [(session.start, session.end)]
+    expected = session.rate_pps * session.duration * hit_space / target_space
+    n_spans = max(1, int(math.ceil(expected / RATE_SPAN_TARGET_PACKETS)))
+    if n_spans == 1:
+        return [(session.start, session.end)]
+    sub = session.duration / n_spans
+    spans = [
+        (session.start + j * sub, session.start + (j + 1) * sub)
+        for j in range(n_spans)
+    ]
+    # Pin the last edge to the exact session end (float summation
+    # may land a hair off; slicing contracts depend on exact edges).
+    spans[-1] = (spans[-1][0], session.end)
+    return spans
 
 
 @dataclass
@@ -236,13 +260,14 @@ class Scanner:
         """Generate this scanner's packets landing inside ``view``.
 
         Emission is deterministic per (scanner, view, session,
-        generation span): every session draws from its own RNG
-        substream, so any time-slice of a session can be regenerated
-        independently of the others.  A ``window`` therefore yields
-        *exactly* the packets of the full emission whose timestamps fall
-        inside it — windowed and full emission are slices of one
-        underlying realization, which is what the lazy streaming layer
-        (:mod:`repro.scanners.lazy`) relies on.
+        generation span): every span draws from its own RNG substream,
+        so any time-slice of a session can be regenerated independently
+        of the others.  A ``window`` therefore yields *exactly* the
+        packets of the full emission whose timestamps fall inside it —
+        windowed and full emission are slices of one underlying
+        realization, which is what the lazy streaming layer
+        (:mod:`repro.scanners.lazy`) relies on.  This is a one-scanner
+        :class:`~repro.scanners.plan.SpanPlan`.
 
         Args:
             view: the monitored address region.
@@ -252,20 +277,9 @@ class Scanner:
             An unsorted :class:`PacketBatch` in deterministic generation
             order (callers sort at capture).
         """
-        view_key = view_rng_key(view)
-        view_ranges = view.ranges()
-        batches = []
-        for index, session in enumerate(self.sessions):
-            if window is not None and (
-                session.start >= window[1] or session.end <= window[0]
-            ):
-                continue
-            batch = self._emit_session_windowed(
-                index, session, view_ranges, view_key, window
-            )
-            if len(batch):
-                batches.append(batch)
-        return PacketBatch.concat(batches)
+        from repro.scanners.plan import SpanPlan
+
+        return SpanPlan([self], view, window).scanner_batches()[0]
 
     def emit_window(self, view: View, t0: float, t1: float) -> PacketBatch:
         """Packets of the full emission with ``t0 <= ts < t1``, sorted.
@@ -298,94 +312,18 @@ class Scanner:
         """Deterministic generation plan for one session into one view.
 
         Returns ``(inter, hit_space, target_space, spans)`` where spans
-        is the list of [start, end) generation sub-windows.  Non-RATE
-        sessions are one span (COVERAGE/VERTICAL draw *distinct*
-        targets, which cannot be split without breaking the
-        enumerate-once semantics — but their in-view packet count is
-        bounded by the view size, so one span is already small).  RATE
-        sessions are a Poisson process, exactly decomposable, and are
-        split so each span expects roughly
-        :data:`RATE_SPAN_TARGET_PACKETS` packets.
+        is the :func:`span_grid` of the session (empty when the target
+        space misses the view).
         """
         inter = intersect_ranges(session.effective_targets(), view_ranges)
         hit_space = ranges_size(inter)
         if hit_space == 0:
             return inter, 0, 0, []
         target_space = session.target_space_size()
-        if session.mode is not ScanMode.RATE:
-            return inter, hit_space, target_space, [(session.start, session.end)]
-        expected = (
-            session.rate_pps * session.duration * hit_space / target_space
+        return (
+            inter, hit_space, target_space,
+            span_grid(session, hit_space, target_space),
         )
-        n_spans = max(1, int(math.ceil(expected / RATE_SPAN_TARGET_PACKETS)))
-        if n_spans == 1:
-            return inter, hit_space, target_space, [(session.start, session.end)]
-        sub = session.duration / n_spans
-        spans = [
-            (session.start + j * sub, session.start + (j + 1) * sub)
-            for j in range(n_spans)
-        ]
-        # Pin the last edge to the exact session end (float summation
-        # may land a hair off; slicing contracts depend on exact edges).
-        spans[-1] = (spans[-1][0], session.end)
-        return inter, hit_space, target_space, spans
-
-    def span_rngs(self, view_key: int, pairs: Sequence[tuple]) -> list:
-        """Derive many span RNG streams in one vectorized pass.
-
-        ``pairs`` is a sequence of ``(session_index, span_index)``
-        tuples; the returned generators are bit-identical to
-        ``np.random.default_rng((seed, view_key, session, span))`` per
-        pair (see :mod:`repro.scanners.streams`), but the
-        ``SeedSequence`` entropy mixing is amortized over the whole
-        batch — the per-span fixed cost drops ~5x, which is what makes
-        windowed emission touch tens of thousands of spans cheaply.
-        """
-        return span_generators(
-            [(self.seed, view_key, index, span) for index, span in pairs]
-        )
-
-    def _emit_session_windowed(
-        self,
-        index: int,
-        session: ScanSession,
-        view_ranges: np.ndarray,
-        view_key: int,
-        window: Optional[tuple[float, float]],
-    ) -> PacketBatch:
-        """One session's packets clipped to ``window`` (exact slices)."""
-        inter, hit_space, target_space, spans = self._session_plan(
-            session, view_ranges
-        )
-        if hit_space == 0:
-            return PacketBatch.empty()
-        live = []
-        for j, (s0, s1) in enumerate(spans):
-            if window is not None:
-                c0, c1 = max(s0, window[0]), min(s1, window[1])
-                if c0 >= c1:
-                    continue
-            else:
-                c0, c1 = s0, s1
-            live.append((j, s0, s1, c0, c1))
-        # One vectorized seed derivation for every span the window
-        # touches, instead of a full SeedSequence chain per span.
-        rngs = self.span_rngs(view_key, [(index, j) for j, *_ in live])
-        parts = []
-        for (j, s0, s1, c0, c1), rng in zip(live, rngs):
-            batch = self._generate_span(
-                session, index, j, s0, s1, inter, hit_space, target_space,
-                view_key, rng=rng,
-            )
-            if c0 > s0 or c1 < s1:
-                # Boolean mask, not searchsorted: spans are kept in
-                # generation order (unsorted), and masking preserves
-                # that order — which is what makes a window slice equal
-                # the restriction of the full concat.
-                batch = batch.select((batch.ts >= c0) & (batch.ts < c1))
-            if len(batch):
-                parts.append(batch)
-        return PacketBatch.concat(parts)
 
     def _generate_span(
         self,
@@ -406,8 +344,9 @@ class Scanner:
         so a span regenerates bit-identically no matter which query
         window asked for it.  Rows stay in generation order; callers
         sort once per capture window, never per span.  ``rng`` lets
-        batched callers (:meth:`span_rngs`) hand in the pre-derived
-        stream; when omitted the span derives its own, identically.
+        the span plan hand in the stream it derived in bulk
+        (:mod:`repro.scanners.plan`); when omitted the span derives its
+        own, identically.
         """
         if rng is None:
             rng = np.random.default_rng(
@@ -461,7 +400,9 @@ class Scanner:
         k = int(rng.poisson(lam))
         if k == 0:
             return np.empty(0, np.uint32), np.empty(0, np.uint16)
-        dst = _sample_addrs_with_replacement(rng, inter, k)
+        dst = _offsets_to_addrs(
+            inter, rng.integers(0, hit_space, size=k, dtype=np.int64)
+        )
         if len(session.ports) == 1:
             dport = np.full(k, session.ports[0], dtype=np.uint16)
         else:
@@ -776,6 +717,13 @@ def emit_population(
     view: View,
     window: Optional[tuple[float, float]] = None,
 ) -> PacketBatch:
-    """Emit and time-sort packets of many scanners into one view."""
-    batches = [scanner.emit(view, window) for scanner in scanners]
+    """Emit and time-sort packets of many scanners into one view.
+
+    One :class:`~repro.scanners.plan.SpanPlan` for the whole population:
+    each scanner's spans are concatenated, then the scanners, then one
+    stable time sort (ties in population order).
+    """
+    from repro.scanners.plan import SpanPlan
+
+    batches = SpanPlan(scanners, view, window).scanner_batches()
     return PacketBatch.concat(batches).sorted_by_time()

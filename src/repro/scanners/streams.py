@@ -8,14 +8,16 @@ profiler shows is a dominant fixed cost of windowed emission: a lazy
 sweep touches tens of thousands of spans per run, one at a time.
 
 This module re-implements the exact entropy-mixing and seeding
-arithmetic as vectorized numpy over *batches* of key tuples, so all
-span streams intersecting a window are derived in one pass:
+arithmetic as vectorized numpy over *batches* of key tuples, so every
+span stream of a population is derived in one pass
+(:mod:`repro.scanners.plan`):
 
 * :func:`seedseq_state64` — ``SeedSequence(keys).generate_state(4,
   uint64)`` for ``n`` key rows at once (the pool-mixing constants and
   order follow numpy's ``bit_generator.pyx`` exactly);
-* :func:`derive_span_words` — the same, dispatching tiny batches and
-  multi-word keys to ``SeedSequence`` itself;
+* :func:`derive_span_words` — the same for key tuples, expanding each
+  value into its entropy words in numpy and dispatching tiny batches
+  to ``SeedSequence`` itself;
 * :func:`generator_from_words` / :func:`span_generators` — ready
   ``np.random.Generator`` objects: PCG64 is seeded *from the
   precomputed words* through a minimal
@@ -138,60 +140,51 @@ class _PrecomputedSeed(ISeedSequence):
         return words
 
 
-def _row_words(row: Sequence[int]) -> list:
-    """A key tuple's uint32 entropy-word expansion.
-
-    Mirrors ``SeedSequence``'s integer coercion exactly: each value
-    contributes its 32-bit limbs little-endian (at least one word, so
-    zero is one zero word).  Returns ``None`` for values outside the
-    non-negative range ``SeedSequence`` accepts — those rows take the
-    scalar path, which raises the library's own error.
-    """
-    words = []
-    for value in row:
-        value = int(value)
-        if value < 0:
-            return None
-        if value == 0:
-            words.append(0)
-        while value:
-            words.append(value & 0xFFFFFFFF)
-            value >>= 32
-    return words
-
-
-def derive_span_words(keys: Sequence[Sequence[int]]) -> np.ndarray:
+def derive_span_words(keys) -> np.ndarray:
     """``generate_state(4, uint64)`` words for many key tuples at once.
 
-    Returns an ``(n, 4)`` uint64 array; row ``i`` equals
+    ``keys`` is a sequence of equal-length integer tuples, or the same
+    as an ``(n, k)`` array (an object array keeps any integer width
+    exact).  Returns an ``(n, 4)`` uint64 array; row ``i`` equals
     ``np.random.SeedSequence(tuple(keys[i])).generate_state(4,
-    np.uint64)``.  Rows are grouped by the length of their entropy-word
-    expansion (seeds over 32 bits take two words, so real batches mix
-    layouts) and each group is derived in one :func:`seedseq_state64`
-    pass; tiny groups go through ``SeedSequence`` itself — same bits,
-    just not vectorized.
+    np.uint64)``.
+
+    Each value contributes its 32-bit limbs little-endian, exactly as
+    ``SeedSequence`` coerces integers: values below 2**32 (zero
+    included) one word, values below 2**64 two — so real batches, whose
+    seeds cross 32 bits, mix layouts.  Rows are grouped by their total
+    word count, each group's entropy words are scattered into place in
+    numpy and derived in one :func:`seedseq_state64` pass; tiny groups,
+    and values outside [0, 2**64), go through ``SeedSequence`` itself —
+    same bits (or the library's own error), just not vectorized.
     """
+    keys = np.asarray(keys, dtype=object)
     n = len(keys)
-    if n == 0:
-        return np.empty((0, 4), dtype=np.uint64)
     out = np.empty((n, 4), dtype=np.uint64)
-    groups: dict = {}
-    scalar = []
-    for i, row in enumerate(keys):
-        words = _row_words(row)
-        if words is None:
-            scalar.append(i)
-        else:
-            groups.setdefault(len(words), []).append((i, words))
-    for members in groups.values():
-        if len(members) < _BATCH_THRESHOLD:
-            scalar.extend(i for i, _ in members)
+    if n == 0:
+        return out
+    fits = ((keys >= 0) & (keys < 2**64)).all(axis=1)
+    rows = np.flatnonzero(fits)
+    wide = keys[rows].astype(np.uint64)
+    lo = wide.astype(np.uint32)  # the low limb (astype wraps)
+    hi = (wide >> np.uint64(32)).astype(np.uint32)
+    two = hi > 0
+    # Each value's first word position within its row's entropy.
+    first = np.arange(wide.shape[1]) + np.cumsum(two, axis=1) - two
+    length = wide.shape[1] + two.sum(axis=1)
+    scalar = list(np.flatnonzero(~fits))
+    for width in range(wide.shape[1], 2 * wide.shape[1] + 1):
+        group = np.flatnonzero(length == width)
+        if len(group) < _BATCH_THRESHOLD:
+            scalar.extend(rows[group])
             continue
-        idx = np.fromiter(
-            (i for i, _ in members), dtype=np.intp, count=len(members)
-        )
-        entropy = np.array([w for _, w in members], dtype=np.uint32)
-        out[idx] = seedseq_state64(entropy, 4)
+        entropy = np.zeros((len(group), width), dtype=np.uint32)
+        pos = first[group]
+        at = np.broadcast_to(np.arange(len(group))[:, None], pos.shape)
+        entropy[at, pos] = lo[group]
+        carry = two[group]
+        entropy[at[carry], pos[carry] + 1] = hi[group][carry]
+        out[rows[group]] = seedseq_state64(entropy, 4)
     for i in scalar:
         out[i] = np.random.SeedSequence(
             tuple(int(v) for v in keys[i])
