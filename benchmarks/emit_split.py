@@ -3,7 +3,7 @@
 Builds the repository benchmark's study world (scenario and seed as
 ``layerbench`` makes them) and emits its capture twice: materialized
 (``Telescope.capture``, what the batch study runs) and as the lazy
-sweep (``LazyCaptureSource.from_population`` at one-hour chunks, what
+sweep (:func:`repro.scanners.lazy.emit_chunks` at one-hour chunks, what
 streaming and sharded runs do).  Both read one
 :class:`repro.scanners.plan.SpanPlan`; the probe times its stages by
 wrapping the plan's methods:
@@ -14,8 +14,8 @@ wrapping the plan's methods:
 * **generate** — ``SpanPlan.generate`` and ``emit_fallback``: the
   packets of each span (and of each sessionless scanner);
 * **assemble + sort** — everything else: window masks, concatenation
-  and the time sort (materialized), or span sorts, per-window slicing,
-  concatenation and sort (lazy).
+  and the time sort (materialized), or cut-span sorts, per-window
+  slicing, concatenation and sort (lazy).
 
 Prints best-of-``--repeat`` milliseconds per stage and path, and exits
 1 if either path's packets differ from the scanner-by-scanner oracle
@@ -45,7 +45,7 @@ from inputs import SCENARIOS, make_scenario  # noqa: E402
 from repro.packet import COLUMNS, PacketBatch  # noqa: E402
 from repro.scanners.plan import SpanPlan  # noqa: E402
 from repro.sim.runner import _build_world_base  # noqa: E402
-from repro.telescope.chunks import LazyCaptureSource  # noqa: E402
+from repro.scanners.lazy import emit_chunks  # noqa: E402
 from tests.emit_oracle import oracle_emit_population  # noqa: E402
 
 CHUNK_SECONDS = 3_600.0
@@ -112,9 +112,7 @@ def main(argv=None) -> int:
         "capture": lambda: [telescope.capture(scanners, window).packets],
         "lazy sweep": lambda: [
             chunk.packets
-            for chunk in LazyCaptureSource.from_population(
-                scanners, view, CHUNK_SECONDS, window=window
-            )
+            for chunk in emit_chunks(scanners, view, CHUNK_SECONDS, window)
         ],
     }
     oracle = oracle_emit_population(scanners, view, window)

@@ -39,7 +39,7 @@ from repro.io.packetlog import ChunkWriter
 from repro.parallel import parallel_detect_directory, parallel_generate_detect
 from repro.sim.runner import _build_world_base
 from repro.sim.scenario import darknet_year_scenario
-from repro.telescope.chunks import LazyCaptureSource
+from repro.scanners.lazy import emit_chunks
 
 
 def build_scenario(name: str, days: int):
@@ -112,12 +112,11 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="shard-split-") as directory:
         writer = ChunkWriter(directory, chunk_seconds)
-        for chunk in LazyCaptureSource.from_population(
+        for chunk in emit_chunks(
             population.scanners, telescope.view(), chunk_seconds,
-            window=scenario.window(),
+            scenario.window(),
         ):
-            if len(chunk.packets):
-                writer.write(chunk.packets)
+            writer.write(chunk.packets)
         archives = writer.close()
         t0 = time.perf_counter()
         replayed = parallel_detect_directory(

@@ -5,7 +5,7 @@ scenario (a 6-day window — long enough that steady-state costs dominate
 fixed ones, short enough for the smoke pass):
 
 * **Memory** — generating the capture window by window
-  (`LazyCaptureSource`) peaks at <= 0.25x of materializing it
+  (`emit_chunks`) peaks at <= 0.25x of materializing it
   (`Telescope.capture`), because no process ever holds more than ~one
   chunk plus the open generation spans.
 * **Time** — since the batched span derivation, streaming the capture
@@ -38,7 +38,7 @@ from repro.core.streaming import stream_detect
 from repro.parallel import parallel_generate_detect
 from repro.sim.runner import _build_world_base
 from repro.sim.scenario import darknet_year_scenario
-from repro.telescope.chunks import LazyCaptureSource
+from repro.scanners.lazy import emit_chunks
 
 CHUNK_SECONDS = 3_600.0
 DAYS = 6
@@ -86,10 +86,10 @@ def test_perf_emit_throughput_and_memory(emit_world, results_dir, bench_sections
         t0 = time.perf_counter()
         lazy_packets = 0
         peak_chunk = 0
-        source = LazyCaptureSource.from_population(
-            population.scanners, view, CHUNK_SECONDS, window=window
-        )
-        for chunk in source:
+        spans = {}
+        for chunk in emit_chunks(
+            population.scanners, view, CHUNK_SECONDS, window, spans
+        ):
             lazy_packets += len(chunk)
             peak_chunk = max(peak_chunk, len(chunk))
         lazy_samples.append(time.perf_counter() - t0)
@@ -108,8 +108,8 @@ def test_perf_emit_throughput_and_memory(emit_world, results_dir, bench_sections
 
     tracemalloc.start()
     lazy_mem_packets = 0
-    for chunk in LazyCaptureSource.from_population(
-        population.scanners, view, CHUNK_SECONDS, window=mem_window
+    for chunk in emit_chunks(
+        population.scanners, view, CHUNK_SECONDS, mem_window
     ):
         lazy_mem_packets += len(chunk)
     lazy_peak = tracemalloc.get_traced_memory()[1]
@@ -135,8 +135,8 @@ def test_perf_emit_throughput_and_memory(emit_world, results_dir, bench_sections
             "lazy_seconds": round(lazy_seconds, 3),
             "lazy_pkt_per_s": round(lazy_packets / lazy_seconds),
             "time_ratio": round(lazy_seconds / materialize_seconds, 4),
-            "spans_derived": source.spans_derived,
-            "spans_emitted": source.spans_emitted,
+            "spans_derived": spans["spans_derived"],
+            "spans_emitted": spans["spans_emitted"],
             "memory_days": MEMORY_DAYS,
             "memory_packets": mem_packets,
             "materialized_peak_bytes": materialized_peak,

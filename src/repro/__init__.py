@@ -29,7 +29,7 @@ from repro.core.streaming import (
 )
 from repro.core.telemetry import PipelineTelemetry
 from repro.sim.runner import run_scenario
-from repro.telescope.chunks import CaptureChunk, ChunkedCaptureSource
+from repro.telescope.chunks import CaptureChunk
 from repro.sim.scenario import (
     Scenario,
     darknet_year_scenario,
@@ -43,7 +43,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CaptureChunk",
-    "ChunkedCaptureSource",
     "DetectionConfig",
     "EventConfig",
     "PipelineTelemetry",

@@ -202,7 +202,3 @@ class HeavyHitterSketch:
             if estimate >= dispersion_threshold:
                 out[slot.key] = estimate
         return out
-
-    def top_sources(self, k: int) -> List[tuple]:
-        """The k heaviest sources as (source, packets, max error)."""
-        return self._counter.top(k)

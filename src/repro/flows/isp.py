@@ -74,10 +74,6 @@ class ISPNetwork:
         """Number of monitored border routers."""
         return len(self.policy.routers)
 
-    def router_names(self) -> list:
-        """Router display names, ordered by index."""
-        return [r.name for r in self.policy.routers]
-
     # ------------------------------------------------------------------
     def assign_router(self, src: int) -> int:
         """Primary ingress router of one external source (block 0)."""
@@ -91,10 +87,6 @@ class ISPNetwork:
         return self.policy.router_mix(
             src, country, [block_size] * self.dst_blocks
         )
-
-    def router_share(self, src: int, router: int) -> float:
-        """Share of the source's ISP-bound traffic entering ``router``."""
-        return float(self.router_mix(src)[router])
 
     def router_mix_many(
         self,

@@ -63,10 +63,6 @@ class Ipv6Capture:
     sources: AddressInterner
     targets: AddressInterner
 
-    def source_addresses(self, interned: Sequence[int]) -> list:
-        """Map interned source ids back to IPv6 integers."""
-        return [self.sources.resolve(i) for i in interned]
-
 
 @dataclass
 class Ipv6Telescope:

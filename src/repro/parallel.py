@@ -89,6 +89,7 @@ from repro.core.schedule import SchedulePlan, plan_contiguous
 from repro.core.streaming import StreamingDetector
 from repro.core.telemetry import PipelineTelemetry, RunHealth
 from repro.packet import PacketBatch
+from repro.scanners.lazy import emit_chunks
 from repro.telescope.chunks import CaptureChunk
 
 #: Fibonacci-hash multiplier: decorrelates the shard index from address
@@ -225,10 +226,9 @@ class LazySource:
 
     The shard carries its *scanners* (a compact description of behavior,
     kilobytes) instead of their packets (gigabytes at scale) and streams
-    their capture with a
-    :class:`~repro.telescope.chunks.LazyCaptureSource` — raw packets
-    never cross a process boundary, and no process ever materializes a
-    full capture.  A chunk's index is its window's position on the
+    their capture with :func:`~repro.scanners.lazy.emit_chunks` — raw
+    packets never cross a process boundary, and no process ever
+    materializes a full capture.  A chunk's index is its window's position on the
     epoch-aligned ``chunk_seconds`` grid; quiet windows are skipped.
     """
 
@@ -238,18 +238,8 @@ class LazySource:
     window: Optional[tuple] = None
 
     def chunks(self, report: dict) -> Iterator[CaptureChunk]:
-        from repro.telescope.chunks import LazyCaptureSource
-
-        source = LazyCaptureSource.from_population(
-            self.scanners, self.view, self.chunk_seconds, window=self.window
-        )
-        for chunk in source:
-            yield dataclasses.replace(
-                chunk, index=round(chunk.start / self.chunk_seconds)
-            )
-        report.update(
-            spans_derived=source.spans_derived,
-            spans_emitted=source.spans_emitted,
+        yield from emit_chunks(
+            self.scanners, self.view, self.chunk_seconds, self.window, report
         )
 
 
@@ -680,7 +670,7 @@ def parallel_generate_detect(
     instead of sharding packets, the parent shards the *population* by
     source address (:func:`shard_scanners`) and each worker lazily
     generates its own shard's capture
-    (:class:`~repro.telescope.chunks.LazyCaptureSource`) while
+    (:func:`~repro.scanners.lazy.emit_chunks`) while
     detecting.  Raw packets never cross a process pipe and no process —
     parent or worker — ever materializes a capture, so peak memory per
     worker is one chunk plus open generation spans and open flows.

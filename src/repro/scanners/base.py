@@ -265,9 +265,9 @@ class Scanner:
         of the others.  A ``window`` therefore yields *exactly* the
         packets of the full emission whose timestamps fall inside it —
         windowed and full emission are slices of one underlying
-        realization, which is what the lazy streaming layer
-        (:mod:`repro.scanners.lazy`) relies on.  This is a one-scanner
-        :class:`~repro.scanners.plan.SpanPlan`.
+        realization, which is what the lazy sweep
+        (:func:`repro.scanners.lazy.emit_chunks`) relies on.  This is a
+        one-scanner :class:`~repro.scanners.plan.SpanPlan`.
 
         Args:
             view: the monitored address region.
@@ -280,50 +280,6 @@ class Scanner:
         from repro.scanners.plan import SpanPlan
 
         return SpanPlan([self], view, window).scanner_batches()[0]
-
-    def emit_window(self, view: View, t0: float, t1: float) -> PacketBatch:
-        """Packets of the full emission with ``t0 <= ts < t1``, sorted.
-
-        Concatenating ``emit_window`` over any partition of a span
-        covering every session reproduces ``emit(view).sorted_by_time()``
-        bit-identically — addresses, ports, timestamps and fingerprints
-        (pinned by a hypothesis property test).  This is the unit the
-        lazy capture source is built from.
-        """
-        return self.emit(view, window=(t0, t1)).sorted_by_time()
-
-    def session_spans(self) -> np.ndarray:
-        """Per-session [start, end) spans as an ``(n, 2)`` float array.
-
-        The population-level interval index is built from these, so a
-        windowed emission only touches scanners with overlapping
-        sessions.
-        """
-        if not self.sessions:
-            return np.empty((0, 2), dtype=np.float64)
-        return np.array(
-            [[s.start, s.end] for s in self.sessions], dtype=np.float64
-        )
-
-    # ------------------------------------------------------------------
-    def _session_plan(
-        self, session: ScanSession, view_ranges: np.ndarray
-    ) -> tuple:
-        """Deterministic generation plan for one session into one view.
-
-        Returns ``(inter, hit_space, target_space, spans)`` where spans
-        is the :func:`span_grid` of the session (empty when the target
-        space misses the view).
-        """
-        inter = intersect_ranges(session.effective_targets(), view_ranges)
-        hit_space = ranges_size(inter)
-        if hit_space == 0:
-            return inter, 0, 0, []
-        target_space = session.target_space_size()
-        return (
-            inter, hit_space, target_space,
-            span_grid(session, hit_space, target_space),
-        )
 
     def _generate_span(
         self,

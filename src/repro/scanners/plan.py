@@ -18,7 +18,7 @@ intersects the window:
 
 Three readers share the plan: :func:`~repro.scanners.base.emit_population`
 (the materialized capture), :meth:`Scanner.emit` (a one-scanner plan)
-and :class:`~repro.scanners.lazy.PopulationEmitter` (window by window).
+and :func:`~repro.scanners.lazy.emit_chunks` (window by window).
 
 Scanner-like objects without sessions (``SpoofedScan``) have no span
 grid: the plan hands them the view's ranges and RNG key through their

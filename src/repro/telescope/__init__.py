@@ -1,12 +1,11 @@
 """Network-telescope substrate: the darknet and its packet capture."""
 
 from repro.telescope.capture import DarknetCapture
-from repro.telescope.chunks import CaptureChunk, ChunkedCaptureSource
+from repro.telescope.chunks import CaptureChunk
 from repro.telescope.darknet import Telescope
 
 __all__ = [
     "CaptureChunk",
-    "ChunkedCaptureSource",
     "DarknetCapture",
     "Telescope",
 ]

@@ -59,31 +59,3 @@ class Telescope:
         """
         packets = emit_population(scanners, self.view(), window)
         return DarknetCapture(packets=packets, telescope=self)
-
-    def stream(
-        self,
-        scanners: Sequence[Scanner],
-        chunk_seconds: float,
-        window: Optional[tuple] = None,
-    ) -> "LazyCaptureSource":
-        """Capture the population as a lazy stream of chunks.
-
-        The streaming twin of :meth:`capture`: yields the same packets
-        as ``ChunkedCaptureSource.from_capture(self.capture(...))`` —
-        bit-identical chunks — but generates each window on demand, so
-        peak memory is bounded by one window plus open generation spans
-        instead of the whole capture.
-
-        Args:
-            scanners: the scanner population.
-            chunk_seconds: chunk window length (epoch-aligned).
-            window: optional [start, end) time restriction.
-
-        Returns:
-            A single-pass :class:`LazyCaptureSource`.
-        """
-        from repro.telescope.chunks import LazyCaptureSource
-
-        return LazyCaptureSource.from_population(
-            scanners, self.view(), chunk_seconds, window=window
-        )

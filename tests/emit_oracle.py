@@ -14,8 +14,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.net.prefix import intersect_ranges, ranges_size
 from repro.packet import PacketBatch
-from repro.scanners.base import Scanner, View, view_rng_key
+from repro.scanners.base import (
+    Scanner,
+    ScanSession,
+    View,
+    span_grid,
+    view_rng_key,
+)
 from repro.scanners.streams import span_generators
 
 
@@ -28,13 +35,29 @@ def offsets_to_addrs(ranges: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return (ranges[which, 0] + (offsets - starts[which])).astype(np.uint32)
 
 
+def session_plan(session: ScanSession, view_ranges: np.ndarray) -> tuple:
+    """Deterministic generation plan for one session into one view.
+
+    Returns ``(inter, hit_space, target_space, spans)`` where spans
+    is the :func:`span_grid` of the session (empty when the target
+    space misses the view).
+    """
+    inter = intersect_ranges(session.effective_targets(), view_ranges)
+    hit_space = ranges_size(inter)
+    if hit_space == 0:
+        return inter, 0, 0, []
+    target_space = session.target_space_size()
+    return (
+        inter, hit_space, target_space,
+        span_grid(session, hit_space, target_space),
+    )
+
+
 def _emit_session_windowed(
     scanner: Scanner, index, session, view_ranges, view_key, window
 ) -> PacketBatch:
     """One session's packets clipped to ``window`` (exact slices)."""
-    inter, hit_space, target_space, spans = scanner._session_plan(
-        session, view_ranges
-    )
+    inter, hit_space, target_space, spans = session_plan(session, view_ranges)
     if hit_space == 0:
         return PacketBatch.empty()
     live = []

@@ -26,6 +26,7 @@ from repro.core.faults import CheckpointStore
 from repro.core.streaming import StreamingDetector
 from repro.core.telemetry import PipelineTelemetry
 from repro.packet import PacketBatch, Protocol
+from repro.scanners.lazy import emit_chunks
 from repro.sim.runner import run_scenario
 from repro.sim.scenario import tiny_scenario
 from tests.test_events import _packets
@@ -105,8 +106,9 @@ def _engine_for(scenario, telescope, timeout, **kwargs):
 
 def _chunks(scenario, telescope, population, chunk_seconds=3_600.0):
     return list(
-        telescope.stream(
-            population.scanners, chunk_seconds, window=scenario.window()
+        emit_chunks(
+            population.scanners, telescope.view(), chunk_seconds,
+            scenario.window(),
         )
     )
 

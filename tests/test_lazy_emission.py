@@ -1,5 +1,5 @@
-"""Tests for lazy, windowed emission (`Scanner.emit_window`,
-`PopulationEmitter`, `LazyCaptureSource`).
+"""Tests for lazy, windowed emission (`Scanner.emit` with a window,
+and the population sweep `emit_chunks`).
 
 The load-bearing invariant: windowed emission is an *exact slice* of
 one deterministic realization, so concatenating window batches over any
@@ -24,8 +24,8 @@ from repro.scanners.base import (
     View,
     emit_population,
 )
-from repro.scanners.lazy import PopulationEmitter
-from repro.telescope.chunks import ChunkedCaptureSource, LazyCaptureSource
+from repro.scanners.lazy import emit_chunks
+from tests.emit_oracle import session_plan
 
 _COLUMNS = ("ts", "src", "dst", "dport", "proto", "ipid")
 
@@ -85,9 +85,15 @@ def _scanner(mode: ScanMode, start: float, duration: float) -> Scanner:
 
 # ----------------------------------------------------------------------
 # Tentpole property: for every ScanMode and ANY partition of the time
-# axis, concatenating emit_window over the parts equals the full
-# emission exactly — every column, every packet, in order.
+# axis, concatenating the sorted windowed emissions over the parts
+# equals the full emission exactly — every column, every packet, in
+# order.
 # ----------------------------------------------------------------------
+
+def _emit_window(scanner, view, t0, t1) -> PacketBatch:
+    """Packets of the full emission with ``t0 <= ts < t1``, sorted."""
+    return scanner.emit(view, window=(t0, t1)).sorted_by_time()
+
 
 partitions = st.lists(
     st.floats(min_value=0.0, max_value=_SPAN, allow_nan=False),
@@ -114,7 +120,7 @@ def test_emit_window_partition_equals_full_emit(
     # reach 1.9 * _SPAN).
     edges = sorted({0.0, _SPAN * 2.0, *cuts})
     parts = [
-        scanner.emit_window(view, lo, hi)
+        _emit_window(scanner, view, lo, hi)
         for lo, hi in zip(edges[:-1], edges[1:])
     ]
     _assert_batches_identical(PacketBatch.concat(parts), full)
@@ -123,8 +129,8 @@ def test_emit_window_partition_equals_full_emit(
 def test_emit_window_is_deterministic():
     scanner = _scanner(ScanMode.RATE, 0.0, _SPAN)
     view = _view()
-    a = scanner.emit_window(view, 5_000.0, 15_000.0)
-    b = scanner.emit_window(view, 5_000.0, 15_000.0)
+    a = _emit_window(scanner, view, 5_000.0, 15_000.0)
+    b = _emit_window(scanner, view, 5_000.0, 15_000.0)
     assert len(a) > 0
     _assert_batches_identical(a, b)
 
@@ -146,7 +152,7 @@ def test_rate_sessions_split_into_bounded_spans():
     window never materializes more than ~one span of it."""
     scanner = _scanner(ScanMode.RATE, 0.0, _SPAN)
     session = scanner.sessions[0]
-    _, _, _, spans = scanner._session_plan(session, _view().ranges())
+    _, _, _, spans = session_plan(session, _view().ranges())
     assert len(spans) > 1
     assert spans[0][0] == session.start
     assert spans[-1][1] == session.end
@@ -156,8 +162,8 @@ def test_rate_sessions_split_into_bounded_spans():
 
 
 # ----------------------------------------------------------------------
-# PopulationEmitter / LazyCaptureSource: the streamed chunk sequence is
-# bit-identical to chunking the materialized capture.
+# emit_chunks: the streamed chunk sequence is bit-identical to chunking
+# the materialized capture.
 # ----------------------------------------------------------------------
 
 
@@ -186,24 +192,28 @@ def _population():
     return scanners
 
 
+def _chunk_capture(batch: PacketBatch, chunk_seconds: float) -> list:
+    """``(index, start, end, packets)`` of every non-empty epoch-aligned
+    window of a materialized capture."""
+    return [
+        (round(start / chunk_seconds), start, end, chunk)
+        for start, end, chunk in batch.iter_time_chunks(chunk_seconds)
+        if len(chunk)
+    ]
+
+
 @pytest.mark.parametrize("chunk_seconds", [1_800.0, 3_600.0, 7_200.0])
 def test_lazy_source_matches_from_capture(chunk_seconds):
     scanners = _population()
     view = _view()
     window = (0.0, _SPAN * 1.2)
     materialized = emit_population(scanners, view, window)
-    ref = list(
-        ChunkedCaptureSource.from_capture(materialized, chunk_seconds)
-    )
-    lazy = list(
-        LazyCaptureSource.from_population(
-            scanners, view, chunk_seconds, window=window
-        )
-    )
+    ref = _chunk_capture(materialized, chunk_seconds)
+    lazy = list(emit_chunks(scanners, view, chunk_seconds, window))
     assert len(ref) == len(lazy) > 1
-    for r, l in zip(ref, lazy):
-        assert (r.index, r.start, r.end) == (l.index, l.start, l.end)
-        _assert_batches_identical(r.packets, l.packets)
+    for (index, start, end, packets), chunk in zip(ref, lazy):
+        assert (index, start, end) == (chunk.index, chunk.start, chunk.end)
+        _assert_batches_identical(packets, chunk.packets)
 
 
 def test_emitter_respects_overall_window():
@@ -211,7 +221,7 @@ def test_emitter_respects_overall_window():
     view = _view()
     window = (6_000.0, 20_000.0)
     total = PacketBatch.concat(
-        [batch for _, _, batch in PopulationEmitter(scanners, view, 3_600.0, window=window)]
+        [chunk.packets for chunk in emit_chunks(scanners, view, 3_600.0, window)]
     )
     assert len(total) > 0
     assert float(total.ts.min()) >= window[0]
@@ -221,54 +231,38 @@ def test_emitter_respects_overall_window():
 
 
 def test_emitter_empty_population():
-    emitter = PopulationEmitter([], _view(), 3_600.0)
-    assert list(emitter) == []
-    assert emitter.span() is None
-    assert emitter.spans_derived == 0
-    assert emitter.spans_emitted == 0
+    report = {}
+    assert list(emit_chunks([], _view(), 3_600.0, report=report)) == []
+    assert report == {"spans_derived": 0, "spans_emitted": 0}
 
 
 def test_span_counters_split_derived_from_emitted():
-    # The population mixes session-backed cursors (batched derivation)
-    # with a fallback cursor (SpoofedScan) — both must count.
+    # The population mixes session-backed scanners (batched derivation)
+    # with a sessionless one (SpoofedScan) — both must count.
     scanners = _population()
-    source = LazyCaptureSource.from_population(
-        scanners, _view(), 3_600.0, window=(0.0, _SPAN * 1.2)
+    report = {}
+    chunks = emit_chunks(
+        scanners, _view(), 3_600.0, (0.0, _SPAN * 1.2), report
     )
-    assert source.spans_derived == 0  # nothing admitted before draining
-    total = sum(len(chunk) for chunk in source)
+    assert report == {}  # filled only once the sweep is drained
+    total = sum(len(chunk) for chunk in chunks)
     assert total > 0
-    assert source.spans_derived >= source.spans_emitted > 0
-    # One derivation unit per keyed span plus one per fallback emit:
-    # at least a span per session of each session-backed scanner.
+    assert report["spans_derived"] >= report["spans_emitted"] > 0
+    # One derivation unit per keyed span plus one per sessionless
+    # scanner: at least a span per session of each scanner.
     sessions = sum(len(getattr(s, "sessions", []) or []) for s in scanners)
-    assert source.spans_derived >= sessions
+    assert report["spans_derived"] >= sessions
 
 
 def test_emitter_rejects_bad_chunk_seconds():
     with pytest.raises(ValueError, match="chunk_seconds"):
-        PopulationEmitter(_population(), _view(), 0.0)
+        list(emit_chunks(_population(), _view(), 0.0))
 
 
-# ----------------------------------------------------------------------
-# ChunkedCaptureSource single-pass contract.
-# ----------------------------------------------------------------------
+def test_sessionless_scanner_needs_an_extent():
+    class Bare:
+        def emit_ranges(self, view_ranges, view_key, window):
+            raise AssertionError("never emitted")
 
-
-def test_chunked_source_is_single_pass():
-    scanners = _population()
-    view = _view()
-    capture = emit_population(scanners, view, (0.0, _SPAN))
-    source = ChunkedCaptureSource.from_capture(capture, 3_600.0)
-    assert len(list(source)) > 0
-    with pytest.raises(RuntimeError, match="single-pass"):
-        iter(source)
-
-
-def test_lazy_source_is_single_pass():
-    source = LazyCaptureSource.from_population(
-        _population(), _view(), 3_600.0, window=(0.0, _SPAN)
-    )
-    assert len(list(source)) > 0
-    with pytest.raises(RuntimeError, match="single-pass"):
-        iter(source)
+    with pytest.raises(ValueError, match="start/duration"):
+        list(emit_chunks([Bare()], _view(), 3_600.0))

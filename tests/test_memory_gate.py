@@ -30,7 +30,7 @@ from repro.scanners.base import (
     View,
     emit_population,
 )
-from repro.telescope.chunks import LazyCaptureSource
+from repro.scanners.lazy import emit_chunks
 
 CHUNK_SECONDS = 3_600.0
 TIMEOUT = 1_200.0
@@ -93,9 +93,7 @@ def _streaming_peak(horizon: float) -> tuple:
     """(peak traced bytes, packets) of a full streaming run."""
     scanners = _population(horizon)
     view = _view()
-    source = LazyCaptureSource.from_population(
-        scanners, view, CHUNK_SECONDS, window=(0.0, horizon)
-    )
+    source = emit_chunks(scanners, view, CHUNK_SECONDS, (0.0, horizon))
     seen = [0]
 
     def batches():

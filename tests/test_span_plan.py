@@ -1,12 +1,12 @@
 """The population span plan against the scanner-by-scanner oracle.
 
 Every emission path reads one :class:`repro.scanners.plan.SpanPlan`:
-``emit_population`` (the materialized capture), ``Scanner.emit`` and
-``emit_window`` (one-scanner plans) and ``PopulationEmitter`` (the lazy
-sweep).  Each must equal the old per-scanner loop
-(``tests/emit_oracle.py``) column for column, dtypes and
-equal-timestamp tie order included, and a capture must plan the view
-and derive the span streams once.
+``emit_population`` (the materialized capture), ``Scanner.emit`` (a
+one-scanner plan) and ``emit_chunks`` (the lazy sweep).  Each must
+equal the old per-scanner loop (``tests/emit_oracle.py``) column for
+column, dtypes and equal-timestamp tie order included; a capture must
+plan the view and derive the span streams once, and the sweep must
+generate every planned span once.
 """
 
 import numpy as np
@@ -29,7 +29,8 @@ from repro.scanners.base import (
     full_ipv4_ranges,
     span_grid,
 )
-from repro.scanners.lazy import PopulationEmitter
+from repro.scanners.lazy import emit_chunks
+from repro.scanners.plan import SpanPlan
 from repro.sim.runner import _build_world_base
 from repro.sim.scenario import tiny_scenario
 from tests.emit_oracle import (
@@ -175,19 +176,16 @@ def test_every_path_equals_the_per_scanner_oracle(population, window, chunk):
         _assert_same(
             scanner.emit(view, window), oracle_emit(scanner, view, window)
         )
-        if isinstance(scanner, Scanner):
-            t0 = window[0] if window else 0.0
-            t1 = window[1] if window else HORIZON
-            _assert_same(
-                scanner.emit_window(view, t0, t1),
-                oracle_emit(scanner, view, (t0, t1)).sorted_by_time(),
-            )
 
-    emitter = PopulationEmitter(scanners, view, chunk, window=window)
-    assert emitter.spans_derived == 0
-    streamed = PacketBatch.concat([batch for _, _, batch in emitter])
-    _assert_same(streamed, want)
-    assert emitter.spans_derived >= emitter.spans_emitted
+    report = {}
+    chunks = list(emit_chunks(scanners, view, chunk, window, report))
+    for c in chunks:
+        assert len(c) > 0
+        assert c.index == round(c.start / chunk)
+        assert c.start <= float(c.packets.ts.min())
+        assert float(c.packets.ts.max()) < c.end
+    _assert_same(PacketBatch.concat([c.packets for c in chunks]), want)
+    assert report["spans_derived"] >= report["spans_emitted"]
 
 
 @given(
@@ -231,3 +229,36 @@ def test_tiny_capture_plans_the_view_and_streams_once(monkeypatch):
     monkeypatch.undo()
     assert len(capture) > 0
     assert calls == {"derive_span_words": 1, "View.ranges": 1}
+
+
+def test_tiny_sweep_generates_every_span_once(monkeypatch):
+    """The lazy sweep derives the span streams in one pass and
+    generates each planned span exactly once, however many windows it
+    spans."""
+    scenario = tiny_scenario()
+    _, telescope, population, *_ = _build_world_base(scenario)
+    view, window = telescope.view(), scenario.window()
+    planned = SpanPlan(population.scanners, view, window).n_spans
+    generated = {}
+    calls = {"derive_span_words": 0}
+    derive, generate = streams.derive_span_words, SpanPlan.generate
+
+    def counted_derive(keys):
+        calls["derive_span_words"] += 1
+        return derive(keys)
+
+    def counted_generate(plan, span):
+        generated[span.row] = generated.get(span.row, 0) + 1
+        return generate(plan, span)
+
+    monkeypatch.setattr(streams, "derive_span_words", counted_derive)
+    monkeypatch.setattr(SpanPlan, "generate", counted_generate)
+    packets = sum(
+        len(chunk)
+        for chunk in emit_chunks(population.scanners, view, 3_600.0, window)
+    )
+    monkeypatch.undo()
+    assert packets > 0
+    assert calls == {"derive_span_words": 1}
+    assert sorted(generated) == list(range(planned))
+    assert set(generated.values()) == {1}

@@ -96,56 +96,48 @@ class TestCapture:
 
 
 class TestChunkedCaptureSource:
+    """The two chunk sources: the lazy sweep over a population
+    (``emit_chunks``) and a digest-checked chunk directory
+    (``DirectorySource``)."""
+
     def _capture(self, telescope):
         return telescope.capture(make_scanners(3, coverage=1.0))
 
+    def _chunks(self, telescope, chunk_seconds=600.0):
+        from repro.scanners.lazy import emit_chunks
+
+        return list(
+            emit_chunks(make_scanners(3, coverage=1.0), telescope.view(),
+                        chunk_seconds)
+        )
+
     def test_covers_all_packets(self, telescope):
-        from repro.telescope.chunks import ChunkedCaptureSource
         from repro.packet import PacketBatch
 
         capture = self._capture(telescope)
-        source = ChunkedCaptureSource.from_capture(capture, 600.0)
-        chunks = list(source)
+        chunks = self._chunks(telescope)
         restored = PacketBatch.concat([c.packets for c in chunks])
         assert len(restored) == len(capture)
-        assert np.array_equal(
-            np.sort(restored.ts), np.sort(capture.packets.ts)
-        )
+        assert np.array_equal(restored.ts, capture.packets.ts)
         assert all(len(c) > 0 for c in chunks)
-        assert [c.index for c in chunks] == list(range(len(chunks)))
+        assert [c.index for c in chunks] == sorted({c.index for c in chunks})
 
     def test_windows_epoch_aligned(self, telescope):
-        from repro.telescope.chunks import ChunkedCaptureSource
-
-        capture = self._capture(telescope)
-        for chunk in ChunkedCaptureSource.from_capture(capture, 600.0):
+        for chunk in self._chunks(telescope):
             assert chunk.start % 600.0 == 0.0
+            assert chunk.index == chunk.start / 600.0
             assert chunk.end == chunk.start + 600.0
             assert float(chunk.packets.ts.min()) >= chunk.start
             assert float(chunk.packets.ts.max()) < chunk.end
 
-    def test_accepts_bare_batch(self, telescope):
-        from repro.telescope.chunks import ChunkedCaptureSource
-
-        capture = self._capture(telescope)
-        from_batch = list(
-            ChunkedCaptureSource.from_capture(capture.packets, 600.0)
-        )
-        from_capture = list(
-            ChunkedCaptureSource.from_capture(capture, 600.0)
-        )
-        assert len(from_batch) == len(from_capture)
-
     def test_from_directory(self, telescope, tmp_path):
         from repro.io.packetlog import save_packets_chunked
-        from repro.telescope.chunks import ChunkedCaptureSource
         from repro.packet import PacketBatch
+        from repro.parallel import DirectorySource
 
         capture = self._capture(telescope)
         save_packets_chunked(capture.packets, tmp_path / "cap", 600.0)
-        chunks = list(
-            ChunkedCaptureSource.from_directory(tmp_path / "cap", 600.0)
-        )
+        chunks = list(DirectorySource(str(tmp_path / "cap")).chunks({}))
         restored = PacketBatch.concat([c.packets for c in chunks])
         assert len(restored) == len(capture)
         assert all(c.start % 600.0 == 0.0 for c in chunks)
@@ -153,7 +145,7 @@ class TestChunkedCaptureSource:
     def test_from_directory_verifies_digests(self, telescope, tmp_path):
         from repro.core.faults import ChunkCorruptionError
         from repro.io.packetlog import save_packets_chunked
-        from repro.telescope.chunks import ChunkedCaptureSource
+        from repro.parallel import DirectorySource
 
         directory = tmp_path / "cap"
         packets = self._capture(telescope).packets
@@ -164,23 +156,20 @@ class TestChunkedCaptureSource:
         (directory / "chunk-00000.npz").write_bytes(
             (directory / "chunk-00001.npz").read_bytes()
         )
-        source = ChunkedCaptureSource.from_directory(directory, chunk_seconds)
         with pytest.raises(ChunkCorruptionError, match="chunk-00000"):
-            list(source)
+            list(DirectorySource(str(directory)).chunks({}))
 
     def test_from_directory_needs_a_manifest(self, telescope, tmp_path):
         from repro.core.faults import ChunkCorruptionError
         from repro.io.packetlog import save_packets_chunked
-        from repro.telescope.chunks import ChunkedCaptureSource
+        from repro.parallel import DirectorySource
 
         directory = tmp_path / "cap"
         save_packets_chunked(self._capture(telescope).packets, directory, 600.0)
         (directory / "MANIFEST.json").unlink()
         with pytest.raises(ChunkCorruptionError, match="manifest"):
-            ChunkedCaptureSource.from_directory(directory, 600.0)
+            list(DirectorySource(str(directory)).chunks({}))
 
     def test_invalid_chunk_seconds(self, telescope):
-        from repro.telescope.chunks import ChunkedCaptureSource
-
         with pytest.raises(ValueError):
-            ChunkedCaptureSource.from_capture(self._capture(telescope), 0.0)
+            self._chunks(telescope, 0.0)
