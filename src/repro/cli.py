@@ -303,14 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "shard work across N worker processes; in streaming mode "
+            "shard streaming-mode detection across N worker processes: "
             "each worker generates (or, with --capture-dir, replays) "
-            "and detects the sources that hash to its shard, and in any "
-            "mode — batch included — the ISP flow synthesis behind "
-            "impact/mitigation spreads cost-capped slices of its "
-            "scanner population over the same pool, idle workers "
-            "taking the next queued slice (results are identical for "
-            "any N)"
+            "and detects the sources that hash to its shard (results "
+            "are identical for any N); batch mode accepts it and runs "
+            "serially, and the ISP flow synthesis behind "
+            "impact/mitigation always runs serially"
         ),
     )
     parser.add_argument(
@@ -332,9 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "checkpoint finished shard states under DIR and resume from "
             "them: re-running after a crash re-executes only the missing "
-            "shards (results identical to an uninterrupted run); in any "
-            "mode — batch included — the flow synthesis checkpoints its "
-            "shards under DIR/flows"
+            "shards (results identical to an uninterrupted run); flow "
+            "synthesis is recomputed, never checkpointed"
         ),
     )
     parser.add_argument(

@@ -396,8 +396,6 @@ def run_sharded(
     policy: Optional[RetryPolicy] = None,
     plan: Optional[FaultPlan] = None,
     use_processes: bool = True,
-    max_workers: Optional[int] = None,
-    submit_order: Optional[Sequence[int]] = None,
     health=None,
     store: Optional[CheckpointStore] = None,
     kind: str = "shard",
@@ -432,16 +430,9 @@ def run_sharded(
     ``loads`` and those shards are not re-run — this is the
     resume path, and it composes with every failure mode above.
 
-    ``submit_order`` (a permutation of the shard indices) controls the
-    order shards enter the executor's pending queue — nothing else.
-    With more shards than ``max_workers`` the shared queue *is* a
-    work-stealing scheduler: whichever worker goes idle takes the next
-    queued shard, so submitting in descending planned cost (see
-    :meth:`repro.core.schedule.SchedulePlan.submit_order`) starts the
-    heavy shards first and back-fills stragglers with the cheap tail.
-    Results still return in shard-index order, and retry, checkpointing
-    and fault injection are all keyed by shard index, so execution
-    order never reaches the output.
+    The pool runs one process per shard.  Retry, checkpointing and
+    fault injection are all keyed by shard index, so execution order
+    never reaches the output.
 
     ``use_processes=False`` runs shards serially in-process through the
     same retry/checkpoint logic (fault plans downgrade hard aborts to
@@ -449,12 +440,6 @@ def run_sharded(
     """
     policy = policy or RetryPolicy()
     n = len(shard_args)
-    if submit_order is None:
-        submit_order = range(n)
-    elif sorted(submit_order) != list(range(n)):
-        raise ValueError(
-            "submit_order must be a permutation of the shard indices"
-        )
     results: Dict[int, object] = {}
     attempts = [0] * n
 
@@ -491,7 +476,7 @@ def run_sharded(
             health.retries += 1
 
     if not use_processes:
-        for shard in submit_order:
+        for shard in range(n):
             while shard not in results:
                 try:
                     record(
@@ -511,11 +496,10 @@ def run_sharded(
         return [results[shard] for shard in range(n)]
 
     pool: Optional[ProcessPoolExecutor] = None
-    pool_size = max_workers or max(n, 1)
     try:
         while len(results) < n:
             if pool is None:
-                pool = ProcessPoolExecutor(max_workers=pool_size)
+                pool = ProcessPoolExecutor(max_workers=n)
             futures = {
                 pool.submit(
                     _invoke,
@@ -526,7 +510,7 @@ def run_sharded(
                     shard_args[shard],
                     False,
                 ): shard
-                for shard in submit_order
+                for shard in range(n)
                 if shard not in results
             }
             try:

@@ -1,7 +1,7 @@
 """The v4 state container: a JSON header and raw numpy arrays.
 
-Every state file (detector and engine snapshots, shard and flow-shard
-checkpoints) is a magic line ``repro-<kind>-state-v4``, a little-endian
+Every state file (detector and engine snapshots, shard checkpoints)
+is a magic line ``repro-<kind>-state-v4``, a little-endian
 u64 header length, a JSON header (the writer's fields plus ``arrays``:
 each array's name, dtype, shape and sha256, in payload order), then
 each array's raw bytes, padded to 8.  Reading never unpickles: arrays

@@ -104,51 +104,6 @@ class WorkerStats:
 
 
 @dataclass
-class FlowWorkerStats:
-    """Throughput gauges for one flow-synthesis shard worker.
-
-    Recorded by the shard-parallel columnar flow path
-    (:func:`repro.parallel.parallel_flow_columns`) after the pool
-    joins; rows are true-count flow cells, the unit the synthesis
-    stage produces.
-    """
-
-    shard: int
-    scanners: int = 0
-    #: true-count flow cells synthesized (pre-sampling) — NOT the
-    #: exported flow rows the NetFlow exporter emits after 1:1000
-    #: sampling; see ``benchmarks/test_perf_flows.py`` for both units.
-    rows: int = 0
-    seconds: float = 0.0
-    #: work the planner predicted for this shard.
-    planned_cost: float = 0.0
-    #: schedulable tasks this shard was decomposed into.
-    tasks: int = 1
-    #: tasks of this shard executed by a different pool process than
-    #: its heaviest task (work stealing in action).
-    stolen_tasks: int = 0
-
-    @property
-    def throughput(self) -> Optional[float]:
-        """Flow rows produced per second of worker wall time."""
-        if self.seconds <= 0.0:
-            return None
-        return self.rows / self.seconds
-
-    def as_dict(self) -> dict:
-        return {
-            "shard": self.shard,
-            "scanners": self.scanners,
-            "rows": self.rows,
-            "seconds": self.seconds,
-            "throughput": self.throughput,
-            "planned_cost": self.planned_cost,
-            "tasks": self.tasks,
-            "stolen_tasks": self.stolen_tasks,
-        }
-
-
-@dataclass
 class ServeStats:
     """Per-tenant ingest-path accounting for the serve layer.
 
@@ -384,9 +339,6 @@ class PipelineTelemetry:
     stages: Dict[str, StageStats] = field(default_factory=dict)
     #: per-shard worker gauges; non-empty only for parallel runs.
     worker_stats: List[WorkerStats] = field(default_factory=list)
-    #: per-shard flow-synthesis gauges; non-empty only when the columnar
-    #: flow stage ran sharded.
-    flow_worker_stats: List[FlowWorkerStats] = field(default_factory=list)
     #: fault-tolerance accounting (retries, respawns, checkpoints,
     #: quarantined chunks); all zeros on a healthy run.
     health: RunHealth = field(default_factory=RunHealth)
@@ -435,29 +387,6 @@ class PipelineTelemetry:
         self.peak_open_flows = max(
             self.peak_open_flows,
             sum(w.peak_open_flows for w in self.worker_stats),
-        )
-
-    def record_flow_worker(
-        self,
-        shard: int,
-        scanners: int,
-        rows: int,
-        seconds: float,
-        planned_cost: float = 0.0,
-        tasks: int = 1,
-        stolen_tasks: int = 0,
-    ) -> None:
-        """Fold one flow-synthesis worker's report into the gauges."""
-        self.flow_worker_stats.append(
-            FlowWorkerStats(
-                shard=int(shard),
-                scanners=int(scanners),
-                rows=int(rows),
-                seconds=float(seconds),
-                planned_cost=float(planned_cost),
-                tasks=int(tasks),
-                stolen_tasks=int(stolen_tasks),
-            )
         )
 
     def record_chunk(
@@ -518,23 +447,6 @@ class PipelineTelemetry:
                         f"{worker.spans_emitted:,} emitted"
                     )
                 rows.append((f"worker {worker.shard}", detail))
-        for worker in self.flow_worker_stats:
-            throughput = worker.throughput
-            rate = (
-                f"{throughput:,.0f} rows/s"
-                if throughput is not None
-                else "n/a"
-            )
-            detail = (
-                f"{worker.scanners:,} scanners, {worker.rows:,} rows, "
-                f"{worker.seconds:.2f}s ({rate})"
-            )
-            if worker.tasks > 1 or worker.planned_cost > 0.0:
-                detail += (
-                    f", plan {worker.planned_cost:,.0f} over "
-                    f"{worker.tasks} task(s), {worker.stolen_tasks} stolen"
-                )
-            rows.append((f"flows worker {worker.shard}", detail))
         if self.health.any_events():
             rows.extend(self.health.summary_rows())
         for stage in self.stages.values():
@@ -565,7 +477,6 @@ class PipelineTelemetry:
             "max_watermark_lag": self.max_watermark_lag,
             "stages": {k: v.as_dict() for k, v in self.stages.items()},
             "workers": [w.as_dict() for w in self.worker_stats],
-            "flow_workers": [w.as_dict() for w in self.flow_worker_stats],
             "health": self.health.as_dict(),
         }
 

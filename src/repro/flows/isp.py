@@ -122,10 +122,7 @@ class ISPNetwork:
         rng: np.random.Generator,
         exporter: Optional[NetflowExporter] = None,
         *,
-        workers: Optional[int] = None,
         telemetry: Optional[PipelineTelemetry] = None,
-        retry=None,
-        checkpoint_dir=None,
     ) -> tuple:
         """Simulate the scanners' transit traffic and export NetFlow.
 
@@ -135,8 +132,8 @@ class ISPNetwork:
         (:mod:`repro.flows.synthesis`), per-cell true totals are one
         grouped aggregation, and the exporter applies a single binomial
         over the true-count column.  ``rng`` is consumed exactly once —
-        for the flow base seed — so the result is bit-identical for any
-        worker count and for the scalar loop reference.
+        for the flow base seed — and the result is bit-identical to the
+        scalar loop reference.  Synthesis runs serially, in process.
 
         Args:
             scanners: sources to materialize at the routers (typically
@@ -147,18 +144,7 @@ class ISPNetwork:
             clock: day calendar.
             rng: random stream (one draw: the flow base seed).
             exporter: NetFlow sampling config (default 1:1000).
-            workers: shard synthesis across this many worker processes
-                (cost-capped contiguous population slices, merged in
-                order; see :func:`repro.parallel.parallel_flow_columns`);
-                ``None`` or 1 synthesizes serially.  Results are
-                identical.
-            telemetry: optional gauge sink; a "flows" stage plus
-                per-worker synthesis throughput is recorded.
-            retry: per-shard :class:`~repro.core.faults.RetryPolicy`
-                for the parallel path.
-            checkpoint_dir: persist finished flow-shard states here so
-                an interrupted collection resumes without re-synthesis
-                (forces the sharded code path even for 1 worker).
+            telemetry: optional gauge sink; a "flows" stage is recorded.
 
         Returns:
             ``(flow_table, true_totals)`` where ``true_totals`` maps
@@ -173,26 +159,14 @@ class ISPNetwork:
         sources = np.array([int(s.src) for s in scanners], dtype=np.uint32)
         countries = self._countries_of(sources)
         mixes = self.router_mix_many(sources, countries)
-        day_seconds = clock.seconds_per_day
-        if (workers is not None and workers > 1) or checkpoint_dir is not None:
-            from repro.parallel import parallel_flow_columns
-
-            columns = parallel_flow_columns(
-                scanners,
-                mixes,
-                self.transit_view,
-                window,
-                day_seconds,
-                base,
-                workers=workers if workers is not None else 1,
-                telemetry=telemetry,
-                retry=retry,
-                checkpoint_dir=checkpoint_dir,
-            )
-        else:
-            columns = synthesize_flow_columns(
-                scanners, mixes, self.transit_view, window, day_seconds, base
-            )
+        columns = synthesize_flow_columns(
+            scanners,
+            mixes,
+            self.transit_view,
+            window,
+            clock.seconds_per_day,
+            base,
+        )
         true_totals = columns.true_totals()
         table = exporter.export_columns(columns, base)
         if telemetry is not None:

@@ -13,7 +13,7 @@ vectorized binomial draw over the whole true-count column instead of a
 per-flow Python loop.  The sampling stream is derived from an integer
 seed (never from a shared, order-sensitive generator), so export — and
 the router-total estimates — are deterministic regardless of call
-order or worker count.
+order.
 """
 
 from __future__ import annotations
@@ -38,11 +38,8 @@ class FlowColumns:
 
     The struct-of-arrays intermediate between flow synthesis and NetFlow
     export: one row per (router, day, src, dport, proto) flow with its
-    true packet count.  Rows are kept in the canonical synthesis order —
-    scanner (population order), then count-row order, then router index
-    — which is what makes shard-parallel synthesis bit-identical to
-    serial: shards are contiguous scanner slices, so concatenating the
-    per-shard columns in shard order reproduces the serial layout.
+    true packet count.  Rows are kept in the canonical synthesis order:
+    scanner (population order), then count-row order, then router index.
     """
 
     router: np.ndarray = field(
@@ -81,7 +78,7 @@ class FlowColumns:
 
     @classmethod
     def concat(cls, blocks: list) -> "FlowColumns":
-        """Concatenate blocks in order (the shard-merge primitive)."""
+        """Concatenate blocks in order (one block per scanner)."""
         blocks = [b for b in blocks if len(b)]
         if not blocks:
             return cls()

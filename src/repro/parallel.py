@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import time
 from dataclasses import dataclass
 from itertools import groupby
@@ -85,7 +84,6 @@ from repro.core.faults import (
     sha256_hex,
 )
 from repro.core.engine import DetectionEngine
-from repro.core.schedule import SchedulePlan, plan_contiguous
 from repro.core.streaming import StreamingDetector
 from repro.core.telemetry import PipelineTelemetry, RunHealth
 from repro.packet import PacketBatch
@@ -342,34 +340,16 @@ def _dump_detect_state(result: tuple) -> bytes:
 
 
 def _load_detect_state(payload: bytes) -> tuple:
+    """A detect checkpoint's detector and its worker report, rebuilt
+    from the JSON header: ``ValueError`` when either is unreadable."""
     detector, header = StreamingDetector._read(payload)
-    return detector, _report(WorkerReport, header)
-
-
-def _dump_flow_state(result: tuple) -> bytes:
-    from repro.flows.synthesis import flow_state_to_bytes
-
-    columns, report = result
-    return flow_state_to_bytes(columns, report=dataclasses.asdict(report))
-
-
-def _load_flow_state(payload: bytes) -> tuple:
-    from repro.flows.synthesis import read_flow_state
-
-    columns, header = read_flow_state(payload)
-    return columns, _report(FlowWorkerReport, header)
-
-
-def _report(cls, header: dict):
-    """A checkpoint's worker report, rebuilt from its JSON header:
-    ``ValueError`` when it is missing or malformed."""
     try:
         report = dict(header["report"])
         if "quarantined" in report:
             report["quarantined"] = tuple(report["quarantined"])
         if "chunk_gauges" in report:
             report["chunk_gauges"] = tuple(map(tuple, report["chunk_gauges"]))
-        return cls(**report)
+        return detector, WorkerReport(**report)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"checkpoint worker report unreadable: {exc!r}"
@@ -483,7 +463,6 @@ def _detect(
         policy=retry,
         plan=fault_plan,
         use_processes=use_processes and workers > 1,
-        max_workers=workers,
         health=health,
         store=store,
         kind="detect",
@@ -589,10 +568,9 @@ def resume_run(
     Reads the run parameters recorded in ``<run_dir>/run.json``,
     reloads every shard state whose checkpoint verifies, and re-executes
     only the shards that are missing or damaged — the merged result is
-    bit-identical to a fault-free run.  Runs whose inputs are not
-    file-addressable (lazy generation, flow slices)
-    resume by re-invoking their entry point with the same
-    ``checkpoint_dir`` instead.
+    bit-identical to a fault-free run.  Lazy generate+detect runs,
+    whose inputs are not file-addressable, resume by re-invoking their
+    entry point with the same ``checkpoint_dir`` instead.
     """
     store = CheckpointStore(run_dir)
     meta = store.load_meta()
@@ -716,206 +694,3 @@ def parallel_generate_detect(
         fault_plan=fault_plan,
         checkpoint_dir=checkpoint_dir,
     )
-
-
-# ----------------------------------------------------------------------
-# Flow synthesis: contiguous, cost-capped work-stealing slices
-# ----------------------------------------------------------------------
-
-
-def _stolen_tasks(plan_tasks, reports) -> int:
-    """Tasks of one logical shard executed away from its home worker.
-
-    The home worker is wherever the shard's heaviest task ran; any
-    sibling task that a different process drained from the pool queue
-    counts as stolen.  In-process runs share one pid, so this is 0
-    there — it measures actual pool dynamics, not the plan.
-    """
-    if len(reports) <= 1:
-        return 0
-    heavy = max(
-        range(len(plan_tasks)),
-        key=lambda i: (plan_tasks[i].cost, -i),
-    )
-    home_pid = reports[heavy].pid
-    return sum(1 for report in reports if report.pid != home_pid)
-
-
-def _record_flow_workers(
-    telemetry: PipelineTelemetry,
-    plan: SchedulePlan,
-    task_results: List[tuple],
-) -> None:
-    """Fold per-task flow reports into one telemetry entry per shard.
-
-    Keeps the long-standing arity invariant — exactly ``plan.workers``
-    ``flow_worker_stats`` entries whose scanner counts sum to the
-    population — whatever the task decomposition was.
-    """
-    for shard in range(plan.workers):
-        tasks = plan.shard_tasks(shard)
-        reports = [task_results[task.index][1] for task in tasks]
-        telemetry.record_flow_worker(
-            shard=shard,
-            scanners=sum(r.scanners for r in reports),
-            rows=sum(r.rows for r in reports),
-            seconds=sum(r.seconds for r in reports),
-            planned_cost=plan.planned_cost(shard),
-            tasks=len(tasks),
-            stolen_tasks=_stolen_tasks(tasks, reports),
-        )
-
-
-@dataclass(frozen=True)
-class FlowWorkerReport:
-    """What one flow-synthesis worker produced (telemetry, not results)."""
-
-    shard: int
-    #: scanners synthesized by this worker.
-    scanners: int
-    #: flow rows (true-count cells) produced — the pre-sampling unit,
-    #: not the (smaller) exported row count after flow sampling.
-    rows: int
-    #: wall-clock seconds inside the worker's synthesis loop.
-    seconds: float
-    #: OS process id that executed the work (steal accounting).
-    pid: int = 0
-
-
-def _run_flow_shard(
-    shard: int,
-    scanners: list,
-    start_index: int,
-    mixes: np.ndarray,
-    view,
-    window,
-    day_seconds: float,
-    base: int,
-):
-    """Worker body: synthesize one contiguous population slice.
-
-    Top-level (not a closure) so it pickles under any multiprocessing
-    start method.  ``start_index`` keys the per-scanner streams, so the
-    slice's columns are exactly the serial pass's columns for those
-    scanners regardless of which worker runs it.
-    """
-    from repro.flows.synthesis import synthesize_flow_columns
-
-    t0 = time.perf_counter()
-    columns = synthesize_flow_columns(
-        scanners, mixes, view, window, day_seconds, base,
-        start_index=start_index,
-    )
-    report = FlowWorkerReport(
-        shard=shard,
-        scanners=len(scanners),
-        rows=len(columns),
-        seconds=time.perf_counter() - t0,
-        pid=os.getpid(),
-    )
-    return columns, report
-
-
-def parallel_flow_columns(
-    scanners: Sequence,
-    mixes: np.ndarray,
-    view,
-    window,
-    day_seconds: float,
-    base: int,
-    *,
-    workers: int,
-    use_processes: bool = True,
-    telemetry: Optional[PipelineTelemetry] = None,
-    retry: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    checkpoint_dir: Union[str, Path, None] = None,
-):
-    """Shard-parallel columnar flow synthesis.
-
-    Unlike detection — where state is keyed per source and shards are
-    hash-partitioned — flow synthesis has *no* cross-scanner state:
-    scanner ``i`` draws only from its own ``(base, salt, i)`` stream.
-    The population is therefore split into **contiguous** index slices,
-    and concatenating the per-task columns in logical task order
-    reproduces the serial population order exactly — the merge is a
-    concat, and results are bit-identical to serial for any worker
-    count (hypothesis-tested 1..8).
-
-    Synthesis time is heavy-tailed across scanners, so the slices are
-    cost-capped (:func:`~repro.core.schedule.plan_contiguous` over each
-    scanner's :meth:`~repro.scanners.base.Scanner.cost_estimate`), a
-    few per worker, and submitted heaviest-first: idle workers drain
-    the stragglers' queued slices.
-
-    Args:
-        scanners: full population slice to synthesize, in order.
-        mixes: per-scanner router-mix matrix, aligned with ``scanners``.
-        view: the ISP transit view.
-        window: [start, end) collection period.
-        day_seconds: day length for day indexing.
-        base: the run's flow base seed.
-        workers: number of logical shards / worker processes.
-        use_processes: ``False`` runs shards serially in-process (same
-            shard/merge code path; useful for tests).
-        telemetry: optional gauge sink for per-worker throughput.
-
-    Returns:
-        The merged :class:`~repro.flows.netflow.FlowColumns`.
-    """
-    from repro.flows.netflow import FlowColumns
-
-    _check_workers(workers)
-    scanners = list(scanners)
-    plan = plan_contiguous(
-        [scanner.cost_estimate(day_seconds) for scanner in scanners], workers
-    )
-    health = _resolve_health(telemetry)
-    store = _checkpoint_store(
-        checkpoint_dir,
-        health,
-        {
-            "kind": "flows",
-            "workers": workers,
-            "n_tasks": plan.n_tasks,
-            "day_seconds": float(day_seconds),
-            "base": int(base),
-            "window": _window_meta(window),
-            "n_scanners": len(scanners),
-            "population": sha256_hex(
-                _population_sources(scanners).tobytes()
-            ),
-        },
-    )
-    args = [
-        (
-            task.index,
-            [scanners[i] for i in task.items],
-            task.items[0] if task.items else 0,
-            mixes[list(task.items)],
-            view,
-            window,
-            day_seconds,
-            base,
-        )
-        for task in plan.tasks
-    ]
-    task_results = run_sharded(
-        _run_flow_shard,
-        args,
-        policy=retry,
-        plan=fault_plan,
-        use_processes=use_processes and workers > 1,
-        max_workers=workers,
-        submit_order=plan.submit_order(),
-        health=health,
-        store=store,
-        kind="flows",
-        dumps=_dump_flow_state,
-        loads=_load_flow_state,
-    )
-    if telemetry is not None:
-        _record_flow_workers(telemetry, plan, task_results)
-    return FlowColumns.concat([columns for columns, _ in task_results])
-
-

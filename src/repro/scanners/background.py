@@ -18,12 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fingerprint import Tool
-from repro.scanners.base import (
-    FLOW_SCANNER_BASE_COST,
-    ScanMode,
-    ScanSession,
-    Scanner,
-)
+from repro.scanners.base import ScanMode, ScanSession, Scanner
 from repro.scanners.ports import SMALL_SCAN_PROFILE, PortProfile
 
 
@@ -252,13 +247,6 @@ class SpoofedScan:
             proto=np.full(k, Protocol.TCP_SYN.value, dtype=np.uint8),
             ipid=rng.integers(0, 65536, size=k, dtype=np.uint16),
         )
-
-    def cost_estimate(self, day_seconds=86_400.0):
-        """Predicted flow-synthesis work (same protocol as
-        :meth:`repro.scanners.base.Scanner.cost_estimate`): a spoofed
-        scan never produces flow cells, so it costs the per-scanner
-        fixed floor."""
-        return FLOW_SCANNER_BASE_COST
 
     def count_rows(self, view, window, day_seconds, rng):
         """Spoofed probes never join the per-source flow accounting."""

@@ -57,18 +57,6 @@ IPV4_SPACE = 2**32
 #: one-stream-per-session floor.
 RATE_SPAN_TARGET_PACKETS = 8_192.0
 
-#: Fixed costs of the flow-synthesis hot path, in (day, port) cell
-#: units.  Calibrated on the darknet-2021 bench population: building
-#: one scanner's block costs ~53µs before any cell is produced
-#: (derived-RNG construction plus batched-call dispatch), each session
-#: adds ~50µs of count bookkeeping, and one count cell costs ~0.22µs —
-#: so the floors are 53/0.22 and 50/0.22 cell units.  Without them the
-#: planner starves: on heavy-tail populations most scanners are
-#: overhead-dominated, and a cells-only estimate packs thousands of
-#: "free" light scanners into one shard.
-FLOW_SCANNER_BASE_COST = 240.0
-FLOW_SESSION_BASE_COST = 220.0
-
 
 def full_ipv4_ranges() -> np.ndarray:
     """The whole IPv4 space as a single [start, end) range."""
@@ -425,28 +413,6 @@ class Scanner:
             * len(session.ports)
             * session.probes_per_target
         )
-
-    def cost_estimate(self, day_seconds: float = 86_400.0) -> float:
-        """Predicted relative flow-synthesis cost of this scanner (cheap).
-
-        The flow-synthesis planner (:mod:`repro.core.schedule`) calls
-        this once per scanner to cut the population into cost-capped
-        slices, so it must be orders of magnitude cheaper than the work
-        it predicts — a few float operations per session, no RNG, no
-        array allocation.
-
-        The unit is the (day, port) count cell: the cells the scanner
-        materializes plus the calibrated per-scanner and per-session
-        fixed costs (:data:`FLOW_SCANNER_BASE_COST`,
-        :data:`FLOW_SESSION_BASE_COST`) — a 100k-pps single-port
-        scanner is heavy in packets but trivial in flow cells.  The
-        total is always positive.
-        """
-        cost = FLOW_SCANNER_BASE_COST
-        for session in self.sessions:
-            days = max(math.ceil(session.duration / day_seconds), 1)
-            cost += FLOW_SESSION_BASE_COST + float(len(session.ports)) * days
-        return cost
 
     def count_rows(
         self,

@@ -149,10 +149,6 @@ class Tenant:
     _MAX_ERRORS = 32
     _DEDUP_CAPACITY = 512
 
-    def ingest(self, batch) -> None:
-        """Fold one chunk into the tenant's engine (synchronous)."""
-        self.engine.ingest(batch)
-
     def ingest_payloads(
         self, blobs: List[bytes], last_seq: Optional[int] = None
     ) -> IngestReport:

@@ -43,15 +43,6 @@ class ScenarioResult:
     mode: str = "batch"
     #: pipeline counters/gauges; populated only by streaming runs.
     telemetry: Optional[PipelineTelemetry] = None
-    #: worker count the run was configured with; lazy flow collection
-    #: shards its synthesis across this many processes (results are
-    #: identical for any value).
-    workers: Optional[int] = None
-    #: checkpoint/run directory the run was configured with; lazy flow
-    #: collection checkpoints its shards under ``<dir>/flows``.
-    checkpoint_dir: Optional[str] = None
-    #: per-shard retry budget the run was configured with.
-    shard_retries: Optional[int] = None
     #: materialized capture; ``None`` after lazy-generation runs until
     #: an analysis asks for it through the ``capture`` property.
     _capture: Optional[DarknetCapture] = field(default=None, repr=False)
@@ -104,14 +95,13 @@ class ScenarioResult:
         self,
         exporter: Optional[NetflowExporter] = None,
         seed_offset: int = 101,
-        workers: Optional[int] = None,
     ) -> tuple:
         """NetFlow at the ISP for the scenario's flow days.
 
         Returns ``(flow_table, totals)``; cached after the first call
-        with default arguments.  Synthesis shards across ``workers``
-        processes (defaulting to the run's worker count) — the table is
-        bit-identical for any value, so the cache is shared.
+        with default arguments.  Synthesis runs serially in process,
+        whatever the run's worker count or checkpoint directory: it
+        neither reads nor writes a checkpoint.
         """
         if exporter is None and self._flow_cache is not None:
             return self._flow_cache
@@ -119,34 +109,19 @@ class ScenarioResult:
             raise RuntimeError("scenario was built without an ISP model")
         if not self.scenario.flow_days:
             raise RuntimeError("scenario has no flow days configured")
-        if workers is None:
-            workers = self.workers
         rng = np.random.default_rng(self.scenario.seed + seed_offset)
         days = self.scenario.flow_days
         window = (
             min(days) * self.clock.seconds_per_day,
             (max(days) + 1) * self.clock.seconds_per_day,
         )
-        retry = None
-        if self.shard_retries is not None:
-            from repro.core.faults import RetryPolicy
-
-            retry = RetryPolicy(max_retries=self.shard_retries)
-        flow_checkpoint = None
-        if self.checkpoint_dir is not None:
-            from pathlib import Path
-
-            flow_checkpoint = Path(self.checkpoint_dir) / "flows"
         table, true_totals = self.merit.collect_scanner_flows(
             self.flow_scanners(),
             window,
             self.clock,
             rng,
             exporter,
-            workers=workers,
             telemetry=self.telemetry,
-            retry=retry,
-            checkpoint_dir=flow_checkpoint,
         )
         totals = self.merit.router_day_totals(days, true_totals, self.clock, rng)
         result = (table, totals)
@@ -253,21 +228,20 @@ def run_scenario(
         chunk_seconds: streaming window size; defaults to the
             scenario's ``chunk_seconds``, then to
             :data:`repro.config.DEFAULT_CHUNK_SECONDS`.
-        workers: shard work across this many worker processes —
-            identical results for any count.  With ``mode="streaming"``
-            the capture is sharded by source-address hash, one shard per
-            worker, and detector states merged (:mod:`repro.parallel`);
-            in *any* mode the columnar ISP flow synthesis behind
-            ``collect_flows`` spreads cost-capped population slices
-            across the same pool.  Defaults to the scenario's
-            ``workers``; ``None`` or 1 runs one shard in-process.
+        workers: with ``mode="streaming"``, shard detection across
+            this many worker processes — the capture is sharded by
+            source-address hash, one shard per worker, and detector
+            states merged (:mod:`repro.parallel`); identical results for
+            any count.  Defaults to the scenario's ``workers``; ``None``
+            or 1 runs one shard in-process.  Batch mode validates it
+            (>= 1) and otherwise ignores it; ``collect_flows`` always
+            synthesizes serially.
         capture_dir: detect over a ``save_packets_chunked`` directory
             instead of generating the capture (streaming mode only);
             archives are digest-verified against the chunk manifest.
         checkpoint_dir: persist finished shard states here; re-running
             (or :func:`repro.parallel.resume_run`) re-executes only the
-            missing shards.  Also routes flow collection's checkpoints
-            to ``<dir>/flows``.
+            missing shards.  Flow collection does not checkpoint.
         shard_retries: per-shard retry budget for transient worker
             failures (default policy when ``None``).
         on_corrupt: ``"raise"`` (default) fails on the first damaged
@@ -370,8 +344,5 @@ def run_scenario(
         campus=campus,
         mode=mode,
         telemetry=telemetry,
-        workers=workers,
-        checkpoint_dir=None if checkpoint_dir is None else str(checkpoint_dir),
-        shard_retries=shard_retries,
         _capture=capture,
     )

@@ -35,8 +35,8 @@ class TestParser:
             cli.main(["--chunk-hours", "2", "summary"])
 
     def test_workers_allowed_in_batch_mode(self, capsys):
-        # Batch mode accepts --workers now: the columnar flow synthesis
-        # behind impact/mitigation shards across the pool in any mode.
+        # Batch mode accepts --workers and runs serially; the flow
+        # synthesis behind impact/mitigation is serial in every mode.
         assert (
             cli.main(["--scenario", "tiny", "--workers", "2", "impact"]) == 0
         )

@@ -9,13 +9,21 @@ same stage names, and the same per-chunk gauges (chunk count, peak
 chunk packets, watermark lag) whatever the worker count or packet
 source.
 
+Every case also collects the ISP flows (``collect_flows``), which must
+equal the oracle's, table and router-day totals alike.  Flow synthesis
+runs serially in process and never checkpoints: a checkpointed run
+leaves no ``flows/`` entry in its directory, and a stale ``flows/``
+directory left there by an older run is neither read nor written.
+
 New paths (engine ingest, the pooled serve path with journal replay,
 summary queries) register here as further cases.
 """
 
+import numpy as np
 import pytest
 
 from repro.config import DEFAULT_CHUNK_SECONDS
+from repro.core.faults import CheckpointStore
 from repro.io.packetlog import save_packets_chunked
 from repro.sim.runner import run_scenario
 from repro.sim.scenario import tiny_scenario
@@ -36,13 +44,21 @@ _CAPTURE_GAUGES = (
     "max_watermark_lag",
 )
 
+_FLOW_COLUMNS = ("router", "day", "src", "dport", "proto", "packets", "sampled")
+
 #: (case id, run_scenario keywords); ``capture_dir`` / ``checkpoint_dir``
-#: set to True are replaced by the fixture's directories.
+#: set to True are replaced by the fixture's directories, and
+#: ``stale_flows`` plants a flow checkpoint directory as older runs
+#: wrote it under the checkpoint directory before the run.
 _CASES = [
     ("streaming-1", {"workers": 1}),
     ("streaming-2", {"workers": 2}),
     ("streaming-3", {"workers": 3}),
     ("checkpoint-1", {"workers": 1, "checkpoint_dir": True}),
+    (
+        "stale-flows-2",
+        {"workers": 2, "checkpoint_dir": True, "stale_flows": True},
+    ),
     ("replay-1", {"workers": 1, "capture_dir": True}),
     ("replay-2", {"workers": 2, "capture_dir": True}),
 ]
@@ -63,9 +79,31 @@ def oracle(tmp_path_factory):
     return {
         "events": batch.events.sorted_canonical(),
         "detections": batch.detections,
+        "flows": batch.collect_flows(),
         "capture_dir": str(root / "capture"),
         "root": root,
         "runs": {},
+        "planted": {},
+    }
+
+
+def _plant_stale_flows(directory):
+    """A flow checkpoint directory as sharded flow synthesis wrote it:
+    ``run.json`` plus one ``flows-<task>.ckpt`` per task.  The payload
+    is junk, so a run that loaded it could not match the oracle.
+    Returns the planted files' bytes."""
+    store = CheckpointStore(directory)
+    store.write_meta({"kind": "flows", "workers": 2, "n_tasks": 2})
+    for task in range(2):
+        store.save("flows", task, b"stale flow columns")
+    return _tree_bytes(directory)
+
+
+def _tree_bytes(directory):
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
     }
 
 
@@ -77,6 +115,10 @@ def _run(oracle, case):
             options["capture_dir"] = oracle["capture_dir"]
         if options.pop("checkpoint_dir", False):
             options["checkpoint_dir"] = str(oracle["root"] / case_id)
+        if options.pop("stale_flows", False):
+            oracle["planted"][case_id] = _plant_stale_flows(
+                oracle["root"] / case_id / "flows"
+            )
         oracle["runs"][case_id] = run_scenario(
             tiny_scenario(), mode="streaming", **options
         )
@@ -99,3 +141,17 @@ def test_run_path_equals_oracle(oracle, case):
     assert telemetry.peak_chunk_packets > 0
     assert telemetry.max_watermark_lag > 0
     assert telemetry.workers == case[1]["workers"]
+
+    table, totals = result.collect_flows()
+    oracle_table, oracle_totals = oracle["flows"]
+    assert len(table) > 0
+    for column in _FLOW_COLUMNS:
+        assert np.array_equal(
+            getattr(table, column), getattr(oracle_table, column)
+        ), column
+    assert totals == oracle_totals
+    flows_dir = oracle["root"] / case[0] / "flows"
+    if case[0] in oracle["planted"]:
+        assert _tree_bytes(flows_dir) == oracle["planted"][case[0]]
+    else:
+        assert not flows_dir.exists()

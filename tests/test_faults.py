@@ -9,7 +9,6 @@ bit-identical to a fault-free serial run.
 import pickle
 import tempfile
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,14 +25,9 @@ from repro.core.faults import (
     run_sharded,
     sha256_hex,
 )
-from repro.core.schedule import plan_contiguous
 from repro.core.telemetry import PipelineTelemetry, RunHealth
 from repro.io.packetlog import save_packets_chunked
-from repro.parallel import (
-    parallel_detect_directory,
-    parallel_flow_columns,
-    resume_run,
-)
+from repro.parallel import parallel_detect_directory, resume_run
 from tests.test_parallel import _CONFIG, _DARK_SIZE, _random_capture, _reference
 from tests.test_streaming import (
     _assert_detections_identical,
@@ -213,34 +207,6 @@ class TestRunSharded:
         assert health.retries == 0
         assert not retryable(ChunkCorruptionError("x"))
 
-    def test_submit_order_reorders_execution_not_results(self):
-        submitted = []
-
-        def tracking(value):
-            submitted.append(value)
-            return value * 2
-
-        out = run_sharded(
-            tracking,
-            [(i,) for i in range(4)],
-            use_processes=False,
-            submit_order=[3, 1, 0, 2],
-            **_NO_SLEEP,
-        )
-        assert out == [0, 2, 4, 6]
-        assert submitted == [3, 1, 0, 2]
-
-    def test_submit_order_must_be_permutation(self):
-        for bad in ([0, 1], [0, 0, 1, 2], [0, 1, 2, 4]):
-            with pytest.raises(ValueError, match="permutation"):
-                run_sharded(
-                    _double,
-                    [(i,) for i in range(4)],
-                    use_processes=False,
-                    submit_order=bad,
-                    **_NO_SLEEP,
-                )
-
     def test_checkpoints_skip_finished_shards(self, tmp_path):
         health = RunHealth()
         store = CheckpointStore(tmp_path / "run", health)
@@ -317,7 +283,6 @@ class TestProcessPoolRecovery:
             policy=RetryPolicy(max_retries=2, backoff_seconds=0.0),
             plan=FaultPlan(abort={1: 1}),
             use_processes=True,
-            max_workers=2,
             health=health,
         )
         assert out == [0, 2, 4]
@@ -332,8 +297,7 @@ class TestProcessPoolRecovery:
                 policy=RetryPolicy(max_retries=0, backoff_seconds=0.0),
                 plan=FaultPlan(abort={0: 1}),
                 use_processes=True,
-                max_workers=2,
-            )
+                )
 
     def test_injected_kill_across_processes(self):
         health = RunHealth()
@@ -343,7 +307,6 @@ class TestProcessPoolRecovery:
             policy=_FAST,
             plan=FaultPlan(kill={0: 1, 3: 1}),
             use_processes=True,
-            max_workers=2,
             health=health,
         )
         assert out == [0, 2, 4, 6]
@@ -595,88 +558,6 @@ class TestDirectoryFaults:
             resume_run(tmp_path / "run")
 
 
-class TestFlowShardFaults:
-    def test_faulted_flow_synthesis_identical(self, tmp_path):
-        from repro.sim.runner import run_scenario
-        from repro.sim.scenario import tiny_scenario
-
-        result = run_scenario(tiny_scenario(), mode="batch")
-        scanners = result.flow_scanners()
-        sources = np.array([int(s.src) for s in scanners], dtype=np.uint32)
-        countries = result.merit._countries_of(sources)
-        mixes = result.merit.router_mix_many(sources, countries)
-        window = (0.0, 2 * result.clock.seconds_per_day)
-        base = 1234567
-
-        serial = parallel_flow_columns(
-            scanners, mixes, result.merit.transit_view, window,
-            result.clock.seconds_per_day, base,
-            workers=1, use_processes=False,
-        )
-        run_dir = tmp_path / "flows"
-        with pytest.raises(ShardFailedError):
-            parallel_flow_columns(
-                scanners, mixes, result.merit.transit_view, window,
-                result.clock.seconds_per_day, base,
-                workers=3, use_processes=False,
-                retry=RetryPolicy(max_retries=0, backoff_seconds=0.0),
-                fault_plan=FaultPlan(kill={2: 1}),
-                checkpoint_dir=run_dir,
-            )
-        telemetry = PipelineTelemetry(chunk_seconds=3_600.0)
-        resumed = parallel_flow_columns(
-            scanners, mixes, result.merit.transit_view, window,
-            result.clock.seconds_per_day, base,
-            workers=3, use_processes=False,
-            telemetry=telemetry, checkpoint_dir=run_dir,
-        )
-        # The in-process pass runs tasks in submit order, so the
-        # interrupted run checkpointed exactly the tasks submitted
-        # before the victim — the resume must reload precisely those.
-        plan = plan_contiguous(
-            [s.cost_estimate(result.clock.seconds_per_day) for s in scanners],
-            3,
-        )
-        assert telemetry.health.checkpoint_hits == plan.submit_order().index(2)
-        for name in ("router", "day", "src", "dport", "proto", "true"):
-            assert np.array_equal(
-                getattr(serial, name), getattr(resumed, name)
-            )
-
-
-class TestScheduledFaults:
-    """The flow planner's cost-capped tasks keep the fault-tolerance
-    contract: a killed task retries into the serial result."""
-
-    def test_scheduled_flow_kill_retry_identical(self):
-        from repro.flows.synthesis import synthesize_flow_columns
-        from repro.sim.runner import run_scenario
-        from repro.sim.scenario import tiny_scenario
-
-        result = run_scenario(tiny_scenario(), mode="batch")
-        scanners = result.flow_scanners()
-        sources = np.array([int(s.src) for s in scanners], dtype=np.uint32)
-        mixes = result.merit.router_mix_many(sources)
-        window = (0.0, 2 * result.clock.seconds_per_day)
-        day_seconds = result.clock.seconds_per_day
-        base = 424242
-        serial = synthesize_flow_columns(
-            scanners, mixes, result.merit.transit_view, window,
-            day_seconds, base,
-        )
-        faulted = parallel_flow_columns(
-            scanners, mixes, result.merit.transit_view, window,
-            day_seconds, base,
-            workers=3, use_processes=False,
-            retry=RetryPolicy(max_retries=1, backoff_seconds=0.0),
-            fault_plan=FaultPlan(kill={0: 1}),
-        )
-        for name in ("router", "day", "src", "dport", "proto", "true"):
-            assert np.array_equal(
-                getattr(serial, name), getattr(faulted, name)
-            ), name
-
-
 def _add_schedule_key(run_dir, schedule: str) -> None:
     """Rewrite ``run.json`` as the layout with a ``--schedule`` knob
     recorded it: the same keys plus the schedule mode."""
@@ -723,38 +604,6 @@ class TestScheduleEraCheckpointsRefused:
         with pytest.raises(ValueError, match="schedule"):
             resume_run(run_dir, use_processes=False, telemetry=telemetry)
         assert telemetry.health.checkpoint_hits == 0
-        assert _checkpoint_bytes(run_dir) == saved
-
-    def test_flow_run_refused(self, tmp_path):
-        from repro.sim.runner import run_scenario
-        from repro.sim.scenario import tiny_scenario
-
-        result = run_scenario(tiny_scenario(), mode="batch")
-        scanners = result.flow_scanners()
-        sources = np.array([int(s.src) for s in scanners], dtype=np.uint32)
-        args = (
-            scanners,
-            result.merit.router_mix_many(sources),
-            result.merit.transit_view,
-            (0.0, 2 * result.clock.seconds_per_day),
-            result.clock.seconds_per_day,
-            777,
-        )
-        run_dir = tmp_path / "flows"
-        parallel_flow_columns(
-            *args, workers=2, use_processes=False, checkpoint_dir=run_dir
-        )
-        _add_schedule_key(run_dir, "static")
-        saved = _checkpoint_bytes(run_dir)
-        assert saved
-        telemetry = PipelineTelemetry()
-        with pytest.raises(ValueError, match="schedule"):
-            parallel_flow_columns(
-                *args, workers=2, use_processes=False,
-                telemetry=telemetry, checkpoint_dir=run_dir,
-            )
-        assert telemetry.health.checkpoint_hits == 0
-        assert telemetry.flow_worker_stats == []
         assert _checkpoint_bytes(run_dir) == saved
 
 

@@ -1,12 +1,10 @@
-"""Columnar flow synthesis: bit-identity and sharding properties.
+"""Columnar flow synthesis: bit-identity properties.
 
 The contracts this file pins, all exact (no tolerances):
 
 * The columnar ``ISPNetwork.collect_scanner_flows`` is **bit-identical**
-  to the scalar loop reference (``collect_scanner_flows_loop``) — same
+  to the scalar loop reference (``tests/flow_oracle.py``) — same
   derived streams, same rows, same sampled table, same true totals.
-* Shard-parallel synthesis equals serial for **any worker count 1..8**
-  (hypothesis-tested in-process; one real process-pool smoke test).
 * The vectorized export binomial equals a scalar ``sample_count`` loop
   draw for draw, for ``keep_zero`` both on and off.
 * ``Scanner.count_columns`` equals ``count_rows`` row for row from the
@@ -25,29 +23,18 @@ from repro.flows.netflow import (
     FlowColumns,
     NetflowExporter,
 )
-from repro.flows.synthesis import (
-    collect_scanner_flows_loop,
-    flow_base_seed,
-    synthesize_flow_columns,
-)
 from repro.core.telemetry import PipelineTelemetry
 from repro.net.internet import InternetConfig, build_internet
 from repro.net.prefix import PrefixSet
 from repro.packet import Protocol
-from repro.parallel import parallel_flow_columns
 from repro.scanners.base import ScanMode, Scanner, ScanSession, View
 from repro.sim.clock import SimClock
+from tests.flow_oracle import collect_scanner_flows_loop
 from tests.test_netflow import flow_columns
 
 DAY = 86_400.0
 
-_FLOW_COLS = ("router", "day", "src", "dport", "proto", "true")
 _TABLE_COLS = ("router", "day", "src", "dport", "proto", "packets", "sampled")
-
-
-def _assert_columns_identical(a: FlowColumns, b: FlowColumns):
-    for column in _FLOW_COLS:
-        assert np.array_equal(getattr(a, column), getattr(b, column)), column
 
 
 def _assert_tables_identical(a, b):
@@ -128,8 +115,10 @@ class TestColumnarEqualsLoop:
     def test_table_and_totals_identical(self, merit_world, flow_population):
         _, merit = merit_world
         clock = SimClock()
+        telemetry = PipelineTelemetry()
         table, totals = merit.collect_scanner_flows(
-            flow_population, self.WINDOW, clock, np.random.default_rng(5)
+            flow_population, self.WINDOW, clock, np.random.default_rng(5),
+            telemetry=telemetry,
         )
         loop_table, loop_totals = collect_scanner_flows_loop(
             merit, flow_population, self.WINDOW, clock, np.random.default_rng(5)
@@ -137,6 +126,10 @@ class TestColumnarEqualsLoop:
         assert len(table) > 0
         _assert_tables_identical(table, loop_table)
         assert totals == loop_totals
+        stage = telemetry.stages["flows"]
+        assert (stage.items_in, stage.items_out) == (
+            len(flow_population), len(table)
+        )
 
     def test_keep_zero_identical(self, merit_world, flow_population):
         _, merit = merit_world
@@ -165,95 +158,6 @@ class TestColumnarEqualsLoop:
         reference = np.random.default_rng(5)
         reference.integers(0, 2**63)
         assert rng.integers(0, 2**32) == reference.integers(0, 2**32)
-
-
-class TestShardedEqualsSerial:
-    WINDOW = (0.0, 2 * DAY)
-
-    def _mixes_and_base(self, merit, scanners, seed=5):
-        sources = np.array([int(s.src) for s in scanners], dtype=np.uint32)
-        mixes = merit.router_mix_many(sources)
-        base = flow_base_seed(np.random.default_rng(seed))
-        return mixes, base
-
-    @given(
-        workers=st.integers(min_value=1, max_value=8),
-    )
-    @settings(max_examples=18, deadline=None)
-    def test_any_worker_count(self, merit_world, flow_population, workers):
-        _, merit = merit_world
-        mixes, base = self._mixes_and_base(merit, flow_population)
-        serial = synthesize_flow_columns(
-            flow_population, mixes, merit.transit_view, self.WINDOW, DAY, base
-        )
-        sharded = parallel_flow_columns(
-            flow_population, mixes, merit.transit_view, self.WINDOW, DAY, base,
-            workers=workers, use_processes=False,
-        )
-        _assert_columns_identical(serial, sharded)
-
-    def test_more_workers_than_scanners(self, merit_world, flow_population):
-        _, merit = merit_world
-        few = flow_population[:3]
-        mixes, base = self._mixes_and_base(merit, few)
-        serial = synthesize_flow_columns(
-            few, mixes, merit.transit_view, self.WINDOW, DAY, base
-        )
-        sharded = parallel_flow_columns(
-            few, mixes, merit.transit_view, self.WINDOW, DAY, base,
-            workers=8, use_processes=False,
-        )
-        _assert_columns_identical(serial, sharded)
-
-    def test_scheduled_telemetry_units(self, merit_world, flow_population):
-        # Satellite units contract: per-shard telemetry ``rows`` counts
-        # pre-sampling synthesis rows — their sum equals the serial
-        # FlowColumns length — while the exported table (post 1:1000
-        # sampling) can only be shorter.  The two quantities must never
-        # be conflated again (they once shared a name in BENCH_flows).
-        _, merit = merit_world
-        mixes, base = self._mixes_and_base(merit, flow_population)
-        serial = synthesize_flow_columns(
-            flow_population, mixes, merit.transit_view, self.WINDOW, DAY, base
-        )
-        telemetry = PipelineTelemetry()
-        sharded = parallel_flow_columns(
-            flow_population, mixes, merit.transit_view, self.WINDOW, DAY, base,
-            workers=3, use_processes=False,
-            telemetry=telemetry,
-        )
-        workers = telemetry.flow_worker_stats
-        assert len(workers) == 3
-        assert sum(w.rows for w in workers) == len(serial.day)
-        assert sum(w.scanners for w in workers) == len(flow_population)
-        assert all(w.planned_cost > 0 for w in workers)
-        assert all(w.tasks >= 1 for w in workers)
-        assert sum(w.tasks for w in workers) > 3
-        exporter = NetflowExporter()
-        table = exporter.export_columns(sharded, base)
-        assert len(table) <= len(serial.day)
-
-    def test_process_pool_smoke(self, merit_world, flow_population):
-        # One real ProcessPoolExecutor pass: pickling, merge order,
-        # telemetry — everything the in-process property can't see.
-        _, merit = merit_world
-        clock = SimClock()
-        telemetry = PipelineTelemetry()
-        table, totals = merit.collect_scanner_flows(
-            flow_population, self.WINDOW, clock, np.random.default_rng(5),
-            workers=2, telemetry=telemetry,
-        )
-        serial_table, serial_totals = merit.collect_scanner_flows(
-            flow_population, self.WINDOW, clock, np.random.default_rng(5)
-        )
-        _assert_tables_identical(table, serial_table)
-        assert totals == serial_totals
-        assert len(telemetry.flow_worker_stats) == 2
-        assert sum(w.scanners for w in telemetry.flow_worker_stats) == len(
-            flow_population
-        )
-        assert "flows" in telemetry.stages
-        assert telemetry.stages["flows"].items_in == len(flow_population)
 
 
 class TestVectorizedExporter:
@@ -354,17 +258,6 @@ class TestCountColumns:
 
 
 class TestRunnerIntegration:
-    def test_collect_flows_workers_identical(self, tiny_result):
-        # Bypass the cache: explicit exporters force fresh collection.
-        serial = tiny_result.collect_flows(
-            exporter=NetflowExporter(), workers=1
-        )
-        sharded = tiny_result.collect_flows(
-            exporter=NetflowExporter(), workers=2
-        )
-        _assert_tables_identical(serial[0], sharded[0])
-        assert serial[1] == sharded[1]
-
     def test_flow_columns_concat_empty(self):
         merged = FlowColumns.concat([FlowColumns(), FlowColumns()])
         assert len(merged) == 0

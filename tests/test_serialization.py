@@ -1,6 +1,6 @@
 """Round-trip tests for the serialized state the service depends on.
 
-The serve layer moves detector and flow-shard state across process
+The serve layer moves detector and engine state across process
 boundaries (engine snapshots, checkpoint files, worker recycling), so
 the byte formats have to survive a full snapshot → merge → snapshot
 cycle without perturbing results, and stale payloads from other
@@ -19,18 +19,13 @@ from hypothesis import strategies as st
 from repro.config import DetectionConfig
 from repro.core import statefile
 from repro.core.detection import detect_all
+from repro.core.engine import ENGINE_STATE_MAGIC
 from repro.core.events import build_events
 from repro.core.streaming import (
     _COMPACT_SEGMENTS,
     _STATE_ARRAYS,
     STATE_MAGIC,
     StreamingDetector,
-)
-from repro.flows.netflow import FlowColumns
-from repro.flows.synthesis import (
-    FLOW_STATE_MAGIC,
-    flow_state_from_bytes,
-    flow_state_to_bytes,
 )
 from repro.packet import PacketBatch, Protocol
 from repro.parallel import shard_batch
@@ -117,9 +112,9 @@ class TestDetectorRoundTrip:
             b"",
             b"garbage",
             b"repro-detector-state-v0\n" + b"\x00" * 16,
-            FLOW_STATE_MAGIC + b"\x00" * 16,  # wrong format's magic
+            ENGINE_STATE_MAGIC + b"\x00" * 16,  # wrong format's magic
         ],
-        ids=["empty", "garbage", "stale-version", "flow-magic"],
+        ids=["empty", "garbage", "stale-version", "engine-magic"],
     )
     def test_version_mismatch_rejected(self, data):
         with pytest.raises(ValueError, match="header"):
@@ -338,71 +333,6 @@ class TestColumnarSegments:
         assert arrays_written(10) == arrays_written(2_000)
 
 
-def _columns(seed, n=500):
-    rng = np.random.default_rng(seed)
-    return FlowColumns(
-        router=rng.integers(0, 3, n).astype(np.int8),
-        day=rng.integers(0, 30, n).astype(np.int32),
-        src=rng.integers(1, 2**32 - 1, n).astype(np.uint32),
-        dport=rng.integers(0, 2**16, n).astype(np.uint16),
-        proto=rng.integers(0, 4, n).astype(np.uint8),
-        true=rng.integers(1, 10_000, n).astype(np.int64),
-    )
-
-
-def _assert_columns_identical(a, b):
-    assert len(a) == len(b)
-    for column in ("router", "day", "src", "dport", "proto", "true"):
-        assert np.array_equal(getattr(a, column), getattr(b, column)), column
-
-
-class TestFlowStateRoundTrip:
-    def test_snapshot_merge_snapshot_cycle(self):
-        """Shard checkpoints concatenated in shard order reproduce the
-        serial column layout — through two serialization hops."""
-        shards = [_columns(s) for s in (1, 2, 3)]
-        revived = [
-            flow_state_from_bytes(flow_state_to_bytes(c)) for c in shards
-        ]
-        merged = FlowColumns.concat(revived)
-        final = flow_state_from_bytes(flow_state_to_bytes(merged))
-        _assert_columns_identical(final, FlowColumns.concat(shards))
-
-    def test_dtypes_preserved(self):
-        revived = flow_state_from_bytes(flow_state_to_bytes(_columns(4)))
-        assert revived.router.dtype == np.int8
-        assert revived.day.dtype == np.int32
-        assert revived.src.dtype == np.uint32
-        assert revived.dport.dtype == np.uint16
-        assert revived.proto.dtype == np.uint8
-        assert revived.true.dtype == np.int64
-
-    def test_empty_columns_round_trip(self):
-        revived = flow_state_from_bytes(flow_state_to_bytes(FlowColumns()))
-        assert len(revived) == 0
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            b"",
-            b"garbage",
-            b"repro-flow-state-v0\n" + b"\x00" * 16,
-            STATE_MAGIC + b"\x00" * 16,  # wrong format's magic
-        ],
-        ids=["empty", "garbage", "stale-version", "detector-magic"],
-    )
-    def test_version_mismatch_rejected(self, data):
-        with pytest.raises(ValueError, match="header"):
-            flow_state_from_bytes(data)
-
-    def test_payload_must_be_flow_columns(self):
-        import pickle
-
-        bogus = FLOW_STATE_MAGIC + pickle.dumps({"not": "columns"})
-        with pytest.raises(ValueError):
-            flow_state_from_bytes(bogus)
-
-
 class _Tripwire:
     """Unpickling this creates ``path``: a stand-in for code execution."""
 
@@ -480,12 +410,6 @@ class TestNoPickleOnRestore:
             with pytest.raises(ValueError, match="v3"):
                 pool.load(("t", 0), blob)
             assert pool.ping()
-        assert not sentinel.exists()
-
-    def test_flow_state(self, tmp_path):
-        sentinel, blob = self._blob(tmp_path, b"flow", 1)
-        with pytest.raises(ValueError, match="v1"):
-            flow_state_from_bytes(blob)
         assert not sentinel.exists()
 
 

@@ -46,7 +46,7 @@ def _capture(seed, n=8_000, duration=200_000.0):
 
 def _feed(tenant, batch, chunk_seconds=3_600.0):
     for _, _, chunk in batch.iter_time_chunks(chunk_seconds):
-        tenant.ingest(chunk)
+        tenant.engine.ingest(chunk)
 
 
 class TestConfigRoundTrip:
@@ -385,8 +385,8 @@ class TestRecycle:
         churned = registry.create("churned", _config(workers=2))
         chunks = list(_capture(5).iter_time_chunks(3_600.0))
         for i, (_, _, chunk) in enumerate(chunks):
-            steady.ingest(chunk)
-            churned.ingest(chunk)
+            steady.engine.ingest(chunk)
+            churned.engine.ingest(chunk)
             if i % 10 == 0:
                 churned.recycle()
         assert churned.recycles > 0
