@@ -48,7 +48,7 @@ fault-matrix:
 # parity with offline run_scenario, then SIGKILL and restore from the
 # snapshot directory (benchmarks/run_serve_smoke.py).
 serve-smoke:
-	$(PYTHON) -m pytest tests/test_serve.py tests/test_tenants.py tests/test_engine.py tests/test_foldpool.py -q
+	$(PYTHON) -m pytest tests/test_serve.py tests/test_tenants.py tests/test_engine.py tests/test_foldpool.py tests/test_snapshot_commit.py -q
 	$(PYTHON) benchmarks/run_serve_smoke.py
 
 # Serve-path throughput benchmark: boot the real server twice (per-chunk
@@ -66,7 +66,7 @@ serve-bench:
 # with the offline pipeline.  Report: benchmarks/results/BENCH_chaos_serve.json.
 CHAOS_ROUNDS ?= 5
 chaos-serve:
-	$(PYTHON) -m pytest tests/test_journal.py -q
+	$(PYTHON) -m pytest tests/test_journal.py tests/test_snapshot_commit.py -q
 	$(PYTHON) benchmarks/run_chaos_serve.py --rounds $(CHAOS_ROUNDS)
 
 # Net line change of src/ and tests/ against a git ref — the figure
@@ -77,8 +77,10 @@ src-delta:
 
 # Where serve-ingest snapshot time goes: replay the repository
 # benchmark's serve-ingest input (seed SEED) into an inline 2-shard
-# engine and print, at every 16-chunk snapshot, each shard's
-# to_bytes/from_bytes and open-flow state vs history, time and bytes.
+# engine and commit a snapshot at every 16th chunk, printing each
+# shard's to_bytes, write + fsync and from_bytes time and bytes, its
+# open-flow state vs history, the manifest commit time, and the bytes
+# hashed per shard-state byte.
 SEED ?= 1
 snapshot-split:
 	$(PYTHON) benchmarks/snapshot_split.py --seed $(SEED)

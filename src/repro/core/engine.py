@@ -13,7 +13,7 @@ The shard states themselves live in a *shard host*: by default the
 engine's own inline :class:`ShardHost`, called directly; once a
 :class:`~repro.serve.foldpool.FoldPool` is attached, the pool, whose
 worker processes each run one ``ShardHost`` behind a pipe.  Either way
-the engine folds, queries and snapshots through the same five host
+the engine folds, queries and snapshots through the same six host
 operations, so an in-process engine and a pooled one accept, reject and
 answer identically.
 
@@ -26,27 +26,34 @@ ones:
 * ``ingest(chunk)`` — shard a chunk by source address and fold it in.
 * ``query()`` — AH sources and thresholds *now*, from one small
   summary per shard; the live state keeps accepting chunks afterwards.
-* ``snapshot()`` / ``restore()`` — a versioned, digest-friendly byte
-  serialization of the whole engine, scheduled periodically through a
-  :class:`~repro.core.faults.CheckpointStore` so a killed process can
-  resume from the last snapshot.
+* ``save_snapshot()`` / ``from_store()`` — periodic snapshots into a
+  :class:`~repro.core.faults.CheckpointStore`'s directory, so a killed
+  process resumes from the last one.  Whoever holds a shard writes it:
+  each host writes its shards' v4 state files (``shard-<generation>-
+  <index>.state``), and the engine then commits one small manifest,
+  ``engine-manifest.json``, naming each file with its length and
+  header digest.  No shard blob passes through the engine.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.config import DetectionConfig
 from repro.core import statefile
 from repro.core.detection import DetectionResult
 from repro.core.events import EventTable
-from repro.core.faults import CheckpointStore
+from repro.core.faults import (
+    CheckpointStore,
+    atomic_write_bytes,
+    atomic_write_json,
+    fsync_directory,
+)
 from repro.core.streaming import (
     ChunkReport,
     DetectorSummary,
@@ -58,13 +65,74 @@ from repro.io.packetlog import packets_from_npz_bytes
 from repro.io.shm import resolve_batch, share_batches, want_shared_memory
 from repro.packet import PacketBatch
 
-#: Magic line of engine snapshots (:mod:`repro.core.statefile`);
-#: ``restore`` refuses any other, so a stale snapshot is discarded (and
-#: the tenant re-fed), never half-loaded.
-ENGINE_STATE_MAGIC = statefile.magic("engine")
+#: The snapshot manifest in a store directory; its rename commits a
+#: snapshot (:meth:`DetectionEngine.save_snapshot`).
+MANIFEST_NAME = "engine-manifest.json"
+_MANIFEST_MAGIC = "repro-engine-manifest-v1"
 
-#: Checkpoint kind under which engine snapshots are stored.
-ENGINE_CKPT_KIND = "engine"
+#: The single-file engine snapshot that predates the manifest; a
+#: directory holding only this is refused by name.
+LEGACY_SNAPSHOT_NAME = "engine-00000.ckpt"
+
+
+class SnapshotError(ValueError):
+    """A committed snapshot cannot be loaded, and nothing of it was.
+
+    Raised by :meth:`DetectionEngine.from_store` for an unreadable
+    manifest, a shard file it names that is missing, short or does not
+    match its digest, or a directory that holds only a pre-manifest
+    snapshot.  There is no older snapshot to fall back to: journal
+    segments were truncated through the committed one.
+    """
+
+
+def _shard_file(generation: int, index: int) -> str:
+    return f"shard-{generation:08d}-{index:03d}.state"
+
+
+def _read_manifest(directory: Path) -> Optional[dict]:
+    """The committed manifest in ``directory`` (None if there is none)."""
+    path = directory / MANIFEST_NAME
+    try:
+        manifest = json.loads(path.read_bytes())
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as exc:
+        raise SnapshotError(f"unreadable snapshot manifest: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("magic") != (
+        _MANIFEST_MAGIC
+    ):
+        raise SnapshotError(
+            f"{path.name} is not a {_MANIFEST_MAGIC} snapshot manifest"
+        )
+    return manifest
+
+
+def _load_shard(directory: Path, entry: dict) -> StreamingDetector:
+    """The shard file a manifest entry names, checked and loaded.
+
+    Length and header digest are checked against the entry; the header
+    lists every array's digest, which ``from_bytes`` then verifies.
+    """
+    name = entry["name"]
+    try:
+        data = (directory / name).read_bytes()
+    except OSError as exc:
+        raise SnapshotError(f"snapshot shard file {name}: {exc}") from exc
+    if len(data) != entry["bytes"]:
+        raise SnapshotError(
+            f"snapshot shard file {name} holds {len(data)} bytes, its "
+            f"manifest says {entry['bytes']}"
+        )
+    try:
+        digest = statefile.header_digest(data, "detector")
+        if digest == entry["header_sha256"]:
+            return StreamingDetector.from_bytes(data)
+    except ValueError as exc:
+        raise SnapshotError(f"snapshot shard file {name}: {exc}") from exc
+    raise SnapshotError(
+        f"snapshot shard file {name} does not match its manifest digest"
+    )
 
 
 @dataclass(frozen=True)
@@ -132,6 +200,11 @@ class ShardSpec:
     dark_size: int
     config: object
     day_seconds: float
+
+    def new_detector(self) -> StreamingDetector:
+        return StreamingDetector(
+            self.timeout, self.dark_size, self.config, self.day_seconds
+        )
 
 
 @dataclass(frozen=True)
@@ -234,8 +307,8 @@ def decode_payload(payload) -> Tuple[List[PacketBatch], List[str]]:
 class ShardHost:
     """Detector shards by ``(key, index)``, in this process.
 
-    Answers the five shard operations — fold, summary, collect, load,
-    drop — that :class:`DetectionEngine` routes through whichever host
+    Answers the six shard operations — fold, summary, collect, write,
+    load, drop — that :class:`DetectionEngine` routes through whichever host
     it holds: its own inline ``ShardHost``, called directly with no
     pickling, or an attached :class:`~repro.serve.foldpool.FoldPool`,
     each of whose worker processes serves one ``ShardHost`` over a pipe
@@ -247,10 +320,24 @@ class ShardHost:
     #: process boundary here, so batches are always passed as-is.
     shm = False
 
-    _OPS = ("fold", "summary", "collect", "load", "drop")
+    _OPS = ("fold", "summary", "collect", "write", "load", "drop")
 
     def __init__(self) -> None:
         self._detectors: Dict[tuple, StreamingDetector] = {}
+
+    def _synced(self, key, expect_packets: int) -> Optional[StreamingDetector]:
+        """Shard ``key``'s detector (None if it has none), provided the
+        host has folded the ``expect_packets`` the engine believes it
+        has; :class:`ShardStateError` otherwise."""
+        detector = self._detectors.get(key)
+        have = 0 if detector is None else detector.packets_seen
+        if have != expect_packets:
+            raise ShardStateError(
+                f"shard {key!r} state out of sync: host has {have} "
+                f"folded packets, engine expects {expect_packets} "
+                "(a respawned fold worker has no state)"
+            )
+        return detector
 
     def fold(
         self, key, spec: ShardSpec, expect_packets: int, payload
@@ -261,18 +348,9 @@ class ShardHost:
         shard has folded; a host that disagrees raises
         :class:`ShardStateError` rather than fold onto the wrong state.
         """
-        detector = self._detectors.get(key)
-        have = 0 if detector is None else detector.packets_seen
-        if have != expect_packets:
-            raise ShardStateError(
-                f"shard {key!r} state out of sync: host has {have} "
-                f"folded packets, engine expects {expect_packets} "
-                "(a respawned fold worker has no state)"
-            )
+        detector = self._synced(key, expect_packets)
         if detector is None:
-            detector = self._detectors[key] = StreamingDetector(
-                spec.timeout, spec.dark_size, spec.config, spec.day_seconds
-            )
+            detector = self._detectors[key] = spec.new_detector()
         batches, errors = decode_payload(payload)
         kept = gate_time_order(batches, detector.watermark, errors)
         del batches
@@ -306,6 +384,43 @@ class ShardHost:
             None if detector is None else detector.to_bytes()
             for detector in map(self._detectors.get, keys)
         ]
+
+    def write(self, requests: Sequence[tuple]) -> list:
+        """Write each ``(key, spec, expect_packets, path)`` shard's file.
+
+        The file at ``path`` holds the shard's
+        :meth:`StreamingDetector.to_bytes` (an empty detector built from
+        ``spec`` for a shard with no state), written to a tmp file,
+        fsynced and renamed.  ``expect_packets`` is checked first, as
+        :meth:`fold` checks it, so a respawned worker that lost its
+        shards raises :class:`ShardStateError` and writes nothing rather
+        than empty shards a manifest would then commit.
+
+        Returns per request ``(name, length, header digest)``
+        (:func:`repro.core.statefile.header_digest`: the header lists
+        every array's digest, so no byte is hashed twice), or the
+        ``OSError`` its write raised.  The error is returned, not
+        raised, so the engine raises it itself whichever host wrote: an
+        error a pool worker raises reaches the engine as a fold-pool
+        error, which the server heals as a lost worker.
+        """
+        detectors = [
+            self._synced(key, expect_packets)
+            for key, _, expect_packets, _ in requests
+        ]
+        written = []
+        for detector, (_, spec, _, path) in zip(detectors, requests):
+            if detector is None:
+                detector = spec.new_detector()
+            data = detector.to_bytes()
+            try:
+                atomic_write_bytes(path, data)
+            except OSError as exc:
+                written.append(exc)
+                continue
+            digest = statefile.header_digest(data, "detector")
+            written.append((Path(path).name, len(data), digest))
+        return written
 
     def load(self, key, state) -> FoldReply:
         """Install a shard's state; ``None`` drops it.
@@ -407,11 +522,6 @@ class DetectionEngine:
         #: journal segments at or below it are safe to truncate.
         self._snapshot_seq = 0
         self._finished = False
-
-    def _new_detector(self) -> StreamingDetector:
-        return StreamingDetector(
-            self.timeout, self.dark_size, self.config, self.day_seconds
-        )
 
     def _shard_keys(self) -> List[tuple]:
         return [(self._key, index) for index in range(self.workers)]
@@ -732,7 +842,7 @@ class DetectionEngine:
         with ``.packets`` (and optionally ``.end``, the chunk's window
         edge — used for watermark-lag accounting), e.g. the
         :class:`~repro.telescope.capture.CaptureChunk` objects that
-        :meth:`Telescope.stream` yields.  A
+        :func:`repro.scanners.lazy.emit_chunks` yields.  A
         :class:`~repro.io.shm.ShmBatch` handle (bare or under
         ``.packets``) is resolved to read-only views of its
         shared-memory segment — the zero-copy ingest path; the handle's
@@ -767,7 +877,9 @@ class DetectionEngine:
         self, shards: Sequence[Optional[StreamingDetector]]
     ) -> StreamingDetector:
         """Shard states merged in shard order (None = an empty shard)."""
-        shards = [s if s is not None else self._new_detector() for s in shards]
+        shards = [
+            s if s is not None else self._spec.new_detector() for s in shards
+        ]
         for other in shards[1:]:
             shards[0].merge(other)
         return shards[0]
@@ -850,90 +962,95 @@ class DetectionEngine:
         return events, detections
 
     # ------------------------------------------------------------------
-    # Snapshot / restore
+    # Snapshots: shard files written by their hosts, one manifest commit
     # ------------------------------------------------------------------
-    def snapshot(self) -> bytes:
-        """Serialize the whole live engine (config + all shard states).
+    def reload_shards(self) -> None:
+        """Round-trip every shard through its host's ``collect`` and
+        ``load`` — the same ``to_bytes``/``from_bytes`` as the snapshot
+        shard files — leaving fresh detectors with identical state."""
+        self._load_shards(self._host.collect(self._shard_keys()))
 
-        v4 state (:mod:`repro.core.statefile`): the header holds the
-        configuration, chunk count, journal sequence and each shard
-        blob's length; one byte array holds the shards'
-        ``StreamingDetector.to_bytes`` blobs end to end, and restoring
-        re-validates each of those too.
+    def _committed_generation(self) -> int:
+        """Generation of the manifest committed in the store (0 = none).
+
+        Read from disk at every snapshot, not cached: a commit whose
+        manifest rename landed but whose directory fsync then failed has
+        still claimed its generation's file names.
         """
-        if self._finished:
-            raise RuntimeError("cannot snapshot a finished engine")
-        blobs = [
-            blob if blob is not None else self._new_detector().to_bytes()
-            for blob in self._host.collect(self._shard_keys())
-        ]
-        header = {
-            "timeout": self.timeout,
-            "dark_size": self.dark_size,
-            "config": asdict(self.config),
-            "day_seconds": self.day_seconds,
-            "chunks": self._chunks_ingested,
-            "last_seq": self._last_seq,
-            "shard_bytes": [len(blob) for blob in blobs],
-        }
-        shards = np.frombuffer(b"".join(blobs), dtype=np.uint8)
-        return statefile.pack("engine", header, {"shards": shards})
-
-    @classmethod
-    def restore(
-        cls,
-        data: bytes,
-        *,
-        telemetry: Optional[PipelineTelemetry] = None,
-        store: Optional[CheckpointStore] = None,
-        snapshot_every_chunks: Optional[int] = None,
-    ) -> "DetectionEngine":
-        """Rebuild an engine serialized by :meth:`snapshot`.
-
-        Raises ``ValueError`` on anything else: a missing header,
-        another version (a v2 or v3 snapshot is refused by name), a
-        damaged array or shard.  Such a snapshot must be discarded,
-        never half-loaded.  Nothing is unpickled.
-        """
-        header, arrays = statefile.unpack(data, "engine", {"shards": "|u1"})
         try:
-            lengths = [int(n) for n in header["shard_bytes"]]
-            engine = cls(
-                header["timeout"],
-                header["dark_size"],
-                DetectionConfig(**header["config"]),
-                header["day_seconds"],
-                workers=len(lengths),
-                telemetry=telemetry,
-                store=store,
-                snapshot_every_chunks=snapshot_every_chunks,
-            )
-            engine._chunks_ingested = int(header["chunks"])
-            engine._last_seq = int(header["last_seq"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"corrupt engine state: {exc!r}") from exc
-        shards = arrays["shards"]
-        if min(lengths) < 0 or sum(lengths) != len(shards):
-            raise ValueError(
-                f"engine state shard lengths {lengths} do not cover its "
-                f"{len(shards)} shard bytes"
-            )
-        ends = np.cumsum(lengths).tolist()
-        engine._load_shards(
-            [shards[end - n:end].tobytes() for n, end in zip(lengths, ends)]
-        )
-        engine._snapshot_seq = engine._last_seq
-        return engine
+            manifest = _read_manifest(self.store.run_dir) or {}
+            return int(manifest.get("generation", 0))
+        except (TypeError, ValueError):
+            # An unloadable manifest protects no shard file.
+            return 0
 
     def save_snapshot(self) -> Path:
-        """Write a snapshot through the attached checkpoint store."""
+        """Commit a snapshot to the attached store's directory.
+
+        Each shard's host writes its state file (tmp, fsync, rename)
+        under a name of the next generation, so no name the committed
+        manifest points at is ever reused.  The engine then writes the
+        manifest — configuration, chunk count, journal ``last_seq``,
+        generation, and each shard file's name, length and header
+        digest — atomically, and fsyncs the directory.  That rename is
+        the commit.  Only after it are earlier generations' shard files
+        (and any a failed commit left) deleted, and only then may journal
+        segments through the covered sequence be truncated.  Returns the
+        manifest path.
+
+        A shard write that fails raises its ``OSError`` here, inline or
+        pooled alike, and nothing is committed; the live state is kept.
+        A pool worker that lost the shard's state refuses to write it
+        (:class:`ShardStateError`, raised as a fold-pool error), so an
+        emptied shard is never committed under the real ``last_seq``.
+        """
         if self.store is None:
             raise RuntimeError("engine has no checkpoint store attached")
+        if self._finished:
+            raise RuntimeError("cannot snapshot a finished engine")
+        directory = self.store.run_dir
+        generation = self._committed_generation() + 1
         covered = self._last_seq
-        path = self.store.save(ENGINE_CKPT_KIND, 0, self.snapshot())
+        shards = self._host.write(
+            [
+                (
+                    key,
+                    self._spec,
+                    self._gauges[i].packets_seen,
+                    str(directory / _shard_file(generation, i)),
+                )
+                for i, key in enumerate(self._shard_keys())
+            ]
+        )
+        for entry in shards:
+            if isinstance(entry, OSError):
+                raise entry
+        path = directory / MANIFEST_NAME
+        atomic_write_json(
+            path,
+            {
+                "magic": _MANIFEST_MAGIC,
+                "generation": generation,
+                "timeout": self.timeout,
+                "dark_size": self.dark_size,
+                "config": asdict(self.config),
+                "day_seconds": self.day_seconds,
+                "chunks": self._chunks_ingested,
+                "last_seq": covered,
+                "shards": [
+                    {"name": name, "bytes": length, "header_sha256": digest}
+                    for name, length, digest in shards
+                ],
+            },
+        )
+        fsync_directory(directory)
         self._chunks_since_snapshot = 0
-        # Only after store.save returns is the snapshot durable — and
-        # only then may journal segments through ``covered`` go away.
+        live = {name for name, _, _ in shards}
+        for stale in directory.glob("shard-*.state"):
+            if stale.name not in live:
+                stale.unlink(missing_ok=True)
+        if self.store.health is not None:
+            self.store.health.checkpoint_writes += 1
         self._snapshot_seq = max(self._snapshot_seq, covered)
         return path
 
@@ -945,14 +1062,50 @@ class DetectionEngine:
         telemetry: Optional[PipelineTelemetry] = None,
         snapshot_every_chunks: Optional[int] = None,
     ) -> Optional["DetectionEngine"]:
-        """Restore the last snapshot in ``store``, or ``None`` if there
-        is none (or it is damaged — accounted on the store's health)."""
-        payload = store.load(ENGINE_CKPT_KIND, 0)
-        if payload is None:
-            return None
-        return cls.restore(
-            payload,
-            telemetry=telemetry,
-            store=store,
-            snapshot_every_chunks=snapshot_every_chunks,
-        )
+        """Load the snapshot committed in ``store``'s directory, or
+        ``None`` if there is none.
+
+        Every shard file the manifest names is read, checked against its
+        length and header digest and loaded before the engine is built,
+        so a snapshot loads whole or not at all.  Anything else raises
+        :class:`SnapshotError`, counted as a corrupt checkpoint on the
+        store's health: an unreadable manifest, a missing, short or
+        mismatched shard file, or only a pre-manifest
+        ``engine-00000.ckpt``.  Nothing is unpickled.
+        """
+        directory = store.run_dir
+        try:
+            manifest = _read_manifest(directory)
+            if manifest is None:
+                if (directory / LEGACY_SNAPSHOT_NAME).exists():
+                    raise SnapshotError(
+                        f"{LEGACY_SNAPSHOT_NAME} is a single-file engine "
+                        "snapshot from before snapshot manifests and is no "
+                        "longer readable; discard it and rebuild the state "
+                        "from its input"
+                    )
+                return None
+            detectors = [
+                _load_shard(directory, entry) for entry in manifest["shards"]
+            ]
+            engine = cls(
+                manifest["timeout"],
+                manifest["dark_size"],
+                DetectionConfig(**manifest["config"]),
+                manifest["day_seconds"],
+                workers=len(detectors),
+                telemetry=telemetry,
+                store=store,
+                snapshot_every_chunks=snapshot_every_chunks,
+            )
+            engine._chunks_ingested = int(manifest["chunks"])
+            engine._last_seq = int(manifest["last_seq"])
+        except (KeyError, TypeError, ValueError) as exc:
+            if store.health is not None:
+                store.health.checkpoint_corrupt += 1
+            if isinstance(exc, SnapshotError):
+                raise
+            raise SnapshotError(f"corrupt snapshot manifest: {exc!r}") from exc
+        engine._load_shards(detectors)
+        engine._snapshot_seq = engine._last_seq
+        return engine

@@ -118,14 +118,17 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def atomic_write_bytes(path: Union[str, Path], data: bytes) -> str:
-    """Write ``data`` to ``path`` crash-safely; returns its digest.
+def atomic_write_bytes(path: Union[str, Path], *parts: bytes) -> None:
+    """Write ``parts``, end to end, to ``path`` crash-safely.
 
     The bytes land in a temporary file in the *same directory* (so the
     final rename cannot cross filesystems), are flushed and fsynced,
     and only then renamed over ``path``.  A crash at any point leaves
     either the old file or the new file — never a truncated hybrid —
-    and the stray ``.tmp`` is ignored by every reader.
+    and the stray ``.tmp`` is ignored by every reader.  Nothing is
+    hashed here: a caller that needs a digest hashes its own bytes.
+    The rename itself is durable only once the directory is fsynced
+    (:func:`fsync_directory`).
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
@@ -133,7 +136,8 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> str:
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for part in parts:
+                handle.write(part)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
@@ -143,18 +147,26 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> str:
         except OSError:
             pass
         raise
-    return sha256_hex(data)
 
 
-def atomic_write_json(path: Union[str, Path], obj) -> str:
-    """Crash-safe JSON write (sorted keys, indented); returns digest.
+def atomic_write_json(path: Union[str, Path], obj) -> None:
+    """Crash-safe JSON write (sorted keys, indented).
 
-    Used for small registry files that must never be observed
-    half-written — e.g. the tenant registry the :mod:`repro.serve`
-    service re-reads on boot to restore its tenants.
+    Used for small files that must never be observed half-written —
+    e.g. the tenant registry the :mod:`repro.serve` service re-reads on
+    boot to restore its tenants, and engine snapshot manifests.
     """
     data = json.dumps(obj, indent=2, sort_keys=True).encode()
-    return atomic_write_bytes(path, data)
+    atomic_write_bytes(path, data)
+
+
+def fsync_directory(path: Union[str, Path]) -> None:
+    """Make the renames and unlinks done in directory ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +331,7 @@ class CheckpointStore:
         """Persist one shard's serialized state atomically."""
         header = b"%s\n%s\n" % (_CKPT_MAGIC, sha256_hex(payload).encode())
         path = self.path_for(kind, shard)
-        atomic_write_bytes(path, header + payload)
+        atomic_write_bytes(path, header, payload)
         if self.health is not None:
             self.health.checkpoint_writes += 1
         return path
@@ -347,10 +359,7 @@ class CheckpointStore:
 
     def write_meta(self, meta: dict) -> None:
         """Record the run's parameters (atomic; idempotent)."""
-        atomic_write_bytes(
-            self.meta_path(),
-            json.dumps(meta, indent=2, sort_keys=True).encode(),
-        )
+        atomic_write_json(self.meta_path(), meta)
 
     def load_meta(self) -> Optional[dict]:
         try:

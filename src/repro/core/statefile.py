@@ -1,8 +1,8 @@
 """The v4 state container: a JSON header and raw numpy arrays.
 
-Every state file (detector and engine snapshots, shard checkpoints)
-is a magic line ``repro-<kind>-state-v4``, a little-endian
-u64 header length, a JSON header (the writer's fields plus ``arrays``:
+Every state file (snapshot shard files, detect checkpoints) is a
+magic line ``repro-<kind>-state-v4``, a little-endian u64 header
+length, a JSON header (the writer's fields plus ``arrays``:
 each array's name, dtype, shape and sha256, in payload order), then
 each array's raw bytes, padded to 8.  Reading never unpickles: arrays
 come back as read-only ``np.frombuffer`` views once their names,
@@ -78,6 +78,28 @@ def check_magic(data, kind: str) -> int:
     return found.end()
 
 
+def _header_span(view: memoryview, kind: str) -> Tuple[int, int]:
+    """Start and end of ``kind`` state's JSON header in ``view``."""
+    start = check_magic(view, kind) + _LENGTH.size
+    length = -1
+    if len(view) >= start:
+        length = _LENGTH.unpack(view[start - _LENGTH.size:start])[0]
+    if length < 0 or len(view) < start + length:
+        raise ValueError(f"truncated {kind} state header")
+    return start, start + length
+
+
+def header_digest(data, kind: str) -> str:
+    """sha256 of ``kind`` state's magic line, length and JSON header.
+
+    The header lists every array's sha256, so this one small digest
+    pins the whole container: :func:`unpack` checks each array against
+    the header it covers.
+    """
+    view = memoryview(data).cast("B")
+    return hashlib.sha256(view[:_header_span(view, kind)[1]]).hexdigest()
+
+
 def unpack(
     data, kind: str, dtypes: Dict[str, str]
 ) -> Tuple[dict, Dict[str, np.ndarray]]:
@@ -87,14 +109,9 @@ def unpack(
     missing, extra, re-typed or re-shaped array is refused.
     """
     view = memoryview(data).cast("B")
-    start = check_magic(view, kind) + _LENGTH.size
-    length = -1
-    if len(view) >= start:
-        length = _LENGTH.unpack(view[start - _LENGTH.size:start])[0]
-    if length < 0 or len(view) < start + length:
-        raise ValueError(f"truncated {kind} state header")
+    start, offset = _header_span(view, kind)
     try:
-        header = json.loads(bytes(view[start:start + length]))
+        header = json.loads(bytes(view[start:offset]))
         entries = header.pop("arrays")
         names = sorted(entry["name"] for entry in entries)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -103,7 +120,7 @@ def unpack(
         raise ValueError(
             f"{kind} state holds arrays {names}, expected {sorted(dtypes)}"
         )
-    arrays, offset = {}, start + length
+    arrays = {}
     for entry in entries:
         name, shape = entry["name"], entry.get("shape")
         dtype = np.dtype(dtypes[name])

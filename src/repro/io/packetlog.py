@@ -36,6 +36,7 @@ from repro.core.faults import (
     ChunkManifestError,
     NonFiniteTimestampError,
     atomic_write_bytes,
+    atomic_write_json,
     sha256_hex,
 )
 from repro.packet import COLUMNS, PacketBatch
@@ -96,7 +97,9 @@ def save_packets_npz(batch: PacketBatch, path: Union[str, Path]) -> str:
     :func:`load_packets_npz` to trip over.  Returns the archive's
     sha256 content digest (the value recorded in chunk manifests).
     """
-    return atomic_write_bytes(Path(path), _packets_npz_bytes(batch))
+    data = _packets_npz_bytes(batch)
+    atomic_write_bytes(Path(path), data)
+    return sha256_hex(data)
 
 
 def _parse_packets_npz(data: bytes, path: Path) -> PacketBatch:
@@ -195,10 +198,7 @@ class ChunkWriter:
                 for index, digest in enumerate(self._digests)
             },
         }
-        atomic_write_bytes(
-            self.directory / MANIFEST_NAME,
-            json.dumps(manifest, indent=2, sort_keys=True).encode(),
-        )
+        atomic_write_json(self.directory / MANIFEST_NAME, manifest)
 
 
 def save_packets_chunked(

@@ -27,20 +27,25 @@ Design points:
   :class:`FoldReply` gauge structs cross the pipe per fold.  A query
   pulls each shard's :class:`~repro.core.streaming.DetectorSummary`
   (``summary``: histograms, per-source peaks, dispersion sources and
-  daily port counts — no event table or destination segment);
-  snapshots and finish pull the full serialized state (``collect``).
+  daily port counts — no event table or destination segment).
+  Snapshots never pull state across the pipe: each worker writes its
+  shards' state files into the tenant's snapshot directory itself
+  (``write``) and answers only ``(name, length, header digest)``, from
+  which the engine commits its manifest.  Only detach and recycling
+  pull the full serialized state (``collect``).
 * **Fan-out.**  Requests that touch several workers (``fold_many``,
-  ``summary``, ``collect``) are all sent before any reply is read, so
-  distinct workers serve them concurrently.
+  ``summary``, ``collect``, ``write``) are all sent before any reply is
+  read, so distinct workers serve them concurrently.
 * **Zero-copy hand-off.**  Sub-batches above the shared-memory auto
   threshold travel as :class:`~repro.io.shm.ShmBatch` handles over one
   named segment per fold (see :func:`repro.io.shm.share_batches`);
   single-shard tenants ship raw npz wire bytes and the worker decodes
   them off-loop.
-* **Desync detection.**  Every fold carries the packet count the
-  engine believes the shard has folded; a mismatch (a respawned worker
-  that lost state, or an affinity bug) fails the fold loudly instead
-  of silently restarting the shard from empty.  The server heals a
+* **Desync detection.**  Every fold and every shard write carries the
+  packet count the engine believes the shard has folded; a mismatch (a
+  respawned worker that lost state, or an affinity bug) fails the
+  request loudly instead of silently restarting the shard from empty
+  or committing an empty shard file.  The server heals a
   tenant that hits this by recycling it from its last snapshot.
 
 The pool is shared by every tenant of one server; per-tenant ordering
@@ -168,12 +173,13 @@ class FoldPool:
         no message kind is large both ways.  Fold and load requests may
         be large, but their replies are small gauge structs or acks
         that fit in the pipe buffer, so a worker never blocks sending
-        one and is always back reading the next request.  Summary and
-        collect requests carry just one key, which fits in the buffer
-        even while the worker is blocked writing a large reply; that
-        worker only waits for the read loop below to reach it.  So a
-        snapshot or detach may fan out every shard's ``collect`` at
-        once: small requests, large replies.
+        one and is always back reading the next request.  Write requests
+        and their replies are both small.  Summary and collect requests
+        carry just one key, which fits in the buffer even while the
+        worker is blocked writing a large reply; that worker only waits
+        for the read loop below to reach it.  So a detach may fan out
+        every shard's ``collect`` at once: small requests, large
+        replies.
         """
         if self._closed:
             raise FoldPoolError("fold pool is closed")
@@ -277,6 +283,26 @@ class FoldPool:
             [(self.worker_index(key), ("collect", [key])) for key in keys]
         )
         return [blobs[0] for blobs in replies]
+
+    def write(self, requests: Sequence[tuple]) -> list:
+        """Have each shard's worker write its state file.
+
+        ``requests`` are ``(key, spec, expect_packets, path)`` tuples,
+        as :meth:`ShardHost.write` takes; one fan-out, so shards on
+        distinct workers write concurrently.  Returns, in request order,
+        ``(name, length, header digest)`` or the ``OSError`` the write
+        raised, per request: a failed write is the caller's I/O error,
+        not a lost worker.  A worker whose shard state is out of sync
+        (respawned, empty) writes nothing and raises
+        :class:`FoldPoolError`, as a fold would.
+        """
+        replies = self._fan_out(
+            [
+                (self.worker_index(request[0]), ("write", [request]))
+                for request in requests
+            ]
+        )
+        return [written[0] for written in replies]
 
     def load(self, key, blob: Optional[bytes]) -> FoldReply:
         """Install (or, with ``None``, drop) one shard's state.

@@ -26,7 +26,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import DetectionConfig
-from repro.core.engine import DetectionEngine, EngineQuery, IngestReport
+from repro.core.engine import (
+    DetectionEngine,
+    EngineQuery,
+    IngestReport,
+    SnapshotError,
+)
 from repro.core.faults import CheckpointStore, atomic_write_json
 from repro.core.telemetry import PipelineTelemetry, ServeStats
 from repro.serve.journal import (
@@ -93,30 +98,18 @@ class TenantConfig:
         self,
         telemetry: PipelineTelemetry,
         store: Optional[CheckpointStore],
-        *,
-        restore: bool,
     ) -> DetectionEngine:
-        """This tenant's engine: resumed from the last snapshot in
-        ``store`` when ``restore`` is set and one loads, else empty."""
-        engine = None
-        if restore and store is not None:
-            engine = DetectionEngine.from_store(
-                store,
-                telemetry=telemetry,
-                snapshot_every_chunks=self.snapshot_every_chunks,
-            )
-        if engine is None:
-            engine = DetectionEngine(
-                self.timeout,
-                self.dark_size,
-                self.detection,
-                self.day_seconds,
-                workers=self.workers,
-                telemetry=telemetry,
-                store=store,
-                snapshot_every_chunks=self.snapshot_every_chunks,
-            )
-        return engine
+        """A fresh, empty engine for this tenant."""
+        return DetectionEngine(
+            self.timeout,
+            self.dark_size,
+            self.detection,
+            self.day_seconds,
+            workers=self.workers,
+            telemetry=telemetry,
+            store=store,
+            snapshot_every_chunks=self.snapshot_every_chunks,
+        )
 
 
 @dataclass
@@ -130,7 +123,7 @@ class Tenant:
     store: Optional[CheckpointStore] = None
     #: ingest failures (message strings), newest last; capped.
     errors: List[str] = field(default_factory=list)
-    #: engines rebuilt from snapshot (graceful recycling).
+    #: shard reloads (graceful recycling) and rebuilds from snapshot.
     recycles: int = 0
     #: serve-path ingest telemetry (queue wait, coalescing, folds).
     serve_stats: ServeStats = field(default_factory=ServeStats)
@@ -328,7 +321,8 @@ class Tenant:
         del self.errors[: -self._MAX_ERRORS]
 
     def save_snapshot(self) -> Optional[str]:
-        """Persist the engine now; returns the checkpoint path."""
+        """Commit a snapshot now, then truncate the journal it covers;
+        returns the manifest path."""
         if self.store is None:
             return None
         path = str(self.engine.save_snapshot())
@@ -336,24 +330,42 @@ class Tenant:
         return path
 
     def recycle(self) -> None:
-        """Rebuild the engine from its own snapshot bytes.
+        """Reload every shard of the engine from its own serialized state.
 
-        The graceful worker-recycling hook: the engine state is pushed
-        through the exact snapshot/restore path a crash would take
-        (so recycling doubles as a continuous restore test), and any
-        accumulated Python-level garbage on the old engine is dropped.
-        State, results, and telemetry accounting are unaffected —
-        pinned by tests.
+        The graceful worker-recycling hook: each shard goes through its
+        host's ``collect``/``load`` — the same ``to_bytes``/``from_bytes``
+        its snapshot shard file holds, so recycling doubles as a
+        continuous restore test — and any Python-level garbage the old
+        detectors accumulated is dropped.  Nothing is written: the
+        snapshot directory (manifest plus one generation of shard files)
+        and the journal's truncation point are untouched.  State,
+        results, and telemetry accounting are unaffected — pinned by
+        tests.
         """
-        self.engine = DetectionEngine.restore(
-            self.engine.snapshot(),
-            telemetry=self.telemetry,
-            store=self.store,
-            snapshot_every_chunks=self.config.snapshot_every_chunks,
-        )
+        self.engine.reload_shards()
         self.recycles += 1
-        if self.fold_pool is not None:
-            self.engine.attach_pool(self.fold_pool, self.tenant_id)
+
+    def restore_snapshot(self) -> None:
+        """Replace the engine with the snapshot committed in the store.
+
+        Empty when there is none.  A refused snapshot
+        (:class:`~repro.core.engine.SnapshotError`, already counted on
+        the tenant's health) goes on the error list, and the engine
+        starts empty too; the caller then replays the journal.
+        """
+        engine = None
+        if self.store is not None:
+            try:
+                engine = DetectionEngine.from_store(
+                    self.store,
+                    telemetry=self.telemetry,
+                    snapshot_every_chunks=self.config.snapshot_every_chunks,
+                )
+            except SnapshotError as exc:
+                self.record_error(f"snapshot refused: {exc}")
+        if engine is None:
+            engine = self.config.build_engine(self.telemetry, self.store)
+        self.engine = engine
 
     def restore_from_store(self) -> None:
         """Rebuild the engine from its last *persisted* snapshot.
@@ -364,9 +376,7 @@ class Tenant:
         none survives) and re-attach the pool, overwriting whatever
         stale shard state the surviving workers still hold.
         """
-        self.engine = self.config.build_engine(
-            self.telemetry, self.store, restore=True
-        )
+        self.restore_snapshot()
         self.recycles += 1
         if self.fold_pool is not None:
             self.engine.attach_pool(self.fold_pool, self.tenant_id)
@@ -484,7 +494,6 @@ class TenantRegistry:
     ) -> Tenant:
         telemetry = PipelineTelemetry()
         store = self._store_for(tenant_id, telemetry)
-        engine = config.build_engine(telemetry, store, restore=restore)
         journal = None
         if self.snapshot_dir is not None and self.journal_enabled:
             kwargs = {}
@@ -503,11 +512,13 @@ class TenantRegistry:
         tenant = Tenant(
             tenant_id=tenant_id,
             config=config,
-            engine=engine,
+            engine=config.build_engine(telemetry, store),
             telemetry=telemetry,
             store=store,
             journal=journal,
         )
+        if restore:
+            tenant.restore_snapshot()
         if self.fold_pool is not None:
             tenant.attach_pool(self.fold_pool)
         return tenant

@@ -7,6 +7,7 @@ hex literals for batch, serial streaming, and pooled runs alike.
 """
 
 import hashlib
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 
 from repro.config import DetectionConfig
 from repro.core.detection import detect_all
+from repro.core import statefile
 from repro.core.engine import (
-    ENGINE_STATE_MAGIC,
+    MANIFEST_NAME,
     DetectionEngine,
     EngineQuery,
+    SnapshotError,
 )
 from repro.core.events import EventTable, build_events
 from repro.core.faults import CheckpointStore
@@ -232,15 +235,37 @@ class TestEngineLifecycle:
         assert "detect" in telemetry.stages
 
 
+def _round_trip(engine, tmp_path):
+    """``engine`` committed to a fresh store and loaded back."""
+    engine.store = CheckpointStore(tmp_path / "round-trip")
+    engine.save_snapshot()
+    return DetectionEngine.from_store(engine.store)
+
+
+def _rewrite_shard(store, index, edit):
+    """Replace shard file ``index`` of the committed snapshot with
+    ``edit(its bytes)`` and record the new length (not the digest) in
+    the manifest, so only the loader's content checks stand between
+    the bytes and the engine."""
+    path = store.run_dir / MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    entry = manifest["shards"][index]
+    shard = store.run_dir / entry["name"]
+    data = edit(shard.read_bytes())
+    shard.write_bytes(data)
+    entry["bytes"] = len(data)
+    path.write_text(json.dumps(manifest))
+
+
 class TestSnapshotRestore:
-    def test_continuation_is_bit_identical(self):
+    def test_continuation_is_bit_identical(self, tmp_path):
         scenario, telescope, population, timeout = _world()
         chunks = _chunks(scenario, telescope, population)
         half = len(chunks) // 2
         engine = _engine_for(scenario, telescope, timeout, workers=2)
         for chunk in chunks[:half]:
             engine.ingest(chunk)
-        restored = DetectionEngine.restore(engine.snapshot())
+        restored = _round_trip(engine, tmp_path)
         assert restored.workers == engine.workers
         assert restored.chunks_ingested == engine.chunks_ingested
         for chunk in chunks[half:]:
@@ -252,14 +277,23 @@ class TestSnapshotRestore:
         _assert_detections_identical(det_b, det_a)
         _assert_golden(ev_b, det_b)
 
-    def test_version_mismatch_rejected(self):
-        engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG)
-        blob = engine.snapshot()
-        assert blob.startswith(ENGINE_STATE_MAGIC)
-        with pytest.raises(ValueError, match="header"):
-            DetectionEngine.restore(b"repro-engine-state-v0\n" + blob)
-        with pytest.raises(ValueError, match="header"):
-            DetectionEngine.restore(b"garbage")
+    def test_version_mismatch_rejected(self, tmp_path):
+        store = CheckpointStore(tmp_path / "snap")
+        engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG, store=store)
+        manifest = json.loads(engine.save_snapshot().read_text())
+        shard = store.run_dir / manifest["shards"][0]["name"]
+        assert shard.read_bytes().startswith(statefile.magic("detector"))
+        _rewrite_shard(
+            store, 0, lambda data: b"repro-detector-state-v0\n" + data
+        )
+        with pytest.raises(SnapshotError, match="header"):
+            DetectionEngine.from_store(store)
+        _rewrite_shard(store, 0, lambda data: b"garbage")
+        with pytest.raises(SnapshotError, match="header"):
+            DetectionEngine.from_store(store)
+        (store.run_dir / MANIFEST_NAME).write_bytes(b"garbage")
+        with pytest.raises(SnapshotError, match="manifest"):
+            DetectionEngine.from_store(store)
 
     def test_scheduled_snapshots_through_store(self, tmp_path):
         telemetry = PipelineTelemetry()
@@ -286,15 +320,19 @@ class TestSnapshotRestore:
         assert DetectionEngine.from_store(store) is None
 
     def test_corrupt_snapshot_treated_as_absent(self, tmp_path):
+        # A damaged snapshot never loads: it is refused, counted, and
+        # its tenant starts as if there were none (tests/test_tenants.py).
         telemetry = PipelineTelemetry()
         store = CheckpointStore(tmp_path / "snap", health=telemetry.health)
         engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG, store=store)
         engine.ingest(_random_capture(12, n=500))
-        path = engine.save_snapshot()
+        manifest = json.loads(engine.save_snapshot().read_text())
+        path = store.run_dir / manifest["shards"][0]["name"]
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
-        assert DetectionEngine.from_store(store) is None
+        with pytest.raises(SnapshotError, match="digest"):
+            DetectionEngine.from_store(store)
         assert telemetry.health.checkpoint_corrupt == 1
 
 
@@ -447,13 +485,13 @@ class TestV4Snapshots:
         _assert_tables_identical(events, ref_events)
         _assert_detections_identical(detections, ref_detections)
 
-    def test_engine_restores_and_continues(self):
+    def test_engine_restores_and_continues(self, tmp_path):
         chunks = self._chunks()
         half = len(chunks) // 2
         engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG, workers=2)
         for chunk in chunks[:half]:
             engine.ingest(chunk)
-        resumed = DetectionEngine.restore(engine.snapshot())
+        resumed = _round_trip(engine, tmp_path)
         for key, detector in engine._host._detectors.items():
             _assert_state_identical(resumed._host._detectors[key], detector)
         for chunk in chunks[half:]:
@@ -465,16 +503,18 @@ class TestV4Snapshots:
         _assert_tables_identical(events, ref_events)
         _assert_detections_identical(detections, ref_detections)
 
-    def test_engine_shard_lengths_must_cover_the_shards(self):
-        engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG, workers=2)
+    def test_engine_shard_lengths_must_cover_the_shards(self, tmp_path):
+        store = CheckpointStore(tmp_path / "snap")
+        engine = DetectionEngine(
+            600.0, _DARK_SIZE, _CONFIG, workers=2, store=store
+        )
         engine.ingest(_random_capture(26, n=500))
-
-        def tear(arrays, header):
-            header["shard_bytes"][0] += 8
-
-        blob = _edited(engine.snapshot(), tear, "engine", {"shards": "|u1"})
-        with pytest.raises(ValueError, match="shard lengths"):
-            DetectionEngine.restore(blob)
+        path = engine.save_snapshot()
+        manifest = json.loads(path.read_text())
+        manifest["shards"][0]["bytes"] += 8
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="bytes, its manifest says"):
+            DetectionEngine.from_store(store)
 
 
 class TestTornSummaryState:

@@ -98,10 +98,12 @@ class TestFaultPlan:
 
 class TestAtomicWrite:
     def test_roundtrip_and_digest(self, tmp_path):
+        # Nothing is hashed on write: the file's own bytes carry the
+        # digest, and parts are written end to end.
         path = tmp_path / "blob.bin"
-        digest = atomic_write_bytes(path, b"payload")
+        assert atomic_write_bytes(path, b"pay", b"load") is None
         assert path.read_bytes() == b"payload"
-        assert digest == sha256_hex(b"payload")
+        assert sha256_hex(path.read_bytes()) == sha256_hex(b"payload")
 
     def test_no_tmp_leftover(self, tmp_path):
         atomic_write_bytes(tmp_path / "blob.bin", b"x" * 1024)

@@ -160,13 +160,14 @@ class TestPooledParity:
     def test_snapshot_restore_while_pooled(self, pool, tmp_path):
         batch = _capture(9)
         blobs = _blobs(batch, 8)
-        engine = _engine(workers=2)
+        store = CheckpointStore(tmp_path / "snap")
+        engine = _engine(workers=2, store=store)
         engine.attach_pool(pool, "snap")
         engine.ingest_payloads(blobs[:4])
-        snapshot = engine.snapshot()
+        engine.save_snapshot()  # the workers write the shard files
         engine.detach_pool()
 
-        resumed = DetectionEngine.restore(snapshot)
+        resumed = DetectionEngine.from_store(store)
         resumed.attach_pool(pool, "snap-resume")
         resumed.ingest_payloads(blobs[4:])
         got = resumed.query()

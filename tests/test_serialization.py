@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.config import DetectionConfig
 from repro.core import statefile
 from repro.core.detection import detect_all
-from repro.core.engine import ENGINE_STATE_MAGIC
 from repro.core.events import build_events
 from repro.core.streaming import (
     _COMPACT_SEGMENTS,
@@ -112,7 +111,7 @@ class TestDetectorRoundTrip:
             b"",
             b"garbage",
             b"repro-detector-state-v0\n" + b"\x00" * 16,
-            ENGINE_STATE_MAGIC + b"\x00" * 16,  # wrong format's magic
+            statefile.magic("engine") + b"\x00" * 16,  # another kind
         ],
         ids=["empty", "garbage", "stale-version", "engine-magic"],
     )
@@ -362,11 +361,18 @@ class TestNoPickleOnRestore:
 
     @pytest.mark.parametrize("version", [2, 3])
     def test_engine_restore(self, tmp_path, version):
-        from repro.core.engine import DetectionEngine
+        from repro.core.engine import DetectionEngine, SnapshotError
+        from repro.core.faults import CheckpointStore
+        from tests.test_engine import _rewrite_shard
 
-        sentinel, blob = self._blob(tmp_path, b"engine", version)
-        with pytest.raises(ValueError, match=f"v{version}"):
-            DetectionEngine.restore(blob)
+        store = CheckpointStore(tmp_path / "snap")
+        DetectionEngine(
+            _TIMEOUT, _DARK_SIZE, _CONFIG, store=store
+        ).save_snapshot()
+        sentinel, blob = self._blob(tmp_path, b"detector", version)
+        _rewrite_shard(store, 0, lambda data: blob)
+        with pytest.raises(SnapshotError, match=f"v{version}"):
+            DetectionEngine.from_store(store)
         assert not sentinel.exists()
 
     def test_resume_run_checkpoint(self, tmp_path):

@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import DetectionConfig
 from repro.core.detection import detect_all
+from repro.core.engine import MANIFEST_NAME
 from repro.core.events import build_events
 from repro.packet import PacketBatch, Protocol
 from repro.serve.client import ServeClient, ServeError
@@ -502,6 +503,34 @@ class TestKillAndRestore:
                     ) == _offline_ah(batch, definition)
         finally:
             revived.stop()
+
+    def test_failed_snapshot_write_keeps_live_state(self, server):
+        # A fold worker whose shard write fails (a directory in the way
+        # of the file, as a full disk or EIO would fail it) reports an
+        # I/O error, not a lost worker: the tenant keeps its live state,
+        # is not restored from an older snapshot, and keeps ingesting.
+        client, _, snap_dir = server
+        batch = _capture(79)
+        client.create_tenant(
+            "t", _tenant_config(workers=2, snapshot_every_chunks=2)
+        )
+        obstacle = snap_dir / "t" / "shard-00000001-001.state"
+        obstacle.mkdir(parents=True)
+        drive(client, "t", chunk_payloads(batch, 3_600.0), sync=True)
+        status = client.status("t")
+        assert status["pooled"]
+        assert status["recycles"] == 0
+        assert status["packets"] == len(batch)
+        assert any("Is a directory" in e for e in status["errors"])
+        assert not any("fold pool" in e for e in status["errors"])
+        assert not (snap_dir / "t" / MANIFEST_NAME).exists()
+        for definition in (1, 2, 3):
+            assert client.ah_sources("t", definition) == _offline_ah(
+                batch, definition
+            )
+        obstacle.rmdir()
+        client.snapshot("t")
+        assert (snap_dir / "t" / MANIFEST_NAME).exists()
 
     def test_recycle_endpoint_preserves_results(self, server):
         client, _, _ = server

@@ -166,15 +166,16 @@ class TestDurability:
         tenant = registry.create("t", _config())
         _feed(tenant, _capture(4, n=2_000))
         registry.snapshot_all()
-        ckpt = next((tmp_path / "snap" / "t").glob("engine-*.ckpt"))
-        raw = bytearray(ckpt.read_bytes())
+        shard = next((tmp_path / "snap" / "t").glob("shard-*.state"))
+        raw = bytearray(shard.read_bytes())
         raw[-1] ^= 0xFF
-        ckpt.write_bytes(bytes(raw))
+        shard.write_bytes(bytes(raw))
         revived = TenantRegistry(tmp_path / "snap")
         revived.restore_all()
         after = revived.get("t")
         assert after.engine.packets_seen == 0
         assert after.telemetry.health.checkpoint_corrupt == 1
+        assert any("snapshot refused" in e for e in after.errors)
 
 
 def _wire_chunks(batch, chunk_seconds=3_600.0):
@@ -391,6 +392,34 @@ class TestRecycle:
                 churned.recycle()
         assert churned.recycles > 0
         _assert_query_identical(churned.query(), steady.query())
+
+    def test_recycle_leaves_the_journal_truncation_point(self, tmp_path):
+        # Recycling reloads live state and persists nothing, so chunks
+        # folded since the last snapshot must stay in the journal.
+        registry = TenantRegistry(tmp_path / "snap")
+        tenant = registry.create("t", _config(workers=2))
+        payloads = _wire_chunks(_capture(25))
+        half = len(payloads) // 2
+        _serve_feed(tenant, payloads[:half])
+        tenant.save_snapshot()
+        covered = tenant.engine.snapshot_seq
+        _serve_feed(tenant, payloads[half:])
+        journal = tmp_path / "snap" / "t" / JOURNAL_DIR_NAME
+        segments = sorted(journal.glob("segment-*.wal"))
+        assert segments
+
+        tenant.recycle()
+        assert tenant.engine.snapshot_seq == covered
+        assert covered < tenant.engine.last_seq
+        tenant.maybe_truncate_journal()
+        assert sorted(journal.glob("segment-*.wal")) == segments
+
+        # A crash now still replays every unsnapshotted chunk.
+        revived = TenantRegistry(tmp_path / "snap")
+        revived.restore_all()
+        after = revived.get("t")
+        assert after.serve_stats.replayed_chunks == len(payloads) - half
+        _assert_query_identical(after.query(), tenant.query())
 
     def test_recycle_counts_errors_independently(self):
         registry = TenantRegistry()
