@@ -14,12 +14,16 @@ trickle fold it prints, per shard:
   whose largest segment already reaches it (``settled``), and the rest,
   whose destinations are unioned (``unioned``);
 
-and once per fold the time to merge the summaries into detections.
+and once per fold the time to merge the summaries into detections,
+then the engine's own ``query()`` twice: the first builds the answer
+through the shard host, the second must return the memoized one.
 
 It exits 1 if a merged answer's sources, thresholds or event count
-differ from ``finish()`` over serialized copies of the shards.  The
-layerbench inputs and workloads modules are imported read-only; nothing
-here is timed by, or changes, the benchmark itself.
+differ from ``finish()`` over serialized copies of the shards, if the
+second ``query()`` answers differently from the first, or if it reached
+the shard host.  The layerbench inputs and workloads modules are
+imported read-only; nothing here is timed by, or changes, the benchmark
+itself.
 
 Usage (from the repo root)::
 
@@ -120,8 +124,17 @@ def main(argv=None) -> int:
     )
     print(
         f"{'fold':>4} {'shard':>5} {'open':>7} {'summary ms':>10} "
-        f"{'KB':>7} {'bounded':>7} {'settled':>7} {'unioned':>7} {'merge ms':>8}"
+        f"{'KB':>7} {'bounded':>7} {'settled':>7} {'unioned':>7} "
+        f"{'merge ms':>8} {'query ms':>8} {'repeat us':>9}"
     )
+    host_summaries = []  # one entry per call of the host's summary
+    host_summary = engine._host.summary
+
+    def counted_summary(requests):
+        host_summaries.append(requests)
+        return host_summary(requests)
+
+    engine._host.summary = counted_summary
     failures = 0
     for fold, blob in enumerate(rest, start=1):
         engine.ingest_payloads([blob])
@@ -141,16 +154,37 @@ def main(argv=None) -> int:
             detections_from_summaries, summaries, config.dark_size,
             config.detection,
         )
-        rows[-1] += f" {merge_s * 1e3:>8.1f}"
+        first, query_s = timed(engine.query)
+        reached = len(host_summaries)
+        repeat, repeat_s = timed(engine.query)
+        rows[-1] += (
+            f" {merge_s * 1e3:>8.1f} {query_s * 1e3:>8.1f} "
+            f"{repeat_s * 1e6:>9.1f}"
+        )
         print("\n".join(rows), flush=True)
         problems = differences(answer, finished_copy(engine))
+        problems += [
+            f"repeat query: {problem}"
+            for problem in differences(
+                (repeat.events, repeat.detections),
+                (first.events, first.detections),
+            )
+        ]
+        if len(host_summaries) != reached:
+            problems.append("repeat query reached the shard host")
         for problem in problems:
             print(f"  MISMATCH at fold {fold}: {problem}")
         failures += bool(problems)
     if failures:
-        print(f"{failures} of {len(rest)} folds answered unlike finish()")
+        print(
+            f"{failures} of {len(rest)} folds answered unlike finish() or "
+            "re-queried the host"
+        )
         return 1
-    print(f"all {len(rest)} answers equal finish() on a to_bytes copy")
+    print(
+        f"all {len(rest)} answers equal finish() on a to_bytes copy; every "
+        "repeat query was answered from the memo"
+    )
     return 0
 
 

@@ -26,6 +26,8 @@ ones:
 * ``ingest(chunk)`` — shard a chunk by source address and fold it in.
 * ``query()`` — AH sources and thresholds *now*, from one small
   summary per shard; the live state keeps accepting chunks afterwards.
+  The answer is kept until something changes what it reads, so
+  repeated queries of one state cost one fan-out.
 * ``save_snapshot()`` / ``from_store()`` — periodic snapshots into a
   :class:`~repro.core.faults.CheckpointStore`'s directory, so a killed
   process resumes from the last one.  Whoever holds a shard writes it:
@@ -42,7 +44,8 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import DetectionConfig
 from repro.core import statefile
@@ -155,16 +158,25 @@ class IngestReport:
     chunks: int
     errors: Tuple[str, ...]
     seconds: float
+    #: the ``OSError`` of a snapshot this call scheduled and that failed,
+    #: as a message (None if none failed).  The chunks are folded
+    #: either way; the snapshot is simply not committed.
+    snapshot_error: Optional[str]
 
 
 @dataclass(frozen=True)
 class EngineQuery:
-    """One consistent answer from the merged shard summaries."""
+    """One consistent answer from the merged shard summaries.
+
+    Read-only: :meth:`DetectionEngine.query` hands the same object to
+    every caller until the state changes, so ``detections`` is a
+    read-only mapping and each result's ``sources`` a ``frozenset``.
+    """
 
     #: per-definition AH sources and threshold over everything ingested
     #: so far (no daily breakdowns: only :meth:`DetectionEngine.finish`
     #: derives those).
-    detections: Dict[int, DetectionResult]
+    detections: Mapping[int, DetectionResult]
     #: events in the (hypothetical) final table if the stream ended now.
     events: int
     #: packets folded in so far.
@@ -178,7 +190,7 @@ class EngineQuery:
     #: chunks ingested so far.
     chunks: int
 
-    def ah_sources(self, definition: int = 1) -> set:
+    def ah_sources(self, definition: int = 1) -> frozenset:
         """The current AH set for one definition."""
         return self.detections[definition].sources
 
@@ -186,9 +198,10 @@ class EngineQuery:
 class ShardStateError(RuntimeError):
     """A host's state for a shard disagrees with its engine's count.
 
-    Raised by :meth:`ShardHost.fold` — e.g. a respawned fold worker
-    that lost its shards — instead of silently restarting the shard
-    from empty.
+    Raised by every :class:`ShardHost` operation that reads or changes
+    a shard (fold, summary, collect, write) — e.g. a respawned fold
+    worker that lost its shards — instead of silently restarting the
+    shard from empty or answering for it as if it were empty.
     """
 
 
@@ -370,19 +383,28 @@ class ShardHost:
         """:meth:`fold` each ``(key, spec, expect_packets, payload)``."""
         return [self.fold(*request) for request in requests]
 
-    def summary(self, keys: Sequence) -> List[Optional[DetectorSummary]]:
-        """Each shard's :meth:`StreamingDetector.summary` (None for one
-        it has none of)."""
+    def summary(
+        self, requests: Sequence[tuple]
+    ) -> List[Optional[DetectorSummary]]:
+        """Each ``(key, expect_packets)`` shard's
+        :meth:`StreamingDetector.summary` (None for a shard that has
+        folded nothing).  A shard out of sync raises
+        :class:`ShardStateError`, as :meth:`fold` does, so a lost shard
+        is never answered for as an empty one."""
+        detectors = [self._synced(*request) for request in requests]
         return [
             None if detector is None else detector.summary()
-            for detector in map(self._detectors.get, keys)
+            for detector in detectors
         ]
 
-    def collect(self, keys: Sequence) -> List[Optional[bytes]]:
-        """Each shard's serialized state (None for one it has none of)."""
+    def collect(self, requests: Sequence[tuple]) -> List[Optional[bytes]]:
+        """Each ``(key, expect_packets)`` shard's serialized state (None
+        for a shard that has folded nothing), checked as
+        :meth:`summary` checks it."""
+        detectors = [self._synced(*request) for request in requests]
         return [
             None if detector is None else detector.to_bytes()
-            for detector in map(self._detectors.get, keys)
+            for detector in detectors
         ]
 
     def write(self, requests: Sequence[tuple]) -> list:
@@ -522,12 +544,26 @@ class DetectionEngine:
         #: journal segments at or below it are safe to truncate.
         self._snapshot_seq = 0
         self._finished = False
+        #: the last :meth:`query` answer, kept until something changes
+        #: what it read; every such path sets it back to None.
+        self._query: Optional[EngineQuery] = None
+        self._queries = 0
+        self._query_memo_hits = 0
 
     def _shard_keys(self) -> List[tuple]:
         return [(self._key, index) for index in range(self.workers)]
 
+    def _shard_reads(self) -> List[tuple]:
+        """``(key, expect_packets)`` per shard, for the host's
+        ``summary``/``collect``, which check each count."""
+        return [
+            (key, gauge.packets_seen)
+            for key, gauge in zip(self._shard_keys(), self._gauges)
+        ]
+
     def _load_shards(self, states: Sequence) -> None:
         """Install one state per shard in the host, mirroring gauges."""
+        self._query = None
         self._gauges = [
             self._host.load(key, state)
             for key, state in zip(self._shard_keys(), states)
@@ -651,7 +687,7 @@ class DetectionEngine:
             raise RuntimeError("cannot attach a pool to a finished engine")
         if self.pooled:
             raise RuntimeError("a fold pool is already attached")
-        blobs = self._host.collect(self._shard_keys())
+        blobs = self._host.collect(self._shard_reads())
         for index, blob in enumerate(blobs):
             pool.load((key, index), blob)
         self._host, self._key = pool, key
@@ -665,7 +701,7 @@ class DetectionEngine:
         if not self.pooled:
             return
         pool, key = self._host, self._key
-        blobs = pool.collect(self._shard_keys())
+        blobs = pool.collect(self._shard_reads())
         self._host, self._key = ShardHost(), None
         self._load_shards(blobs)
         pool.drop(key)
@@ -682,6 +718,7 @@ class DetectionEngine:
         pool, key = self._host, self._key
         self._host, self._key = ShardHost(), None
         self._gauges = [_EMPTY_SHARD] * self.workers
+        self._query = None
         pool.drop(key)
 
     # ------------------------------------------------------------------
@@ -691,6 +728,9 @@ class DetectionEngine:
         self, payloads: Sequence[tuple], errors: List[str]
     ) -> Tuple[int, int]:
         """Fold ``(shard index, payload)`` pairs through the host."""
+        # Dropped before the host call, so a fold that fails part-way
+        # (some shards folded, or a worker lost) cannot leave it.
+        self._query = None
         replies = self._host.fold_many(
             [
                 (
@@ -758,7 +798,13 @@ class DetectionEngine:
         t0: float,
         window_end: Optional[float],
     ) -> IngestReport:
-        """Telemetry + chunk/snapshot bookkeeping for one fold pass."""
+        """Telemetry + chunk/snapshot bookkeeping for one fold pass.
+
+        A scheduled snapshot that fails on I/O does not fail the call:
+        the chunks are folded, so its error rides on the report
+        (``snapshot_error``) and ``snapshot_seq`` stays where it was.
+        An explicit :meth:`save_snapshot` still raises.
+        """
         seconds = time.perf_counter() - t0
         open_flows = self.open_flows
         watermark = self.watermark
@@ -777,12 +823,17 @@ class DetectionEngine:
             )
         self._chunks_ingested += chunks
         self._chunks_since_snapshot += chunks
+        self._query = None  # the chunk count is part of the answer
+        snapshot_error = None
         if (
             self.store is not None
             and self.snapshot_every_chunks is not None
             and self._chunks_since_snapshot >= self.snapshot_every_chunks
         ):
-            self.save_snapshot()
+            try:
+                self.save_snapshot()
+            except OSError as exc:
+                snapshot_error = str(exc)
         return IngestReport(
             packets=packets,
             events_finalized=finalized,
@@ -791,6 +842,7 @@ class DetectionEngine:
             chunks=chunks,
             errors=tuple(errors),
             seconds=seconds,
+            snapshot_error=snapshot_error,
         )
 
     def ingest_payloads(
@@ -896,26 +948,37 @@ class DetectionEngine:
         equal what :meth:`finish` would return now, i.e. an offline run
         over the traffic seen so far; the shards are left untouched and
         keep accepting chunks.
+
+        The answer is memoized: until a fold, a chunk count change or a
+        shard (re)load, every call returns the same read-only
+        :class:`EngineQuery` without touching the host, which is exactly
+        what a fresh fan-out over the same state would build.  A shard
+        its host lost raises :class:`ShardStateError` (a fold-pool error
+        through the pool) rather than being answered for as empty.
+        Raises ``RuntimeError`` once the engine is finished.
         """
-        packets = self.packets_seen
-        finalized = self.events_finalized
-        open_flows = self.open_flows
-        watermark = self.watermark
-        summaries = self._host.summary(self._shard_keys())
+        if self._finished:
+            raise RuntimeError("engine already finished")
+        self._queries += 1
+        if self._query is not None:
+            self._query_memo_hits += 1
+            return self._query
+        summaries = self._host.summary(self._shard_reads())
         events, detections = detections_from_summaries(
             [s for s in summaries if s is not None],
             self.dark_size,
             self.config,
         )
-        return EngineQuery(
-            detections=detections,
+        self._query = EngineQuery(
+            detections=MappingProxyType(detections),
             events=events,
-            packets=packets,
-            events_finalized=finalized,
-            open_flows=open_flows,
-            watermark=watermark,
+            packets=self.packets_seen,
+            events_finalized=self.events_finalized,
+            open_flows=self.open_flows,
+            watermark=self.watermark,
             chunks=self._chunks_ingested,
         )
+        return self._query
 
     def status(self) -> dict:
         """Cheap counters for health endpoints (no merge, no flush)."""
@@ -931,6 +994,8 @@ class DetectionEngine:
             "pooled": self.pooled,
             "last_seq": self._last_seq,
             "snapshot_seq": self._snapshot_seq,
+            "queries": self._queries,
+            "query_memo_hits": self._query_memo_hits,
         }
 
     def finish(self) -> Tuple[EventTable, Dict[int, DetectionResult]]:
@@ -942,6 +1007,7 @@ class DetectionEngine:
         if self._finished:
             raise RuntimeError("engine already finished")
         self.detach_pool()
+        self._query = None
         t0 = time.perf_counter()
         merged = self._merged(
             [self._host.take(key) for key in self._shard_keys()]
@@ -967,8 +1033,10 @@ class DetectionEngine:
     def reload_shards(self) -> None:
         """Round-trip every shard through its host's ``collect`` and
         ``load`` — the same ``to_bytes``/``from_bytes`` as the snapshot
-        shard files — leaving fresh detectors with identical state."""
-        self._load_shards(self._host.collect(self._shard_keys()))
+        shard files — leaving fresh detectors with identical state.  A
+        shard its host lost raises :class:`ShardStateError` (a fold-pool
+        error through the pool) and nothing is reloaded."""
+        self._load_shards(self._host.collect(self._shard_reads()))
 
     def _committed_generation(self) -> int:
         """Generation of the manifest committed in the store (0 = none).

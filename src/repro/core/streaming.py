@@ -948,7 +948,8 @@ def detections_from_summaries(
     Sources and thresholds equal those of
     :meth:`StreamingDetector.finish` over the merged shards; the
     results carry no daily breakdowns or qualifying events, which only
-    ``finish`` derives.
+    ``finish`` derives.  Sources are frozensets: a query answer is
+    shared by every caller until the state changes.
     """
     volume, ports, dispersion = StreamingECDF(), StreamingECDF(), set()
     for summary in summaries:
@@ -974,7 +975,9 @@ def detections_from_summaries(
         )
     return sum(summary.events for summary in summaries), {
         d: DetectionResult(
-            definition=d, sources=sources[d], threshold=float(thresholds[d])
+            definition=d,
+            sources=frozenset(sources[d]),
+            threshold=float(thresholds[d]),
         )
         for d in (1, 2, 3)
     }

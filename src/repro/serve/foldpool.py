@@ -27,12 +27,14 @@ Design points:
   :class:`FoldReply` gauge structs cross the pipe per fold.  A query
   pulls each shard's :class:`~repro.core.streaming.DetectorSummary`
   (``summary``: histograms, per-source peaks, dispersion sources and
-  daily port counts — no event table or destination segment).
-  Snapshots never pull state across the pipe: each worker writes its
-  shards' state files into the tenant's snapshot directory itself
-  (``write``) and answers only ``(name, length, header digest)``, from
-  which the engine commits its manifest.  Only detach and recycling
-  pull the full serialized state (``collect``).
+  daily port counts — no event table or destination segment), and
+  only when the engine's memoized answer is stale: repeated queries of
+  one state cost one fan-out.  Snapshots never pull state across the
+  pipe: each worker writes its shards' state files into the tenant's
+  snapshot directory itself (``write``) and answers only ``(name,
+  length, header digest)``, from which the engine commits its
+  manifest.  Only detach and recycling pull the full serialized state
+  (``collect``).
 * **Fan-out.**  Requests that touch several workers (``fold_many``,
   ``summary``, ``collect``, ``write``) are all sent before any reply is
   read, so distinct workers serve them concurrently.
@@ -41,12 +43,14 @@ Design points:
   named segment per fold (see :func:`repro.io.shm.share_batches`);
   single-shard tenants ship raw npz wire bytes and the worker decodes
   them off-loop.
-* **Desync detection.**  Every fold and every shard write carries the
-  packet count the engine believes the shard has folded; a mismatch (a
-  respawned worker that lost state, or an affinity bug) fails the
-  request loudly instead of silently restarting the shard from empty
-  or committing an empty shard file.  The server heals a
-  tenant that hits this by recycling it from its last snapshot.
+* **Desync detection.**  Every request that reads or changes a shard
+  (fold, summary, collect, write) carries the packet count the engine
+  believes the shard has folded; a mismatch (a respawned worker that
+  lost state, or an affinity bug) fails the request loudly instead of
+  silently restarting the shard from empty, answering a query or a
+  reload as if it were empty, or committing an empty shard file.  The
+  server heals a tenant that hits this by recycling it from its last
+  snapshot.
 
 The pool is shared by every tenant of one server; per-tenant ordering
 still comes from the server's per-tenant command queue, which never
@@ -175,11 +179,11 @@ class FoldPool:
         that fit in the pipe buffer, so a worker never blocks sending
         one and is always back reading the next request.  Write requests
         and their replies are both small.  Summary and collect requests
-        carry just one key, which fits in the buffer even while the
-        worker is blocked writing a large reply; that worker only waits
-        for the read loop below to reach it.  So a detach may fan out
-        every shard's ``collect`` at once: small requests, large
-        replies.
+        carry just one key and count, which fits in the buffer even
+        while the worker is blocked writing a large reply; that worker
+        only waits for the read loop below to reach it.  So a detach
+        may fan out every shard's ``collect`` at once: small requests,
+        large replies.
         """
         if self._closed:
             raise FoldPoolError("fold pool is closed")
@@ -260,29 +264,41 @@ class FoldPool:
             ]
         )
 
-    def summary(self, keys: Sequence) -> List[Optional[DetectorSummary]]:
-        """Query summaries of shard states, one per key.
-
-        Each is the live shard's
-        :meth:`~repro.core.streaming.StreamingDetector.summary` (``None``
-        for a key with no state here).  One fan-out, so shards on
-        distinct workers summarize concurrently.
-        """
+    def _read(self, op: str, requests: Sequence[tuple]) -> list:
+        """One fan-out of ``op`` per ``(key, expect_packets)`` request."""
         replies = self._fan_out(
-            [(self.worker_index(key), ("summary", [key])) for key in keys]
+            [
+                (self.worker_index(request[0]), (op, [request]))
+                for request in requests
+            ]
         )
-        return [summaries[0] for summaries in replies]
+        return [values[0] for values in replies]
 
-    def collect(self, keys: Sequence) -> List[Optional[bytes]]:
-        """Shard states serialized, one per key (None if never used).
+    def summary(
+        self, requests: Sequence[tuple]
+    ) -> List[Optional[DetectorSummary]]:
+        """Query summaries of shard states, one per request.
+
+        ``requests`` are ``(key, expect_packets)`` pairs, as
+        :meth:`ShardHost.summary` takes.  Each answer is the live
+        shard's :meth:`~repro.core.streaming.StreamingDetector.summary`
+        (``None`` for a shard that has folded nothing).  A worker whose
+        shard is out of sync (respawned, empty) raises
+        :class:`FoldPoolError` instead of answering for it as empty.
+        One fan-out, so shards on distinct workers summarize
+        concurrently.
+        """
+        return self._read("summary", requests)
+
+    def collect(self, requests: Sequence[tuple]) -> List[Optional[bytes]]:
+        """Shard states serialized, one per ``(key, expect_packets)``
+        request (None for a shard that has folded nothing), checked as
+        :meth:`summary` checks them.
 
         One fan-out, like :meth:`summary`: every shard on a distinct
         worker serializes its state concurrently.
         """
-        replies = self._fan_out(
-            [(self.worker_index(key), ("collect", [key])) for key in keys]
-        )
-        return [blobs[0] for blobs in replies]
+        return self._read("collect", requests)
 
     def write(self, requests: Sequence[tuple]) -> list:
         """Have each shard's worker write its state file.

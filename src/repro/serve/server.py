@@ -29,6 +29,15 @@ Concurrency model — one bounded queue and one worker task per tenant:
   recycles, and sync barriers travel *through the same queue* and cut
   a coalescing run short, so they observe exactly the chunks accepted
   before them and never race an ingest on the same engine.
+* AH queries are cheap when the state has not moved: the engine keeps
+  its last :class:`~repro.core.engine.EngineQuery` (read-only: sources
+  are frozensets) and returns it until a fold, a chunk-count change, a
+  shard reload, a pool detach or ``finish`` drops it, so a hit is the
+  exact answer a fresh shard fan-out would build.  The query still
+  waits its turn in the queue: the memo makes a query of an unchanged
+  state free, and the barrier decides *which* state it reads — every
+  chunk accepted before it, none after.  ``/health`` and ``/status``
+  count ``queries`` and ``query_memo_hits`` per engine.
 * Folds run **off-process** by default: the server owns one
   :class:`~repro.serve.foldpool.FoldPool` (``fold_processes`` workers,
   auto-sized to the machine) shared by all tenants, each tenant's
@@ -38,12 +47,17 @@ Concurrency model — one bounded queue and one worker task per tenant:
   threshold hand off zero-copy.  ``fold_processes=0`` folds on the
   ingest threads instead, through each engine's inline shard host.
   A fold-worker death surfaces as a
-  :class:`~repro.serve.foldpool.FoldPoolError`; the server heals the
+  :class:`~repro.serve.foldpool.FoldPoolError`, on the fold that met
+  the dead worker or on any later fold, query, snapshot or reload that
+  reaches a shard the respawned worker lost; the server heals the
   tenant by rebuilding it from its last persisted snapshot.
 * Periodic snapshots ride on the engine's own chunk-count scheduling
   (:class:`~repro.core.faults.CheckpointStore` underneath); a killed
   server restarts from the last verified snapshot via
-  :meth:`TenantRegistry.restore_all`.
+  :meth:`TenantRegistry.restore_all`.  A scheduled snapshot that fails
+  on I/O does not undo its fold: the fold is recorded and the failure
+  goes on the tenant's errors as ``snapshot: ...``, while the journal
+  keeps every chunk past the last committed snapshot.
 
 Endpoints (all JSON except the chunk body, which is the npz wire
 format of :func:`repro.io.packetlog.packets_to_npz_bytes`):
@@ -336,6 +350,11 @@ class ScannerServer:
                 seconds=report.seconds,
                 queue_wait=queue_wait,
             )
+            if report.snapshot_error is not None:
+                # The chunks folded; only the scheduled snapshot failed
+                # (ENOSPC, EIO).  The journal keeps every chunk past the
+                # last committed snapshot, so nothing acked is at risk.
+                tenant.record_error(f"snapshot: {report.snapshot_error}")
         except FoldPoolError as exc:
             tenant.record_error(f"fold pool: {exc}")
             # The dead worker's unsnapshotted state is gone; rebuild
@@ -634,9 +653,12 @@ class ScannerServer:
         for tenant_id in self.registry.ids():
             tenant = self.registry.get(tenant_id)
             queue = self._queues.get(tenant_id)
+            engine = tenant.engine.status()
             tenants[tenant_id] = {
-                "chunks": tenant.engine.chunks_ingested,
-                "packets": tenant.engine.packets_seen,
+                "chunks": engine["chunks"],
+                "packets": engine["packets"],
+                "queries": engine["queries"],
+                "query_memo_hits": engine["query_memo_hits"],
                 "queued": queue.qsize() if queue is not None else 0,
                 "queue_depth": tenant.config.queue_depth,
                 "errors": len(tenant.errors),

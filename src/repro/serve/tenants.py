@@ -239,10 +239,12 @@ class Tenant:
 
         def flush() -> None:
             if pending:
-                self.engine.ingest_payloads(
+                report = self.engine.ingest_payloads(
                     [payload for payload, _ in pending],
                     last_seq=pending[-1][1],
                 )
+                if report.snapshot_error is not None:
+                    self.record_error(f"snapshot: {report.snapshot_error}")
                 pending.clear()
 
         for record in self.journal.replay():

@@ -205,6 +205,21 @@ class TestEngineLifecycle:
         with pytest.raises(RuntimeError, match="finished"):
             engine.finish()
 
+    def test_query_after_finish_raises(self):
+        # finish() hands the shards over; a later query must refuse
+        # rather than answer with empty AH sets.
+        engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG, workers=2)
+        engine.ingest(_random_capture(3, n=5_000))
+        before = engine.query()
+        _, detections = engine.finish()
+        for definition in (1, 2, 3):
+            assert before.ah_sources(definition) == (
+                detections[definition].sources
+            )
+        assert detections[2].sources
+        with pytest.raises(RuntimeError, match="finished"):
+            engine.query()
+
     def test_empty_engine_query_and_finish(self):
         engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG)
         query = engine.query()

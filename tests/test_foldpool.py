@@ -203,7 +203,10 @@ class TestPooledParity:
         assert engine.packets_seen > 0
         engine.abandon_pool()
         assert not engine.pooled
-        assert pool.collect([("gone", 0), ("gone", 1)]) == [None, None]
+        assert pool.collect([(("gone", 0), 0), (("gone", 1), 0)]) == [
+            None,
+            None,
+        ]
 
 
 class TestHostParity:
@@ -314,7 +317,7 @@ class TestQueryViews:
             )
 
     def test_unknown_key_views_as_an_empty_shard(self, pool):
-        assert pool.summary([("nobody", 0)]) == [None]
+        assert pool.summary([(("nobody", 0), 0)]) == [None]
         engine = _engine(workers=2)
         engine.attach_pool(pool, "never-fed")
         got = engine.query()
@@ -368,15 +371,14 @@ class TestSummaryQuery:
         )
         if pooled:
             engine.attach_pool(pool, f"summary-{next(_SUMMARY_KEYS)}")
-        keys = engine._shard_keys()
         seen = []
         try:
             for _, _, chunk in batch.iter_time_chunks(chunk_seconds):
                 engine.ingest(chunk)
                 seen.append(chunk)
-                before = engine._host.collect(keys)
+                before = engine._host.collect(engine._shard_reads())
                 got = engine.query()
-                assert engine._host.collect(keys) == before
+                assert engine._host.collect(engine._shard_reads()) == before
                 events = build_events(PacketBatch.concat(seen), timeout)
                 _assert_query_identical(
                     got,
@@ -444,33 +446,38 @@ class TestFanOut:
 
     def test_summary_sends_everything_before_reading(self):
         pool, log = self._pool()
-        keys = [("t", i) for i in range(6)]
-        replies = pool.summary(keys)
-        self._assert_sends_first(log, len(keys))
+        requests = [(("t", i), 10 * i) for i in range(6)]
+        replies = pool.summary(requests)
+        self._assert_sends_first(log, len(requests))
         # A fake reply echoes (worker, message); summary keeps item 0.
-        assert replies == [pool.worker_index(key) for key in keys]
+        assert replies == [pool.worker_index(key) for key, _ in requests]
         sent = [
             message
             for worker in pool._workers
             for message in worker.conn.sent
         ]
-        assert sorted(sent) == sorted(("summary", [key]) for key in keys)
+        # Each request carries the shard's expected packet count.
+        assert sorted(sent) == sorted(
+            ("summary", [request]) for request in requests
+        )
 
     def test_collect_sends_everything_before_reading(self):
         """Snapshots and detach fetch every shard's state in one
         fan-out: small requests out, then the large replies in."""
         pool, log = self._pool()
-        keys = [("t", i) for i in range(6)]
-        replies = pool.collect(keys)
-        self._assert_sends_first(log, len(keys))
+        requests = [(("t", i), 10 * i) for i in range(6)]
+        replies = pool.collect(requests)
+        self._assert_sends_first(log, len(requests))
         # A fake reply echoes (worker, message); collect keeps item 0.
-        assert replies == [pool.worker_index(key) for key in keys]
+        assert replies == [pool.worker_index(key) for key, _ in requests]
         sent = [
             message
             for worker in pool._workers
             for message in worker.conn.sent
         ]
-        assert sorted(sent) == sorted(("collect", [key]) for key in keys)
+        assert sorted(sent) == sorted(
+            ("collect", [request]) for request in requests
+        )
 
 
 class TestWorkerDeath:
@@ -540,3 +547,35 @@ class TestWorkerDeath:
             # as if nothing happened rather than restart from zero.
             with pytest.raises(FoldPoolError, match="no state|out of sync"):
                 engine.ingest_payloads(_blobs(_capture(14), 2))
+
+    def test_respawned_worker_refuses_to_answer_for_lost_shards(self):
+        # Two tenants share one worker; a fold of the first meets the
+        # dead worker.  The second tenant's shards were lost with it, so
+        # its query, reload and finish must fail loudly instead of
+        # answering for empty shards (0 events, empty AH sets) or
+        # resetting its packet count.
+        batch = _capture(15)
+        blobs = _blobs(batch, 4)
+        with FoldPool(1) as pool:
+            first, second = _engine(workers=2), _engine(workers=2)
+            first.attach_pool(pool, "first")
+            second.attach_pool(pool, "second")
+            first.ingest_payloads(blobs[:2])
+            second.ingest_payloads(blobs)
+            assert second.packets_seen == len(batch)
+            first.query()  # memoized: the failed fold below must drop it
+            os.kill(pool._workers[0].process.pid, signal.SIGKILL)
+            with pytest.raises(FoldPoolError):
+                first.ingest_payloads(blobs[2:])
+            with pytest.raises(FoldPoolError, match="out of sync"):
+                first.query()
+            with pytest.raises(FoldPoolError, match="out of sync"):
+                second.query()
+            with pytest.raises(FoldPoolError, match="out of sync"):
+                second.reload_shards()
+            assert second.packets_seen == len(batch)
+            with pytest.raises(FoldPoolError, match="out of sync"):
+                second.finish()
+            assert not second.finished
+            first.abandon_pool()
+            second.abandon_pool()

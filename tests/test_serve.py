@@ -532,6 +532,43 @@ class TestKillAndRestore:
         client.snapshot("t")
         assert (snap_dir / "t" / MANIFEST_NAME).exists()
 
+    def test_failed_scheduled_snapshot_still_records_the_fold(self, server):
+        # A snapshot the engine schedules inside a fold fails after the
+        # fold landed: the serve stats still count every folded chunk
+        # and packet, and the error names the snapshot, not the chunks.
+        client, _, snap_dir = server
+        batch = _capture(80)
+        client.create_tenant(
+            "t", _tenant_config(workers=2, snapshot_every_chunks=2)
+        )
+        obstacle = snap_dir / "t" / "shard-00000001-001.state"
+        obstacle.mkdir(parents=True)
+        payloads = list(chunk_payloads(batch, 3_600.0))
+        for _, payload in payloads:
+            client.ingest_blocking("t", payload)
+            client.sync("t")
+        status = client.status("t")
+        assert status["pooled"]
+        assert status["recycles"] == 0
+        assert status["chunks"] == len(payloads)
+        assert status["packets"] == len(batch)
+        serve = status["serve"]
+        assert serve["folds"] == status["chunks"]
+        assert serve["packets_folded"] == status["packets"]
+        assert any(
+            e.startswith("snapshot: ") and "Is a directory" in e
+            for e in status["errors"]
+        )
+        assert not any(e.startswith("chunk") for e in status["errors"])
+        assert status["snapshot_seq"] == 0
+        assert not (snap_dir / "t" / MANIFEST_NAME).exists()
+        # An explicit snapshot still raises its error to the caller.
+        with pytest.raises(ServeError, match="Is a directory"):
+            client.snapshot("t")
+        obstacle.rmdir()
+        client.snapshot("t")
+        assert client.status("t")["snapshot_seq"] == len(payloads)
+
     def test_recycle_endpoint_preserves_results(self, server):
         client, _, _ = server
         batch = _capture(77)

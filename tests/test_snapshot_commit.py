@@ -212,8 +212,8 @@ def test_damaged_shard_file_refused_whole(tmp_path, world, pool, damage):
     # Shard 0's file was intact, yet nothing of the snapshot loaded.
     assert after.engine.packets_seen == 0
     if pool is not None:
-        keys = [(_TENANT, 0), (_TENANT, 1)]
-        assert pool.collect(keys) == [None, None]
+        reads = [((_TENANT, 0), 0), ((_TENANT, 1), 0)]
+        assert pool.collect(reads) == [None, None]
 
 
 def test_legacy_single_file_snapshot_refused_by_name(tmp_path, world, pool):
