@@ -26,7 +26,7 @@ bench-smoke:
 	$(PYTHON) -m pytest benchmarks/ -q --benchmark-disable
 
 # Emit-path benchmark alone: regenerate BENCH_emit.json (lazy vs
-# materialized time/memory ratios, span counters, shm availability) and
+# materialized time/memory ratios, span counters) and
 # render the before/after table against the committed baseline — the
 # table also lands in $$GITHUB_STEP_SUMMARY when that variable is set.
 bench-emit:

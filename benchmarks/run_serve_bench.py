@@ -16,9 +16,9 @@ Each tenant is driven from its own thread through its own
 thread measures **query-under-load** latency — AH queries answered
 through the same per-tenant command queue the folds travel on.  After
 both runs, the served AH sets (definitions 1–3) must be identical to
-each other *and* to an offline :class:`DetectionEngine` fed the same
-chunks serially — the optimization must not move results by a single
-source.
+each other *and* to the offline oracle, ``detect_all(build_events(...))``
+over the same chunks concatenated — the optimization must not move
+results by a single source.
 
 Results land in ``benchmarks/results/BENCH_serve.json``; the CI
 perf-gate compares the pooled/per-chunk speedup against the committed
@@ -51,8 +51,12 @@ sys.path.insert(0, str(REPO_ROOT))
 
 from benchmarks.run_serve_smoke import _start_server  # noqa: E402
 from repro.config import DetectionConfig  # noqa: E402
-from repro.core.engine import DetectionEngine  # noqa: E402
-from repro.io.packetlog import packets_to_npz_bytes  # noqa: E402
+from repro.core.detection import detect_all  # noqa: E402
+from repro.core.events import build_events  # noqa: E402
+from repro.io.packetlog import (  # noqa: E402
+    packets_from_npz_bytes,
+    packets_to_npz_bytes,
+)
 from repro.packet import PacketBatch, Protocol  # noqa: E402
 from repro.serve.client import ServeClient  # noqa: E402
 from repro.serve.loadgen import drive, percentile  # noqa: E402
@@ -269,18 +273,20 @@ def _run_mode(
 
 
 def _offline_ah(payloads: dict) -> dict:
-    """Ground truth: a serial engine folds each tenant's chunks and
-    finishes — the full path, independent of the served query."""
-    from repro.io.packetlog import packets_from_npz_bytes
-
+    """Ground truth: the detection contract's own oracle,
+    ``detect_all(build_events(capture))`` over each tenant's chunks
+    concatenated — independent of the served query and of the engine."""
     out = {}
     for tenant_id, pairs in payloads.items():
-        engine = DetectionEngine(
-            _TIMEOUT, _DARK_SIZE, _DETECTION, _DAY_SECONDS, workers=1
+        capture = PacketBatch.concat(
+            [packets_from_npz_bytes(blob) for _, blob in pairs]
         )
-        for _, blob in pairs:
-            engine.ingest(packets_from_npz_bytes(blob))
-        _, detections = engine.finish()
+        detections = detect_all(
+            build_events(capture, _TIMEOUT),
+            _DARK_SIZE,
+            _DETECTION,
+            _DAY_SECONDS,
+        )
         out[tenant_id] = {
             definition: {int(s) for s in detections[definition].sources}
             for definition in (1, 2, 3)

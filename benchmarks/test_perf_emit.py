@@ -116,8 +116,6 @@ def test_perf_emit_throughput_and_memory(emit_world, results_dir, bench_sections
     tracemalloc.stop()
     assert lazy_mem_packets == mem_packets
 
-    from repro.io.shm import shared_memory_available
-
     bench_sections.write(
         _BENCH_JSON,
         "emit",
@@ -142,7 +140,6 @@ def test_perf_emit_throughput_and_memory(emit_world, results_dir, bench_sections
             "materialized_peak_bytes": materialized_peak,
             "lazy_peak_bytes": lazy_peak,
             "peak_ratio": round(lazy_peak / materialized_peak, 4),
-            "shm": shared_memory_available(),
         },
     )
     emit(

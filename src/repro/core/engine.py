@@ -23,7 +23,10 @@ any chunking, ``finish()`` emits the same event table and AH sets as
 (pinned by golden and property tests).  Its additions are lifecycle
 ones:
 
-* ``ingest(chunk)`` — shard a chunk by source address and fold it in.
+* ``ingest_payloads(blobs)`` — fold a micro-batch of npz wire chunks:
+  every shard's host decodes the same bytes, refuses whole chunks that
+  fail to decode or start before the engine's watermark, and folds the
+  rows whose source hashes to it.
 * ``query()`` — AH sources and thresholds *now*, from one small
   summary per shard; the live state keeps accepting chunks afterwards.
   The answer is kept until something changes what it reads, so
@@ -58,15 +61,13 @@ from repro.core.faults import (
     fsync_directory,
 )
 from repro.core.streaming import (
-    ChunkReport,
     DetectorSummary,
     StreamingDetector,
     detections_from_summaries,
 )
 from repro.core.telemetry import PipelineTelemetry
 from repro.io.packetlog import packets_from_npz_bytes
-from repro.io.shm import resolve_batch, share_batches, want_shared_memory
-from repro.packet import PacketBatch
+from repro.packet import PacketBatch, shard_of
 
 #: The snapshot manifest in a store directory; its rename commits a
 #: snapshot (:meth:`DetectionEngine.save_snapshot`).
@@ -233,9 +234,13 @@ class FoldReply:
     packets: int
     #: events finalized by this call.
     events_finalized: int
-    #: chunks that failed to decode or fold, as message strings; the
-    #: good ones were still folded.
+    #: the shard's fold errors, as message strings (its share of the
+    #: payload is then not folded).
     errors: Tuple[str, ...]
+    #: payload chunks refused whole, undecodable or out of order, as
+    #: message strings; every shard of one payload refuses the same
+    #: ones, so the engine reports one shard's.
+    rejected: Tuple[str, ...]
     #: cumulative shard gauges after the call.
     packets_seen: int
     events_total: int
@@ -244,7 +249,7 @@ class FoldReply:
     watermark: Optional[float]
 
 
-_EMPTY_SHARD = FoldReply(0, 0, (), 0, 0, 0, 0, None)
+_EMPTY_SHARD = FoldReply(0, 0, (), (), 0, 0, 0, 0, None)
 
 
 def _reply(
@@ -252,11 +257,13 @@ def _reply(
     packets: int = 0,
     finalized: int = 0,
     errors: Sequence[str] = (),
+    rejected: Sequence[str] = (),
 ) -> FoldReply:
     return FoldReply(
         packets=packets,
         events_finalized=finalized,
         errors=tuple(errors),
+        rejected=tuple(rejected),
         packets_seen=detector.packets_seen,
         events_total=detector.events_finalized,
         open_flows=detector.open_flows,
@@ -297,30 +304,34 @@ def gate_time_order(
     return kept
 
 
-def decode_payload(payload) -> Tuple[List[PacketBatch], List[str]]:
-    """``(batches, errors)`` for one fold payload.
+def decode_chunks(
+    blobs: Sequence[bytes], watermark: Optional[float]
+) -> Tuple[Optional[PacketBatch], List[str]]:
+    """The chunks of one payload that fold, as one batch, and one
+    message per chunk refused.
 
-    Payloads are tagged tuples: ``("npz", [bytes, ...])`` for raw wire
-    chunks, each decoded on its own so one bad chunk only costs itself,
-    or ``("batch", batch)`` for a :class:`~repro.packet.PacketBatch` or
-    a :class:`~repro.io.shm.ShmBatch` handle to one.
+    Each npz blob decodes on its own, so one bad chunk only costs
+    itself; the decoded chunks are then gated against ``watermark``
+    (:func:`gate_time_order`) and concatenated in arrival order.  The
+    batch is None when no chunk folds.
     """
-    kind, value = payload
-    if kind != "npz":
-        return [resolve_batch(value)], []
-    batches, errors = [], []
-    for blob in value:
+    batches, rejected = [], []
+    for blob in blobs:
         try:
             batches.append(packets_from_npz_bytes(blob, label="chunk"))
         except Exception as exc:  # noqa: BLE001 — per-chunk isolation
-            errors.append(str(exc))
-    return batches, errors
+            rejected.append(str(exc))
+    kept = gate_time_order(batches, watermark, rejected)
+    del batches
+    if not kept:
+        return None, rejected
+    return (kept[0] if len(kept) == 1 else PacketBatch.concat(kept)), rejected
 
 
 class ShardHost:
     """Detector shards by ``(key, index)``, in this process.
 
-    Answers the six shard operations — fold, summary, collect, write,
+    Answers the six shard operations — fold_many, summary, collect, write,
     load, drop — that :class:`DetectionEngine` routes through whichever host
     it holds: its own inline ``ShardHost``, called directly with no
     pickling, or an attached :class:`~repro.serve.foldpool.FoldPool`,
@@ -329,11 +340,7 @@ class ShardHost:
     serve layer uses the tenant id.
     """
 
-    #: shared-memory policy for batch hand-off: nothing crosses a
-    #: process boundary here, so batches are always passed as-is.
-    shm = False
-
-    _OPS = ("fold", "summary", "collect", "write", "load", "drop")
+    _OPS = ("fold_many", "summary", "collect", "write", "load", "drop")
 
     def __init__(self) -> None:
         self._detectors: Dict[tuple, StreamingDetector] = {}
@@ -352,36 +359,53 @@ class ShardHost:
             )
         return detector
 
-    def fold(
-        self, key, spec: ShardSpec, expect_packets: int, payload
-    ) -> FoldReply:
-        """Decode, time-gate and fold one payload into shard ``key``.
+    def fold_many(self, requests: Sequence[tuple]) -> List[FoldReply]:
+        """Fold each ``(key, spec, expect_packets, payload)`` request.
+
+        ``payload`` is ``(blobs, shards, watermark)``: one engine's npz
+        wire chunks, its shard count and its watermark, the same for
+        each of its shards.  Each distinct payload is decoded and gated
+        once (:func:`decode_chunks`) against the *engine's* watermark,
+        so a chunk folds into every shard it touches or into none; the
+        shard ``key = (engine key, index)`` then folds the rows with
+        ``shard_of(src, shards) == index``.
 
         ``expect_packets`` is the packet count the engine believes the
-        shard has folded; a host that disagrees raises
-        :class:`ShardStateError` rather than fold onto the wrong state.
+        shard has folded; if any shard disagrees the host raises
+        :class:`ShardStateError` and folds nothing, rather than fold
+        onto the wrong state.
         """
-        detector = self._synced(key, expect_packets)
-        if detector is None:
-            detector = self._detectors[key] = spec.new_detector()
-        batches, errors = decode_payload(payload)
-        kept = gate_time_order(batches, detector.watermark, errors)
-        del batches
-        packets = finalized = 0
-        if kept:
-            batch = kept[0] if len(kept) == 1 else PacketBatch.concat(kept)
-            del kept  # the decoded chunks, now copied into batch
-            try:
-                report = detector.add_batch(batch)
-                packets = report.packets
-                finalized = report.events_finalized
-            except Exception as exc:  # noqa: BLE001 — surface, don't die
-                errors.append(str(exc))
-        return _reply(detector, packets, finalized, errors)
-
-    def fold_many(self, requests: Sequence[tuple]) -> List[FoldReply]:
-        """:meth:`fold` each ``(key, spec, expect_packets, payload)``."""
-        return [self.fold(*request) for request in requests]
+        detectors = [
+            self._synced(key, expect) for key, _, expect, _ in requests
+        ]
+        decoded: Dict[int, tuple] = {}
+        replies = []
+        for detector, (key, spec, _, payload) in zip(detectors, requests):
+            if detector is None:
+                detector = self._detectors[key] = spec.new_detector()
+            if id(payload) not in decoded:
+                blobs, shards, watermark = payload
+                batch, rejected = decode_chunks(blobs, watermark)
+                owner = None
+                if batch is not None and shards > 1:
+                    owner = shard_of(batch.src, shards)
+                decoded[id(payload)] = batch, owner, rejected
+            batch, owner, rejected = decoded[id(payload)]
+            if owner is not None:
+                batch = batch.select(owner == key[1])
+            packets = finalized = 0
+            errors = []
+            if batch is not None and len(batch):
+                try:
+                    report = detector.add_batch(batch)
+                    packets = report.packets
+                    finalized = report.events_finalized
+                except Exception as exc:  # noqa: BLE001 — surface, don't die
+                    errors.append(str(exc))
+            replies.append(
+                _reply(detector, packets, finalized, errors, rejected)
+            )
+        return replies
 
     def summary(
         self, requests: Sequence[tuple]
@@ -389,7 +413,7 @@ class ShardHost:
         """Each ``(key, expect_packets)`` shard's
         :meth:`StreamingDetector.summary` (None for a shard that has
         folded nothing).  A shard out of sync raises
-        :class:`ShardStateError`, as :meth:`fold` does, so a lost shard
+        :class:`ShardStateError`, as :meth:`fold_many` does, so a lost shard
         is never answered for as an empty one."""
         detectors = [self._synced(*request) for request in requests]
         return [
@@ -414,7 +438,7 @@ class ShardHost:
         :meth:`StreamingDetector.to_bytes` (an empty detector built from
         ``spec`` for a shard with no state), written to a tmp file,
         fsynced and renamed.  ``expect_packets`` is checked first, as
-        :meth:`fold` checks it, so a respawned worker that lost its
+        :meth:`fold_many` checks it, so a respawned worker that lost its
         shards raises :class:`ShardStateError` and writes nothing rather
         than empty shards a manifest would then commit.
 
@@ -656,21 +680,6 @@ class DetectionEngine:
         return self._finished
 
     # ------------------------------------------------------------------
-    # Ingest
-    # ------------------------------------------------------------------
-    def shard_batch(self, batch) -> list:
-        """Partition a batch across this engine's detector shards.
-
-        The engine's own routing hook: one sub-batch per shard, by the
-        same source hash every parallel entry point uses
-        (:func:`repro.parallel.shard_of`), so an engine-fed run lands
-        packets exactly where a pool run would.
-        """
-        from repro.parallel import shard_batch
-
-        return shard_batch(batch, self.workers)
-
-    # ------------------------------------------------------------------
     # Fold-pool attachment (the serve path's off-loop parallel folds)
     # ------------------------------------------------------------------
     def attach_pool(self, pool, key) -> None:
@@ -724,70 +733,29 @@ class DetectionEngine:
     # ------------------------------------------------------------------
     # Folding
     # ------------------------------------------------------------------
-    def _fold(
-        self, payloads: Sequence[tuple], errors: List[str]
-    ) -> Tuple[int, int]:
-        """Fold ``(shard index, payload)`` pairs through the host."""
+    def _fold(self, payload: tuple, errors: List[str]) -> Tuple[int, int]:
+        """Fold one payload into every shard through the host.
+
+        Each chunk the hosts refused is reported once (every shard
+        refuses the same ones); fold errors are reported per shard.
+        """
         # Dropped before the host call, so a fold that fails part-way
         # (some shards folded, or a worker lost) cannot leave it.
         self._query = None
         replies = self._host.fold_many(
             [
-                (
-                    (self._key, index),
-                    self._spec,
-                    self._gauges[index].packets_seen,
-                    payload,
-                )
-                for index, payload in payloads
+                (key, self._spec, gauge.packets_seen, payload)
+                for key, gauge in zip(self._shard_keys(), self._gauges)
             ]
         )
+        errors.extend(replies[0].rejected)
         packets = finalized = 0
-        for (index, _), reply in zip(payloads, replies):
+        for index, reply in enumerate(replies):
             self._gauges[index] = reply
             errors.extend(reply.errors)
             packets += reply.packets
             finalized += reply.events_finalized
         return packets, finalized
-
-    def _fold_payload(self, payload, errors: List[str]) -> Tuple[int, int]:
-        """Decode, gate, shard and fold one payload as one pass.
-
-        The time-order gate runs on whole chunks against the engine's
-        watermark, before sharding, so a chunk folds into every shard
-        it touches or into none.  Sub-batches past the shared-memory
-        auto threshold reach a pool's workers through one segment.
-        Each copy of the packets (decoded chunks, their concatenation,
-        the shard split) is released once the next exists, so a large
-        coalesced fold never holds more than two at a time.
-        """
-        batches, decode_errors = decode_payload(payload)
-        errors.extend(decode_errors)
-        kept = gate_time_order(batches, self.watermark, errors)
-        del batches
-        if not kept:
-            return 0, 0
-        batch = kept[0] if len(kept) == 1 else PacketBatch.concat(kept)
-        del kept
-        subs = self.shard_batch(batch)
-        del batch
-        live = [i for i, sub in enumerate(subs) if len(sub)]
-        lease = None
-        if want_shared_memory(
-            self._host.shm, sum(subs[i].nbytes for i in live)
-        ):
-            handles, lease = share_batches([subs[i] for i in live], "fold")
-        else:
-            handles = [subs[i] for i in live]
-        del subs
-        try:
-            return self._fold(
-                [(i, ("batch", handle)) for i, handle in zip(live, handles)],
-                errors,
-            )
-        finally:
-            if lease is not None:
-                lease.close()
 
     def _account_fold(
         self,
@@ -852,18 +820,17 @@ class DetectionEngine:
         window_end: Optional[float] = None,
         last_seq: Optional[int] = None,
     ) -> IngestReport:
-        """Decode and fold a micro-batch of npz wire chunks in one pass.
+        """Fold a micro-batch of npz wire chunks in one pass.
 
-        The serve layer's coalesced entry point: ``blobs`` are raw npz
-        payloads in arrival order.  Undecodable or out-of-order chunks
-        are dropped individually — each contributes an error string and
-        is excluded from the ``chunks`` count, exactly as per-chunk
-        ingestion would have rejected it — while the rest concatenate
-        into one fold, amortizing decode and the builder's sort.
-        A single-shard engine ships the raw bytes to its host, which
-        decodes them (off-process, with a fold pool attached); sharded
-        engines decode here, split by source, and hand sub-batches
-        over.
+        The engine's one ingest path: ``blobs`` are raw npz payloads in
+        arrival order.  Every shard's host gets the same payload, the
+        bytes plus the shard count and the engine's watermark, and
+        decodes it itself (off-process, with a fold pool attached).
+        Undecodable or out-of-order chunks are dropped individually —
+        each contributes one error string and is excluded from the
+        ``chunks`` count, exactly as per-chunk ingestion would have
+        rejected it — while the rest concatenate into one fold,
+        amortizing decode and the builder's sort.
 
         Cumulative results are identical to folding the same chunks one
         at a time: streaming event building is chunking-invariant.
@@ -872,12 +839,10 @@ class DetectionEngine:
             raise RuntimeError("engine already finished")
         t0 = time.perf_counter()
         errors: List[str] = []
-        if self.workers == 1:
-            packets, finalized = self._fold(
-                [(0, ("npz", list(blobs)))], errors
-            )
-        else:
-            packets, finalized = self._fold_payload(("npz", blobs), errors)
+        blobs = list(blobs)
+        packets, finalized = self._fold(
+            (blobs, self.workers, self.watermark), errors
+        )
         chunks = max(0, len(blobs) - len(errors))
         if last_seq is not None:
             # Advance *before* accounting so a snapshot scheduled by
@@ -885,41 +850,6 @@ class DetectionEngine:
             self.advance_seq(last_seq)
         return self._account_fold(
             packets, finalized, chunks, errors, t0, window_end
-        )
-
-    def ingest(self, chunk) -> ChunkReport:
-        """Fold one time-ordered capture chunk into the shard pool.
-
-        ``chunk`` is a :class:`~repro.packet.PacketBatch` or anything
-        with ``.packets`` (and optionally ``.end``, the chunk's window
-        edge — used for watermark-lag accounting), e.g. the
-        :class:`~repro.telescope.capture.CaptureChunk` objects that
-        :func:`repro.scanners.lazy.emit_chunks` yields.  A
-        :class:`~repro.io.shm.ShmBatch` handle (bare or under
-        ``.packets``) is resolved to read-only views of its
-        shared-memory segment — the zero-copy ingest path; the handle's
-        segment must stay leased by its producer until this call
-        returns.  Raises ``ValueError`` on a rejected chunk (one that
-        starts before the engine's watermark), which then folds into no
-        shard.
-        """
-        if self._finished:
-            raise RuntimeError("engine already finished")
-        t0 = time.perf_counter()
-        errors: List[str] = []
-        packets, finalized = self._fold_payload(
-            ("batch", getattr(chunk, "packets", chunk)), errors
-        )
-        if errors:
-            raise ValueError("; ".join(errors))
-        report = self._account_fold(
-            packets, finalized, 1, errors, t0, getattr(chunk, "end", None)
-        )
-        return ChunkReport(
-            packets=report.packets,
-            events_finalized=report.events_finalized,
-            open_flows=report.open_flows,
-            watermark=report.watermark,
         )
 
     # ------------------------------------------------------------------

@@ -15,11 +15,9 @@ trustworthy.  Readers verify digests and raise
 :class:`~repro.core.faults.ChunkCorruptionError` naming the offending
 file (strict mode), or skip-and-account the damage (degraded mode).
 
-Archives lay columns out in :data:`repro.packet.COLUMNS` order — the
-same struct-of-arrays schema :mod:`repro.io.shm` packs into shared
-memory for the intra-host zero-copy hand-off, so the two surfaces stay
-mutually convertible without reshaping (shared-memory views serialize
-through :func:`packets_to_npz_bytes` unchanged).
+Archives lay columns out in :data:`repro.packet.COLUMNS` order.  The
+serve path's wire chunks are the same archives as bytes
+(:func:`packets_to_npz_bytes`); engine shard hosts decode them.
 """
 
 from __future__ import annotations

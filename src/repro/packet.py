@@ -236,3 +236,22 @@ class PacketBatch:
 def merge_sorted(batches: Iterable[PacketBatch]) -> PacketBatch:
     """Concatenate then time-sort batches; convenience for capture paths."""
     return PacketBatch.concat(list(batches)).sorted_by_time()
+
+
+#: Fibonacci-hash multiplier: decorrelates the shard index from address
+#: structure (plain ``src % n`` would map whole prefixes to one shard).
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def shard_of(src: np.ndarray, n_shards: int) -> np.ndarray:
+    """Shard index per source address (vectorized, deterministic).
+
+    The same source always lands in the same shard — the invariant
+    every sharded detector (offline workers and engine shard hosts
+    alike) rests on — and the multiplicative hash spreads adjacent
+    addresses across shards.
+    """
+    if n_shards < 1:
+        raise ValueError("n_shards must be >= 1")
+    hashed = src.astype(np.uint64) * _HASH_MULTIPLIER
+    return ((hashed >> np.uint64(33)) % np.uint64(n_shards)).astype(np.int64)

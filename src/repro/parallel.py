@@ -86,39 +86,9 @@ from repro.core.faults import (
 from repro.core.engine import DetectionEngine
 from repro.core.streaming import StreamingDetector
 from repro.core.telemetry import PipelineTelemetry, RunHealth
-from repro.packet import PacketBatch
+from repro.packet import shard_of
 from repro.scanners.lazy import emit_chunks
 from repro.telescope.chunks import CaptureChunk
-
-#: Fibonacci-hash multiplier: decorrelates the shard index from address
-#: structure (plain ``src % n`` would map whole prefixes to one shard).
-_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-
-
-def shard_of(src: np.ndarray, n_shards: int) -> np.ndarray:
-    """Shard index per source address (vectorized, deterministic).
-
-    The same source always lands in the same shard — the invariant the
-    whole parallel path rests on — and the multiplicative hash spreads
-    adjacent addresses across shards.
-    """
-    if n_shards < 1:
-        raise ValueError("n_shards must be >= 1")
-    hashed = src.astype(np.uint64) * _HASH_MULTIPLIER
-    return ((hashed >> np.uint64(33)) % np.uint64(n_shards)).astype(np.int64)
-
-
-def shard_batch(batch: PacketBatch, n_shards: int) -> List[PacketBatch]:
-    """Partition a packet batch into per-shard sub-batches.
-
-    Row order within each shard is preserved, so a time-ordered batch
-    yields time-ordered shards.
-    """
-    if n_shards == 1:
-        return [batch]
-    shard = shard_of(batch.src, n_shards)
-    return [batch.select(shard == i) for i in range(n_shards)]
-
 
 @dataclass(frozen=True)
 class WorkerReport:

@@ -72,7 +72,7 @@ def seedseq_state64(entropy: np.ndarray, n_words: int = 4) -> np.ndarray:
     with np.errstate(over="ignore"):
         hash_const = np.full(n, _INIT_A, dtype=np.uint32)
 
-        def hashmix(value: np.ndarray) -> np.ndarray:
+        def hash_mix(value: np.ndarray) -> np.ndarray:
             nonlocal hash_const
             value = value ^ hash_const
             hash_const = hash_const * _MULT_A
@@ -87,7 +87,7 @@ def seedseq_state64(entropy: np.ndarray, n_words: int = 4) -> np.ndarray:
         # whole pool, then fold any remaining words into every pool
         # word — the exact order of ``SeedSequence.mix_entropy``.
         pool = [
-            hashmix(
+            hash_mix(
                 entropy[:, i].copy()
                 if i < k
                 else np.zeros(n, dtype=np.uint32)
@@ -97,11 +97,11 @@ def seedseq_state64(entropy: np.ndarray, n_words: int = 4) -> np.ndarray:
         for i_src in range(_POOL_SIZE):
             for i_dst in range(_POOL_SIZE):
                 if i_src != i_dst:
-                    pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+                    pool[i_dst] = mix(pool[i_dst], hash_mix(pool[i_src]))
         for i_src in range(_POOL_SIZE, k):
             for i_dst in range(_POOL_SIZE):
                 pool[i_dst] = mix(
-                    pool[i_dst], hashmix(entropy[:, i_src].copy())
+                    pool[i_dst], hash_mix(entropy[:, i_src].copy())
                 )
 
         hash_b = np.full(n, _INIT_B, dtype=np.uint32)

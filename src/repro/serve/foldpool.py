@@ -38,11 +38,15 @@ Design points:
 * **Fan-out.**  Requests that touch several workers (``fold_many``,
   ``summary``, ``collect``, ``write``) are all sent before any reply is
   read, so distinct workers serve them concurrently.
-* **Zero-copy hand-off.**  Sub-batches above the shared-memory auto
-  threshold travel as :class:`~repro.io.shm.ShmBatch` handles over one
-  named segment per fold (see :func:`repro.io.shm.share_batches`);
-  single-shard tenants ship raw npz wire bytes and the worker decodes
-  them off-loop.
+* **Hosts decode the wire.**  A fold ships the tenant's raw npz wire
+  chunks, with its shard count and watermark, to every shard; each
+  worker decodes them off-loop and keeps its shards' rows by source
+  hash.  ``fold_many`` sends one message per worker, so a payload
+  shared by shards on one worker is pickled and decoded once.  The
+  trade-off: shards of one tenant on distinct workers each decode the
+  chunks, in parallel, as the offline directory workers each read
+  every archive.  Placement does not change for it: the single-tenant
+  case timed above keeps both shards on worker 0.
 * **Desync detection.**  Every request that reads or changes a shard
   (fold, summary, collect, write) carries the packet count the engine
   believes the shard has folded; a mismatch (a respawned worker that
@@ -132,8 +136,6 @@ class FoldPool:
     Args:
         processes: worker-process count (>= 1); see
             :func:`auto_processes` for the serve default.
-        shm: shared-memory policy for batch hand-off, as accepted by
-            :func:`repro.io.shm.want_shared_memory` (None = auto).
         start_method: multiprocessing start method.  ``spawn`` (the
             default) is safe to call from threaded parents — the serve
             test harness runs the event loop on a background thread.
@@ -143,13 +145,11 @@ class FoldPool:
         self,
         processes: int,
         *,
-        shm: Optional[bool] = None,
         start_method: str = "spawn",
     ):
         if processes < 1:
             raise ValueError("processes must be >= 1")
         self.processes = int(processes)
-        self.shm = shm
         self._ctx = multiprocessing.get_context(start_method)
         self._workers = [
             _Worker(self._ctx, index) for index in range(self.processes)
@@ -252,17 +252,27 @@ class FoldPool:
         """Dispatch fold requests, overlapping across workers.
 
         ``requests`` is a sequence of ``(key, spec, expect_packets,
-        payload)`` tuples.  Requests for distinct workers run
-        concurrently (one fan-out: send everything, then collect);
-        requests landing on the same worker run in order.  Returns one
-        :class:`FoldReply` per request, in request order.
+        payload)`` tuples, as :meth:`ShardHost.fold_many` takes.  Each
+        worker gets one message holding its requests, so a payload
+        shared by several of them is pickled and decoded once; workers
+        fold concurrently (one fan-out: send everything, then collect).
+        Returns one :class:`FoldReply` per request, in request order.
         """
-        return self._fan_out(
+        by_worker: Dict[int, List[int]] = {}
+        for position, request in enumerate(requests):
+            index = self.worker_index(request[0])
+            by_worker.setdefault(index, []).append(position)
+        replies = self._fan_out(
             [
-                (self.worker_index(key), ("fold", key, spec, expect, payload))
-                for key, spec, expect, payload in requests
+                (index, ("fold_many", [requests[p] for p in positions]))
+                for index, positions in by_worker.items()
             ]
         )
+        folded: List[Optional[FoldReply]] = [None] * len(requests)
+        for positions, worker_replies in zip(by_worker.values(), replies):
+            for position, reply in zip(positions, worker_replies):
+                folded[position] = reply
+        return folded
 
     def _read(self, op: str, requests: Sequence[tuple]) -> list:
         """One fan-out of ``op`` per ``(key, expect_packets)`` request."""

@@ -28,6 +28,7 @@ from repro.core.events import EventTable, build_events
 from repro.core.faults import CheckpointStore
 from repro.core.streaming import StreamingDetector
 from repro.core.telemetry import PipelineTelemetry
+from repro.io.packetlog import packets_to_npz_bytes
 from repro.packet import PacketBatch, Protocol
 from repro.scanners.lazy import emit_chunks
 from repro.sim.runner import run_scenario
@@ -62,6 +63,19 @@ GOLDEN_DETECTIONS = {
     2: (79, "fe618feb2cee584c", 100.0),
     3: (22, "25a1aca7feb9484c", 2.0),
 }
+
+
+def ingest_chunk(engine, chunk):
+    """Fold one chunk through the engine's only ingest path.
+
+    ``chunk`` is a :class:`PacketBatch` or a capture chunk (``.packets``
+    and ``.end``); it travels as one npz wire chunk, and the engine's
+    :class:`~repro.core.engine.IngestReport` is returned.
+    """
+    return engine.ingest_payloads(
+        [packets_to_npz_bytes(getattr(chunk, "packets", chunk))],
+        window_end=getattr(chunk, "end", None),
+    )
 
 
 def _events_digest(events) -> str:
@@ -151,7 +165,7 @@ class TestGoldenRunPaths:
         scenario, telescope, population, timeout = _world()
         engine = _engine_for(scenario, telescope, timeout, workers=workers)
         for chunk in _chunks(scenario, telescope, population):
-            engine.ingest(chunk)
+            ingest_chunk(engine, chunk)
         events, detections = engine.finish()
         _assert_golden(events, detections)
 
@@ -165,7 +179,7 @@ class TestEngineLifecycle:
         half = len(chunks) // 2
         engine = _engine_for(scenario, telescope, timeout, workers=2)
         for chunk in chunks[:half]:
-            engine.ingest(chunk)
+            ingest_chunk(engine, chunk)
         query = engine.query()
         assert isinstance(query, EngineQuery)
         prefix = PacketBatch.concat([c.packets for c in chunks[:half]])
@@ -188,8 +202,8 @@ class TestEngineLifecycle:
         quiet = _engine_for(scenario, telescope, timeout, workers=2)
         noisy = _engine_for(scenario, telescope, timeout, workers=2)
         for i, chunk in enumerate(chunks):
-            quiet.ingest(chunk)
-            noisy.ingest(chunk)
+            ingest_chunk(quiet, chunk)
+            ingest_chunk(noisy, chunk)
             if i % 7 == 0:
                 noisy.query()
         ev_q, det_q = quiet.finish()
@@ -201,7 +215,7 @@ class TestEngineLifecycle:
         engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG)
         engine.finish()
         with pytest.raises(RuntimeError, match="finished"):
-            engine.ingest(_random_capture(1, n=10))
+            ingest_chunk(engine, _random_capture(1, n=10))
         with pytest.raises(RuntimeError, match="finished"):
             engine.finish()
 
@@ -209,7 +223,7 @@ class TestEngineLifecycle:
         # finish() hands the shards over; a later query must refuse
         # rather than answer with empty AH sets.
         engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG, workers=2)
-        engine.ingest(_random_capture(3, n=5_000))
+        ingest_chunk(engine, _random_capture(3, n=5_000))
         before = engine.query()
         _, detections = engine.finish()
         for definition in (1, 2, 3):
@@ -242,7 +256,7 @@ class TestEngineLifecycle:
             600.0, _DARK_SIZE, _CONFIG, telemetry=telemetry
         )
         for _, _, chunk in batch.iter_time_chunks(3_600.0):
-            engine.ingest(chunk)
+            ingest_chunk(engine, chunk)
         events, _ = engine.finish()
         assert telemetry.total_packets == len(batch)
         assert telemetry.total_events == len(events)
@@ -279,13 +293,13 @@ class TestSnapshotRestore:
         half = len(chunks) // 2
         engine = _engine_for(scenario, telescope, timeout, workers=2)
         for chunk in chunks[:half]:
-            engine.ingest(chunk)
+            ingest_chunk(engine, chunk)
         restored = _round_trip(engine, tmp_path)
         assert restored.workers == engine.workers
         assert restored.chunks_ingested == engine.chunks_ingested
         for chunk in chunks[half:]:
-            engine.ingest(chunk)
-            restored.ingest(chunk)
+            ingest_chunk(engine, chunk)
+            ingest_chunk(restored, chunk)
         ev_a, det_a = engine.finish()
         ev_b, det_b = restored.finish()
         _assert_tables_identical(ev_b, ev_a)
@@ -324,7 +338,7 @@ class TestSnapshotRestore:
         batch = _random_capture(11, n=6_000)
         chunks = [c for _, _, c in batch.iter_time_chunks(3_600.0)]
         for chunk in chunks:
-            engine.ingest(chunk)
+            ingest_chunk(engine, chunk)
         assert telemetry.health.checkpoint_writes == len(chunks) // 2
         revived = DetectionEngine.from_store(store)
         assert revived is not None
@@ -340,7 +354,7 @@ class TestSnapshotRestore:
         telemetry = PipelineTelemetry()
         store = CheckpointStore(tmp_path / "snap", health=telemetry.health)
         engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG, store=store)
-        engine.ingest(_random_capture(12, n=500))
+        ingest_chunk(engine, _random_capture(12, n=500))
         manifest = json.loads(engine.save_snapshot().read_text())
         path = store.run_dir / manifest["shards"][0]["name"]
         raw = bytearray(path.read_bytes())
@@ -356,7 +370,7 @@ def _prefix_answers(chunks, workers=1, timeout=600.0):
     after each that the query equals the offline prefix oracle."""
     engine = DetectionEngine(timeout, _DARK_SIZE, _CONFIG, workers=workers)
     for n, chunk in enumerate(chunks, start=1):
-        engine.ingest(chunk)
+        ingest_chunk(engine, chunk)
         events = build_events(PacketBatch.concat(chunks[:n]), timeout)
         _assert_query_identical(
             engine.query(),
@@ -505,13 +519,13 @@ class TestV4Snapshots:
         half = len(chunks) // 2
         engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG, workers=2)
         for chunk in chunks[:half]:
-            engine.ingest(chunk)
+            ingest_chunk(engine, chunk)
         resumed = _round_trip(engine, tmp_path)
         for key, detector in engine._host._detectors.items():
             _assert_state_identical(resumed._host._detectors[key], detector)
         for chunk in chunks[half:]:
-            engine.ingest(chunk)
-            resumed.ingest(chunk)
+            ingest_chunk(engine, chunk)
+            ingest_chunk(resumed, chunk)
             _assert_query_identical(resumed.query(), engine.query())
         events, detections = resumed.finish()
         ref_events, ref_detections = engine.finish()
@@ -523,7 +537,7 @@ class TestV4Snapshots:
         engine = DetectionEngine(
             600.0, _DARK_SIZE, _CONFIG, workers=2, store=store
         )
-        engine.ingest(_random_capture(26, n=500))
+        ingest_chunk(engine, _random_capture(26, n=500))
         path = engine.save_snapshot()
         manifest = json.loads(path.read_text())
         manifest["shards"][0]["bytes"] += 8
@@ -606,7 +620,7 @@ def test_engine_equals_batch(rows, workers, chunk_seconds):
     ref = detect_all(ref_events, _DARK_SIZE, _CONFIG)
     engine = DetectionEngine(600.0, _DARK_SIZE, _CONFIG, workers=workers)
     for _, _, chunk in batch.iter_time_chunks(chunk_seconds):
-        engine.ingest(chunk)
+        ingest_chunk(engine, chunk)
     events, detections = engine.finish()
     _assert_tables_identical(events, ref_events.sorted_canonical())
     _assert_detections_identical(detections, ref)

@@ -400,52 +400,6 @@ class TestFaultedDetectionIdentity:
                 checkpoint_dir=tmp_path / "run",
             )
 
-    def test_shm_segment_unlinked_when_run_fails(self):
-        """A fold that fails still unlinks its shared-memory segment —
-        the engine's try/finally owns the lease.  Here the fold pool's
-        respawned worker refuses a shard whose state died with its
-        predecessor."""
-        import os
-        import signal
-        from multiprocessing import shared_memory
-
-        import repro.core.engine as engine_module
-        import repro.io.shm as shm_module
-        from repro.core.engine import DetectionEngine
-        from repro.serve.foldpool import FoldPool, FoldPoolError
-
-        if not shm_module.shared_memory_available():
-            pytest.skip("platform has no usable shared memory")
-        created = []
-        original = engine_module.share_batches
-
-        def recording(batches, label="fold"):
-            handles, lease = original(batches, label)
-            created.append(lease.name)
-            return handles, lease
-
-        chunks = [c for _, _, c in _BATCH.iter_time_chunks(3_600.0)]
-        engine_module.share_batches = recording
-        try:
-            with FoldPool(1, shm=True) as pool:
-                engine = DetectionEngine(
-                    600.0, _DARK_SIZE, _CONFIG, workers=2
-                )
-                engine.attach_pool(pool, "fails")
-                engine.ingest(chunks[0])
-                os.kill(pool._workers[0].process.pid, signal.SIGKILL)
-                with pytest.raises(FoldPoolError):
-                    engine.ingest(chunks[1])
-                with pytest.raises(FoldPoolError, match="no state|out of sync"):
-                    engine.ingest(chunks[2])
-        finally:
-            engine_module.share_batches = original
-        assert len(created) == 3
-        for name in created:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-
 class TestDirectoryFaults:
     @pytest.fixture()
     def capture_dir(self, tmp_path):

@@ -10,6 +10,7 @@ snapshot).
 import itertools
 import os
 import signal
+import tempfile
 import threading
 from contextlib import nullcontext
 from types import SimpleNamespace
@@ -19,17 +20,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.engine as engine_module
 from repro.config import DetectionConfig
 from repro.core.detection import detect_all
 from repro.core.engine import DetectionEngine, ShardSpec, gate_time_order
 from repro.core.events import build_events
 from repro.core.faults import CheckpointStore
+from repro.core.streaming import StreamingDetector
 from repro.io.packetlog import packets_to_npz_bytes
-from repro.packet import PacketBatch, Protocol
-from repro.parallel import shard_of
+from repro.packet import PacketBatch, Protocol, shard_of
 from repro.serve.foldpool import FoldPool, FoldPoolError
 from repro.serve.tenants import Tenant, TenantConfig
-from tests.test_streaming import _assert_query_identical
+from tests.test_engine import ingest_chunk
+from tests.test_parallel import _random_capture, _reference
+from tests.test_streaming import (
+    _assert_detections_identical,
+    _assert_query_identical,
+    _assert_tables_identical,
+)
 
 TCP = Protocol.TCP_SYN.value
 
@@ -137,16 +145,16 @@ class TestPooledParity:
 
         reference = _engine(workers=2)
         for chunk in chunks:
-            reference.ingest(chunk)
+            ingest_chunk(reference, chunk)
         expected_events, expected_det = reference.finish()
 
         hybrid = _engine(workers=2)
         for chunk in chunks[:3]:
-            hybrid.ingest(chunk)
+            ingest_chunk(hybrid, chunk)
         hybrid.attach_pool(pool, "hybrid")
         assert hybrid.pooled
         for chunk in chunks[3:]:
-            hybrid.ingest(chunk)
+            ingest_chunk(hybrid, chunk)
         # finish() detaches and merges — identical to the local run.
         events, detections = hybrid.finish()
         assert not hybrid.pooled
@@ -255,11 +263,9 @@ class TestHostParity:
             accepted = []
             for chunk in chunks:
                 before = engine.status()
-                try:
-                    engine.ingest(chunk)
-                    accepted.append(True)
-                except ValueError:
-                    accepted.append(False)
+                report = ingest_chunk(engine, chunk)
+                accepted.append(report.chunks == 1)
+                if report.errors:
                     assert engine.status() == before
             got = engine.query()
             engine.detach_pool()
@@ -270,6 +276,167 @@ class TestHostParity:
         oracle = detect_all(build_events(kept, _TIMEOUT), _DARK_SIZE, _CONFIG)
         for definition in (1, 2, 3):
             assert got.ah_sources(definition) == oracle[definition].sources
+
+
+class TestRejectedChunks:
+    """Every shard host decodes the same payload and gates it against
+    the engine's watermark, so a refused chunk folds nowhere and is
+    reported once, whatever the shard count or host."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "pooled", [False, True], ids=["inline", "foldpool"]
+    )
+    def test_each_refused_chunk_reported_once(self, pool, pooled, workers):
+        batch = _capture(21)
+        chunks = _chunks(batch, 6)
+        blobs = [packets_to_npz_bytes(c) for c in chunks]
+        empty = packets_to_npz_bytes(batch.select(slice(0, 0)))
+        engine = _engine(workers=workers)
+        if pooled:
+            engine.attach_pool(pool, f"refused-{workers}")
+        engine.ingest_payloads(blobs[:2])
+        coalesced = [blobs[2], b"not an npz", blobs[0], empty, blobs[3]]
+        report = engine.ingest_payloads(coalesced)
+        assert len(report.errors) == 2
+        assert sum("out of order" in e for e in report.errors) == 1
+        assert report.chunks == len(coalesced) - 2
+        assert report.packets == len(chunks[2]) + len(chunks[3])
+        engine.ingest_payloads(blobs[4:])
+        assert engine.chunks_ingested == 2 + 3 + 2
+        ref_events, ref_detections = _reference(batch, _TIMEOUT)
+        _assert_query_identical(
+            engine.query(),
+            SimpleNamespace(events=len(ref_events), detections=ref_detections),
+        )
+        events, detections = engine.finish()
+        _assert_tables_identical(events, ref_events.sorted_canonical())
+        _assert_detections_identical(detections, ref_detections)
+
+    @pytest.mark.parametrize(
+        "pooled", [False, True], ids=["inline", "foldpool"]
+    )
+    def test_gate_is_the_engines_watermark(self, pool, pooled):
+        # Source a's shard lags at 100 while the engine is at 300.  A
+        # chunk of source a alone starting at 200 is behind the engine,
+        # so it is refused, though a's shard on its own would take it.
+        a, b = TestHostParity._sources()
+        engine = _engine(workers=2)
+        if pooled:
+            engine.attach_pool(pool, "lagging")
+        ingest_chunk(engine, TestHostParity._batch([(100.0, a), (300.0, b)]))
+        before = engine.status()
+        report = ingest_chunk(
+            engine, TestHostParity._batch([(200.0, a), (250.0, a)])
+        )
+        assert report.chunks == 0 and report.packets == 0
+        assert len(report.errors) == 1 and "out of order" in report.errors[0]
+        assert engine.status() == before
+        engine.abandon_pool()
+
+    def test_fold_errors_stay_per_shard(self, monkeypatch):
+        def refuse(detector, batch):
+            raise ValueError("refused by the detector")
+
+        monkeypatch.setattr(StreamingDetector, "add_batch", refuse)
+        engine = _engine(workers=3)
+        batch = _capture(22, n=500)
+        assert len(np.unique(shard_of(batch.src, 3))) == 3
+        report = ingest_chunk(engine, batch)
+        assert report.errors == ("refused by the detector",) * 3
+        assert report.packets == engine.packets_seen == 0
+
+    def test_inline_shards_decode_each_blob_once(self, monkeypatch):
+        calls = []
+        decode = engine_module.packets_from_npz_bytes
+
+        def counting(blob, **kwargs):
+            calls.append(blob)
+            return decode(blob, **kwargs)
+
+        monkeypatch.setattr(engine_module, "packets_from_npz_bytes", counting)
+        blobs = _blobs(_capture(23), 5)
+        engine = _engine(workers=3)
+        report = engine.ingest_payloads(blobs)
+        assert report.chunks == len(blobs) and not report.errors
+        assert calls == blobs
+
+
+_IDENTITY = _random_capture(41, n=6_000)
+_IDENTITY_EVENTS, _IDENTITY_DETECTIONS = _reference(_IDENTITY)
+
+
+def _identity_chunks(chunk_seconds=3_600.0):
+    return [c for _, _, c in _IDENTITY.iter_time_chunks(chunk_seconds)]
+
+
+class TestPooledDetectionIdentity:
+    """Hosts decoding the wire never change results: any engine shard
+    count and chunk schedule, a snapshot resume or a fold worker's
+    death, folded through the pool, equal the serial reference."""
+
+    @settings(deadline=None, max_examples=16)
+    @given(
+        workers=st.integers(1, 8),
+        chunk_seconds=st.sampled_from([900.0, 3_600.0, 50_000.0]),
+    )
+    def test_pooled_equals_serial_any_workers_any_schedule(
+        self, pool, workers, chunk_seconds
+    ):
+        engine = _engine(workers=workers)
+        engine.attach_pool(pool, f"any-{workers}-{chunk_seconds}")
+        for chunk in _identity_chunks(chunk_seconds):
+            ingest_chunk(engine, chunk)
+        events, detections = engine.finish()
+        _assert_tables_identical(events, _IDENTITY_EVENTS)
+        _assert_detections_identical(detections, _IDENTITY_DETECTIONS)
+
+    @settings(deadline=None, max_examples=8)
+    @given(workers=st.integers(2, 8), cut=st.integers(1, 100))
+    def test_pooled_interrupt_then_resume_identical(self, pool, workers, cut):
+        """Snapshot mid-stream, lose the unsnapshotted progress with
+        the pooled state, restore and finish: the result matches
+        serial."""
+        chunks = _identity_chunks()
+        cut %= len(chunks)
+        with tempfile.TemporaryDirectory() as run_dir:
+            store = CheckpointStore(run_dir)
+            engine = _engine(workers=workers, store=store)
+            engine.attach_pool(pool, f"cut-{workers}-{cut}")
+            for chunk in chunks[:cut]:
+                ingest_chunk(engine, chunk)
+            engine.save_snapshot()
+            ingest_chunk(engine, chunks[cut])  # progress the snapshot misses
+            engine.abandon_pool()
+            restored = DetectionEngine.from_store(store)
+            restored.attach_pool(pool, f"cut-{workers}-{cut}-restored")
+            for chunk in chunks[cut:]:
+                ingest_chunk(restored, chunk)
+            events, detections = restored.finish()
+        _assert_tables_identical(events, _IDENTITY_EVENTS)
+        _assert_detections_identical(detections, _IDENTITY_DETECTIONS)
+
+    def test_restore_after_worker_abort_identical(self, tmp_path):
+        """A hard fold-worker death fails the fold; restoring the last
+        snapshot then finishes bit-identically."""
+        chunks = _identity_chunks()
+        store = CheckpointStore(tmp_path / "ckpt")
+        with FoldPool(1) as pool:
+            engine = _engine(workers=2, store=store)
+            engine.attach_pool(pool, "abort")
+            for chunk in chunks[:10]:
+                ingest_chunk(engine, chunk)
+            engine.save_snapshot()
+            os.kill(pool._workers[0].process.pid, signal.SIGKILL)
+            with pytest.raises(FoldPoolError):
+                ingest_chunk(engine, chunks[10])
+            restored = DetectionEngine.from_store(store)
+            restored.attach_pool(pool, "abort-restored")
+            for chunk in chunks[10:]:
+                ingest_chunk(restored, chunk)
+            events, detections = restored.finish()
+        _assert_tables_identical(events, _IDENTITY_EVENTS)
+        _assert_detections_identical(detections, _IDENTITY_DETECTIONS)
 
 
 class TestQueryViews:
@@ -284,8 +451,8 @@ class TestQueryViews:
         untouched = _engine(workers=3)
         untouched.attach_pool(pool, f"views-{every}-untouched")
         for n, chunk in enumerate(chunks, start=1):
-            queried.ingest(chunk)
-            untouched.ingest(chunk)
+            ingest_chunk(queried, chunk)
+            ingest_chunk(untouched, chunk)
             if n % every:
                 continue
             prefix = PacketBatch.concat(chunks[:n])
@@ -374,7 +541,7 @@ class TestSummaryQuery:
         seen = []
         try:
             for _, _, chunk in batch.iter_time_chunks(chunk_seconds):
-                engine.ingest(chunk)
+                ingest_chunk(engine, chunk)
                 seen.append(chunk)
                 before = engine._host.collect(engine._shard_reads())
                 got = engine.query()
@@ -407,7 +574,11 @@ class _FakeConn:
 
     def recv(self):
         self.log.append(("recv", self.index))
-        return ("ok", (self.index, self.pending.pop(0)))
+        message = self.pending.pop(0)
+        if message[0] == "fold_many":
+            # One reply per request, as the worker's host answers.
+            return ("ok", [(self.index, request[0]) for request in message[1]])
+        return ("ok", (self.index, message))
 
 
 class TestFanOut:
@@ -434,14 +605,29 @@ class TestFanOut:
         assert len({index for _, index in log}) == 2  # both workers
 
     def test_fold_many_sends_everything_before_reading(self):
+        """One ``fold_many`` message per worker, holding that worker's
+        requests in order, so a payload its shards share is pickled
+        once; the replies come back in request order."""
         pool, log = self._pool()
         spec = ShardSpec(_TIMEOUT, _DARK_SIZE, _CONFIG, 86_400.0)
-        requests = [(("t", i), spec, i, ("batch", i)) for i in range(6)]
+        payload = ([b"npz"], 6, None)
+        requests = [(("t", i), spec, i, payload) for i in range(6)]
         replies = pool.fold_many(requests)
-        self._assert_sends_first(log, len(requests))
+        self._assert_sends_first(log, 2)
+        owners = [pool.worker_index(key) for key, _, _, _ in requests]
+        for worker in pool._workers:
+            assert worker.conn.sent == [
+                (
+                    "fold_many",
+                    [
+                        request
+                        for request, owner in zip(requests, owners)
+                        if owner == worker.index
+                    ],
+                )
+            ]
         assert replies == [
-            (pool.worker_index(key), ("fold", key, spec, expect, payload))
-            for key, spec, expect, payload in requests
+            (owner, key) for owner, (key, _, _, _) in zip(owners, requests)
         ]
 
     def test_summary_sends_everything_before_reading(self):

@@ -179,17 +179,6 @@ class TestPacketNpzBytes:
         assert len(batch) == 0
         self._roundtrip(batch)
 
-    def test_shared_memory_views_serialize_unchanged(self):
-        # Read-only shared-memory views are valid savez inputs: the two
-        # columnar surfaces convert without reshaping or copying first.
-        shm = pytest.importorskip("repro.io.shm")
-        if not shm.shared_memory_available():
-            pytest.skip("platform has no usable shared memory")
-        batch = _one_packet()
-        (handle,), lease = shm.share_batches([batch])
-        with lease:
-            self._roundtrip(handle.load())
-
     def test_truncated_bytes_name_the_label(self):
         data = packets_to_npz_bytes(_one_packet())
         with pytest.raises(ChunkCorruptionError, match="tenant-3"):

@@ -18,7 +18,6 @@ from repro.core.streaming import StreamingDetector
 from repro.parallel import (
     parallel_detect_directory,
     parallel_generate_detect,
-    shard_batch,
     shard_of,
     shard_scanners,
 )
@@ -71,7 +70,8 @@ class TestSharding:
 
     def test_shard_batch_partitions(self):
         batch = _random_capture(1, n=5_000)
-        shards = shard_batch(batch, 4)
+        owner = shard_of(batch.src, 4)
+        shards = [batch.select(owner == i) for i in range(4)]
         assert sum(len(s) for s in shards) == len(batch)
         seen = [set(np.unique(s.src).tolist()) for s in shards if len(s)]
         for i, a in enumerate(seen):

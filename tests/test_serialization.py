@@ -26,8 +26,7 @@ from repro.core.streaming import (
     STATE_MAGIC,
     StreamingDetector,
 )
-from repro.packet import PacketBatch, Protocol
-from repro.parallel import shard_batch
+from repro.packet import PacketBatch, Protocol, shard_of
 from tests.test_events import _packets
 from tests.test_streaming import (
     _assert_detections_identical,
@@ -65,7 +64,8 @@ class TestDetectorRoundTrip:
         merged state, revive again — results stay bit-identical to the
         offline batch pipeline."""
         batch = _capture(101)
-        shards = shard_batch(batch, 3)
+        owner = shard_of(batch.src, 3)
+        shards = [batch.select(owner == i) for i in range(3)]
         blobs = []
         for shard in shards:
             detector = _detector()
@@ -468,7 +468,9 @@ class TestV4Container:
     def test_restored_detector_merges_and_finishes_bit_identically(self):
         batch = _capture(105)
         live = [_detector(), _detector()]
-        for shard, detector in zip(shard_batch(batch, 2), live):
+        owner = shard_of(batch.src, 2)
+        shards = [batch.select(owner == i) for i in range(2)]
+        for shard, detector in zip(shards, live):
             for _, _, chunk in shard.iter_time_chunks(3_600.0):
                 detector.add_batch(chunk)
         revived = [StreamingDetector.from_bytes(d.to_bytes()) for d in live]

@@ -11,6 +11,7 @@ from repro.io.packetlog import packets_to_npz_bytes
 from repro.packet import PacketBatch, Protocol
 from repro.serve.journal import JOURNAL_DIR_NAME
 from repro.serve.tenants import TenantConfig, TenantRegistry
+from tests.test_engine import ingest_chunk
 from tests.test_streaming import _assert_query_identical
 
 TCP = Protocol.TCP_SYN.value
@@ -46,7 +47,7 @@ def _capture(seed, n=8_000, duration=200_000.0):
 
 def _feed(tenant, batch, chunk_seconds=3_600.0):
     for _, _, chunk in batch.iter_time_chunks(chunk_seconds):
-        tenant.engine.ingest(chunk)
+        ingest_chunk(tenant.engine, chunk)
 
 
 class TestConfigRoundTrip:
@@ -386,8 +387,8 @@ class TestRecycle:
         churned = registry.create("churned", _config(workers=2))
         chunks = list(_capture(5).iter_time_chunks(3_600.0))
         for i, (_, _, chunk) in enumerate(chunks):
-            steady.engine.ingest(chunk)
-            churned.engine.ingest(chunk)
+            ingest_chunk(steady.engine, chunk)
+            ingest_chunk(churned.engine, chunk)
             if i % 10 == 0:
                 churned.recycle()
         assert churned.recycles > 0
